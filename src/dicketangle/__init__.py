@@ -30,10 +30,12 @@ from .marginals import (
 )
 from .measures import (
     TangleRecord,
+    TangleTable,
     concurrence_two_qubit,
     negativity_two_qubit,
     one_vs_rest,
     tangle_record,
+    tangle_table,
 )
 from .oracle import (
     FullState,
@@ -66,6 +68,7 @@ __all__ = [
     "SmallMatrix",
     "Spinor",
     "TangleRecord",
+    "TangleTable",
     "TwoQubitMarginal",
     "WrongDimensionError",
     "ZeroStateError",
@@ -86,6 +89,7 @@ __all__ = [
     "sym_eigenvalues",
     "symmetrize_two_spinors",
     "tangle_record",
+    "tangle_table",
     "trace_norm_symmetric",
     "two_qubit_marginal",
     "__version__",

@@ -12,10 +12,9 @@ Diagnostics go to stderr; stdout (or --out) carries the report or CSV only.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -44,7 +43,6 @@ class SweepConfig:
     a_steps: int = 101
     output_path: str = "-"
     precision: int = 12
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.n_values:
@@ -61,8 +59,6 @@ class SweepConfig:
             raise InvalidParamsError(f"a_steps must be >= 2, got {self.a_steps}")
         if self.precision < 1:
             raise InvalidParamsError(f"precision must be >= 1, got {self.precision}")
-        if self.jobs < 1:
-            raise InvalidParamsError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _a_grid(a_min: float, a_max: float, a_steps: int) -> list[float]:
@@ -75,57 +71,73 @@ def _fmt(x: float, precision: int) -> str:
     return format(x + 0.0, f".{precision}g")
 
 
-def _row_values(point):
-    """Compute one sweep row; returns (ok, payload) so failures stay per-row."""
-    n, k, a = point
+def _tangle_rows(n: int, k: int, grid: list[float]):
+    """Yield (a, row) for each a of grid: row is (c1_sq, c2_sq, tau, n2, xi) or its error.
+
+    One tangle_table call covers the whole (N, k). If it fails, every a is
+    re-run through tangle_record, so that only the rows that fail are lost;
+    each of those yields its DicketangleError in place of the row.
+    """
     try:
-        rec = measures.tangle_record(DickeParams(n, k, a))
-    except DicketangleError as exc:
-        return False, f"(N={n}, k={k}, a={a:g}): {exc}"
-    return True, (rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)
+        table = measures.tangle_table(n, k, grid)
+    except DicketangleError:
+        for a in grid:
+            try:
+                rec = measures.tangle_record(DickeParams(n, k, a))
+            except DicketangleError as exc:
+                yield a, exc
+            else:
+                yield a, (rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)
+        return
+    yield from zip(grid, zip(*(col.tolist() for col in table)))
 
 
 def run_sweep(cfg: SweepConfig, out=None, err=None) -> int:
+    """Write the CSV of cfg's grid, one (N, k) batch at a time; returns the exit code.
+
+    Nothing is written, and no output file is created, until the first row
+    has been computed, so a sweep in which every row fails writes nothing.
+    """
     err = err if err is not None else sys.stderr
-    grid = []
+    pairs = []
     for n in sorted(set(cfg.n_values)):
         ks = range(1, n // 2 + 1) if cfg.k_values is None else sorted(set(cfg.k_values))
         for k in ks:
             if not 1 <= k <= n // 2:
                 print(f"warning: skipping invalid pair N={n}, k={k}", file=err)
                 continue
-            for a in _a_grid(cfg.a_min, cfg.a_max, cfg.a_steps):
-                grid.append((n, k, a))
-    if not grid:
+            pairs.append((n, k))
+    if not pairs:
         print("error: sweep grid is empty after filtering", file=err)
         return 2
 
-    if cfg.jobs > 1:
-        with Pool(cfg.jobs) as pool:
-            results = pool.map(_row_values, grid, chunksize=max(1, len(grid) // (4 * cfg.jobs)))
-    else:
-        results = [_row_values(point) for point in grid]
-
-    lines = [_COLUMNS]
+    grid = _a_grid(cfg.a_min, cfg.a_max, cfg.a_steps)
     failures = 0
-    for (n, k, a), (ok, payload) in zip(grid, results):
-        if not ok:
-            failures += 1
-            print(f"warning: skipping row {payload}", file=err)
-            continue
-        fields = [str(n), str(k)] + [_fmt(x, cfg.precision) for x in (a, *payload)]
-        lines.append(",".join(fields))
-    if failures == len(grid):
+    with ExitStack() as stack:
+        stream = None
+        for n, k in pairs:
+            lines = []
+            for a, row in _tangle_rows(n, k, grid):
+                if isinstance(row, DicketangleError):
+                    failures += 1
+                    print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {row}", file=err)
+                    continue
+                fields = [str(n), str(k)] + [_fmt(x, cfg.precision) for x in (a, *row)]
+                lines.append(",".join(fields) + "\n")
+            if not lines:
+                continue
+            if stream is None:
+                if cfg.output_path == "-":
+                    stream = out if out is not None else sys.stdout
+                else:
+                    stream = stack.enter_context(
+                        open(cfg.output_path, "w", encoding="utf-8", newline="\n")
+                    )
+                stream.write(_COLUMNS + "\n")
+            stream.write("".join(lines))
+    if failures == len(pairs) * len(grid):
         print("error: every sweep row failed", file=err)
         return 2
-
-    text = "\n".join(lines) + "\n"
-    if cfg.output_path == "-":
-        stream = out if out is not None else sys.stdout
-        stream.write(text)
-    else:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
     return 0
 
 
@@ -169,50 +181,53 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None, err=None) -> int:
     if a_steps < 2:
         raise InvalidParamsError(f"a_steps must be >= 2, got {a_steps}")
     grid = _a_grid(0.0, 1.0, a_steps)
-    pairs = _check_pairs(n_max)
-    records = {
-        (n, k): [measures.tangle_record(DickeParams(n, k, a)) for a in grid] for n, k in pairs
-    }
+    taus = {}
     report = _PropertyReport()
 
-    for (n, k), recs in records.items():
-        for a, rec in zip(grid, recs):
+    for n, k in _check_pairs(n_max):
+        rows = []
+        for _, row in _tangle_rows(n, k, grid):
+            if isinstance(row, DicketangleError):
+                raise row
+            rows.append(row)
+        for a, (_, _, tau, _, xi) in zip(grid, rows):
             where = f"(N={n}, k={k}, a={a:.6g})"
-            report.observe("monogamy-tau", rec.tau + tol, where)
-            report.observe("monogamy-xi", rec.xi + tol, where)
-            report.observe("ordering-xi-ge-tau", rec.xi - rec.tau + tol, where)
+            report.observe("monogamy-tau", tau + tol, where)
+            report.observe("monogamy-xi", xi + tol, where)
+            report.observe("ordering-xi-ge-tau", xi - tau + tol, where)
             if k == 1:
-                report.observe("w-class-saturation", tol - abs(rec.tau), where)
+                report.observe("w-class-saturation", tol - abs(tau), where)
             if a == 1.0:
-                report.observe("vanishing-at-a-1", tol - abs(rec.tau), where)
-        taus = [rec.tau for rec in recs]
+                report.observe("vanishing-at-a-1", tol - abs(tau), where)
+        tau_row = [row[2] for row in rows]
+        taus[(n, k)] = tau_row
         if k >= 2:
-            for i in range(len(taus) - 1):
+            for i in range(len(tau_row) - 1):
                 report.observe(
                     "a-monotonicity",
-                    taus[i] - taus[i + 1] + tol,
+                    tau_row[i] - tau_row[i + 1] + tol,
                     f"(N={n}, k={k}, a={grid[i]:.6g}->{grid[i + 1]:.6g})",
                 )
         for i, a in enumerate(grid):
             report.observe(
-                "endpoint-max-at-a-0", taus[0] - taus[i] + tol, f"(N={n}, k={k}, a={a:.6g})"
+                "endpoint-max-at-a-0", tau_row[0] - tau_row[i] + tol, f"(N={n}, k={k}, a={a:.6g})"
             )
 
-    by_n = sorted({n for n, _ in records})
+    by_n = sorted({n for n, _ in taus})
     for n in by_n:
-        ks = sorted(k for m, k in records if m == n)
+        ks = sorted(k for m, k in taus if m == n)
         for k1, k2 in zip(ks, ks[1:]):
             for i, a in enumerate(grid):
                 if a >= 1.0:
                     continue
                 report.observe(
                     "k-ordering",
-                    records[(n, k2)][i].tau - records[(n, k1)][i].tau + tol,
+                    taus[(n, k2)][i] - taus[(n, k1)][i] + tol,
                     f"(N={n}, k={k1}->{k2}, a={a:.6g})",
                 )
-    by_k = sorted({k for _, k in records})
+    by_k = sorted({k for _, k in taus})
     for k in by_k:
-        ns = sorted(n for n, m in records if m == k)
+        ns = sorted(n for n, m in taus if m == k)
         for n1, n2 in zip(ns, ns[1:]):
             if n1 == 2 * k:
                 # tau genuinely rises when leaving the half-filled point
@@ -222,7 +237,7 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None, err=None) -> int:
             for i, a in enumerate(grid):
                 report.observe(
                     "n-decay",
-                    records[(n1, k)][i].tau - records[(n2, k)][i].tau + tol,
+                    taus[(n1, k)][i] - taus[(n2, k)][i] + tol,
                     f"(N={n1}->{n2}, k={k}, a={a:.6g})",
                 )
 
@@ -345,18 +360,6 @@ def _k_list(text: str):
     return _int_list(text)
 
 
-def _jobs(text: str) -> int:
-    if text.strip().lower() == "auto":
-        return os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("jobs must be >= 1")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dicketangle",
@@ -375,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     sweep.add_argument("--precision", type=int, default=12,
                        help="significant digits in the CSV (default 12)")
-    sweep.add_argument("--jobs", type=_jobs, default=1, metavar="INT|auto",
-                       help="worker processes for the sweep (default 1)")
 
     check = sub.add_parser("check", help="verify monogamy/ordering/monotonicity properties")
     check.add_argument("--n-max", type=int, default=12,
@@ -404,7 +405,6 @@ def main(argv=None) -> int:
                 a_steps=args.a_steps,
                 output_path=args.out,
                 precision=args.precision,
-                jobs=args.jobs,
             )
             return run_sweep(cfg)
         if args.command == "check":

@@ -9,7 +9,7 @@ the canonical form
 where |N/2, N/2 - r> is the Dicke state with r excitations and the real,
 nonnegative amplitudes beta_r depend on a single overlap parameter
 a = |<eps1|eps2>| in [0, 1] (b = sqrt(1 - a^2)). This module evaluates
-those amplitudes stably for N into the hundreds, plus the specialized
+those amplitudes stably for N into the thousands, plus the specialized
 Clebsch-Gordan coefficients that couple one qubit (j2 = 1/2 twice, i.e.
 j2 = 1 for a pair) out of the symmetric multiplet.
 """
@@ -18,17 +18,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import InvalidParamsError, OutOfRangeError
 
-# log(n!) table, grown on demand; index n holds lgamma(n + 1)
-_LOG_FACT: list[float] = [0.0]
+def check_n_k(n, k) -> tuple[int, int]:
+    """Validate (N, k) as integers with N >= 2 and 1 <= k <= N//2; return them as ints."""
+    if n != int(n) or k != int(k):
+        raise InvalidParamsError("n_qubits and degeneracy must be integers")
+    n, k = int(n), int(k)
+    if n < 2:
+        raise InvalidParamsError(f"need at least 2 qubits, got {n}")
+    if not 1 <= k <= n // 2:
+        raise InvalidParamsError(f"degeneracy k must satisfy 1 <= k <= N//2 = {n // 2}, got {k}")
+    return n, k
 
 
-def _log_fact(n: int) -> float:
-    while len(_LOG_FACT) <= n:
-        _LOG_FACT.append(math.lgamma(len(_LOG_FACT) + 1))
-    return _LOG_FACT[n]
+def check_a_values(a_values) -> np.ndarray:
+    """Validate overlaps a as finite values in [0, 1]; return them as a 1-D float array."""
+    a = np.asarray(a_values, dtype=float).reshape(-1)
+    bad = ~(np.isfinite(a) & (a >= 0.0) & (a <= 1.0))
+    if bad.any():
+        raise InvalidParamsError(f"non-orthogonality a must lie in [0, 1], got {a[bad][0]}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -40,15 +54,8 @@ class DickeParams:
     non_orthogonality: float
 
     def __post_init__(self):
-        n, k = self.n_qubits, self.degeneracy
-        if n != int(n) or k != int(k):
-            raise InvalidParamsError("n_qubits and degeneracy must be integers")
-        n, k = int(n), int(k)
+        n, k = check_n_k(self.n_qubits, self.degeneracy)
         a = float(self.non_orthogonality)
-        if n < 2:
-            raise InvalidParamsError(f"need at least 2 qubits, got {n}")
-        if not 1 <= k <= n // 2:
-            raise InvalidParamsError(f"degeneracy k must satisfy 1 <= k <= N//2 = {n // 2}, got {k}")
         if not (math.isfinite(a) and 0.0 <= a <= 1.0):
             raise InvalidParamsError(f"non-orthogonality a must lie in [0, 1], got {a}")
         object.__setattr__(self, "n_qubits", n)
@@ -61,7 +68,8 @@ class DickeParams:
 
     @property
     def b(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.a * self.a))
+        # (1 - a)(1 + a) keeps full relative accuracy as a -> 1, where 1 - a*a does not
+        return math.sqrt((1.0 - self.a) * (1.0 + self.a))
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,76 @@ def cg_coefficients(n_qubits: int, r: int) -> CgTriple:
     )
 
 
+@dataclass(frozen=True)
+class NTable:
+    """Everything about N alone that the amplitudes and marginals need, indexed by r = 0..N.
+
+    `log_int[r]` is log(r) (log_int[0] = -inf is never read); `c_plus`,
+    `c_zero`, `c_minus` hold the Clebsch-Gordan triples of
+    cg_coefficients(N, r). The arrays are read-only because one table is
+    shared by every caller.
+    """
+
+    log_int: np.ndarray
+    c_plus: np.ndarray
+    c_zero: np.ndarray
+    c_minus: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def n_table(n_qubits: int) -> NTable:
+    """The cached NTable of N qubits."""
+    n = int(n_qubits)
+    if n < 2:
+        raise OutOfRangeError(f"need at least 2 qubits, got {n}")
+    r = np.arange(n + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_int = np.log(r)
+    # same integer numerators as cg_coefficients; below 2^53 they convert to
+    # float exactly, so each entry equals the scalar one bit for bit
+    denom = float(n * (n - 1))
+    arrays = (
+        log_int,
+        np.sqrt((n - r) * np.maximum(n - r - 1.0, 0.0) / denom),
+        np.sqrt(2.0 * r * (n - r) / denom),
+        np.sqrt(r * np.maximum(r - 1.0, 0.0) / denom),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+    return NTable(*arrays)
+
+
+def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
+    """Canonical amplitudes beta_0..beta_k at each overlap a, as an (m, k+1) array.
+
+    Row i is the amplitude vector of (N, k, a_values[i]), evaluated as in
+    amplitudes() with array operations. The endpoints are exact one-hot
+    rows: a = 0 gives the Dicke state (beta_k = 1), a = 1 the product state
+    (beta_0 = 1). The arguments are assumed valid (check_n_k,
+    check_a_values).
+    """
+    n, k = n_qubits, degeneracy
+    a = np.asarray(a_values, dtype=float)
+    log_int = n_table(n).log_int
+    r = np.arange(k)
+    inner = (a > 0.0) & (a < 1.0)
+    # endpoint rows are overwritten below; 0.5 keeps their logs finite meanwhile
+    a_in = np.where(inner, a, 0.5)
+    log_b_over_a = np.log(np.sqrt((1.0 - a_in) * (1.0 + a_in))) - np.log(a_in)
+    steps = (log_int[k - r] - 0.5 * (log_int[n - r] + log_int[r + 1])) + log_b_over_a[:, None]
+    peak = (steps > 0.0).sum(axis=1, keepdims=True)
+    logs = np.zeros((len(a), k + 1))
+    logs[:, 1:] = np.cumsum(np.where(r >= peak, steps, 0.0), axis=1)
+    logs[:, :-1] -= np.cumsum(np.where(r < peak, steps, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    raw = np.exp(logs)
+    beta = raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
+    beta[a == 0.0] = 0.0
+    beta[a == 0.0, k] = 1.0
+    beta[a == 1.0] = 0.0
+    beta[a == 1.0, 0] = 1.0
+    return beta
+
+
 def amplitudes(params: DickeParams) -> AmplitudeVector:
     """Canonical amplitudes beta_r, r = 0..k, for the given (N, k, a).
 
@@ -137,8 +215,14 @@ def amplitudes(params: DickeParams) -> AmplitudeVector:
 
         beta_r  ~  sqrt(N! (N-r)! / r!) * a^(k-r) * b^r / ((N-k)! (k-r)!),
 
-    evaluated in log space (log-gamma) so that N in the hundreds neither
-    overflows nor loses precision; the vector is then renormalized to unit
+    so successive amplitudes have the ratio
+
+        beta_{r+1} / beta_r = (k - r) (b / a) / sqrt((N - r)(r + 1)),
+
+    which decreases with r. The logs of these ratios are summed outward from
+    the largest amplitude, so every partial sum that matters stays small:
+    log-factorials of N in the thousands would carry absolute errors near
+    1e-12 into every amplitude. The vector is then renormalized to unit
     Euclidean norm. The endpoints degenerate exactly: a = 0 leaves only
     beta_k (the Dicke state itself), a = 1 only beta_0 (a product state).
     """
@@ -147,16 +231,17 @@ def amplitudes(params: DickeParams) -> AmplitudeVector:
         return AmplitudeVector(params, (0.0,) * k + (1.0,))
     if a == 1.0:
         return AmplitudeVector(params, (1.0,) + (0.0,) * k)
-    log_a, log_b = math.log(a), math.log(b)
-    logs = [
-        0.5 * (_log_fact(n) + _log_fact(n - r) - _log_fact(r))
-        - _log_fact(n - k)
-        - _log_fact(k - r)
-        + (k - r) * log_a
-        + r * log_b
-        for r in range(k + 1)
+    log_b_over_a = math.log(b) - math.log(a)
+    steps = [
+        (math.log(k - r) - 0.5 * (math.log(n - r) + math.log(r + 1))) + log_b_over_a
+        for r in range(k)
     ]
-    shift = max(logs)
-    raw = [math.exp(x - shift) for x in logs]
+    peak = sum(step > 0.0 for step in steps)
+    logs = [0.0] * (k + 1)
+    for r in range(peak + 1, k + 1):
+        logs[r] = logs[r - 1] + steps[r - 1]
+    for r in range(peak - 1, -1, -1):
+        logs[r] = logs[r + 1] - steps[r]
+    raw = [math.exp(x) for x in logs]
     norm = math.sqrt(math.fsum(x * x for x in raw))
     return AmplitudeVector(params, tuple(x / norm for x in raw))

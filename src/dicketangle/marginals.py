@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dicke import DickeParams, amplitudes, cg_coefficients
+import numpy as np
+
+from .dicke import DickeParams, amplitudes, n_table
 from .errors import InvalidParamsError, NotDensityMatrixError
 from .smallmat import SmallMatrix
 
@@ -50,6 +52,18 @@ class TwoQubitMarginal:
             raise InvalidParamsError(f"marginal must have unit trace, got {trace!r}")
 
 
+def check_elements(A, B, C, D, E, F) -> None:
+    """TwoQubitMarginal's checks on arrays of A..F: raise InvalidParamsError if any set fails."""
+    if not all(np.isfinite(x).all() for x in (A, B, C, D, E, F)):
+        raise InvalidParamsError("marginal elements must be finite")
+    if (A < 0.0).any() or (D < 0.0).any() or (F < 0.0).any():
+        raise InvalidParamsError("diagonal elements A, D, F must be nonnegative")
+    trace = A + 2.0 * D + F
+    bad = np.abs(trace - 1.0) > 1e-12
+    if bad.any():
+        raise InvalidParamsError(f"marginal must have unit trace, got {float(trace[bad][0])!r}")
+
+
 @dataclass(frozen=True)
 class SingleQubitMarginal:
     """A one-qubit reduced density matrix."""
@@ -69,10 +83,11 @@ class SingleQubitMarginal:
             raise NotDensityMatrixError("single-qubit marginal must be positive semidefinite")
 
 
-def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
-    """Two-qubit marginal elements A..F for a canonical Dicke-class state.
+def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Two-qubit marginal elements A..F for each row of amplitudes `beta` (shape (m, k+1)).
 
-    With c_m^(r) = cg_coefficients(N, r) and beta from amplitudes(params):
+    With c_m^(r) the pair-removal Clebsch-Gordan coefficients of N qubits
+    (dicke.n_table) and beta_r the canonical amplitudes:
 
         A = sum_{r=0}^{k}   beta_r^2        (c_+1^(r))^2
         B = (1/sqrt 2) sum_{r=0}^{k-1} beta_r beta_{r+1} c_+1^(r) c_0^(r+1)
@@ -81,23 +96,41 @@ def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
         E = (1/sqrt 2) sum_{r=0}^{k-1} beta_r beta_{r+1} c_0^(r) c_-1^(r+1)
         F = sum_{r=0}^{k}   beta_r^2        (c_-1^(r))^2
 
-    Empty sums (small k) are zero.
+    Empty sums (small k) are zero. Every term is nonnegative, so the sums
+    cannot cancel. Each is reduced along its own row, so a row's result does
+    not depend on the other rows. Returns six arrays of shape (m,).
+    """
+    size = beta.shape[1]
+    table = n_table(n_qubits)
+    cp, c0, cm = (c[:size] for c in (table.c_plus, table.c_zero, table.c_minus))
+    sq = beta * beta
+    near = beta[:, :-1] * beta[:, 1:]
+    far = beta[:, :-2] * beta[:, 2:]
+    return (
+        (sq * (cp * cp)).sum(axis=1),
+        _SQRT1_2 * (near * (cp[:-1] * c0[1:])).sum(axis=1),
+        (far * (cp[:-2] * cm[2:])).sum(axis=1),
+        0.5 * (sq * (c0 * c0)).sum(axis=1),
+        _SQRT1_2 * (near * (c0[:-1] * cm[1:])).sum(axis=1),
+        (sq * (cm * cm)).sum(axis=1),
+    )
+
+
+def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
+    """Two-qubit marginal elements A..F for a canonical Dicke-class state.
+
+    The formulas of marginal_elements, for one point, summed with math.fsum.
     """
     k = params.degeneracy
     beta = amplitudes(params).beta
-    cg = [cg_coefficients(params.n_qubits, r) for r in range(k + 1)]
-    A = math.fsum(beta[r] ** 2 * cg[r].c_plus ** 2 for r in range(k + 1))
-    B = _SQRT1_2 * math.fsum(
-        beta[r] * beta[r + 1] * cg[r].c_plus * cg[r + 1].c_zero for r in range(k)
-    )
-    C = math.fsum(
-        beta[r] * beta[r + 2] * cg[r].c_plus * cg[r + 2].c_minus for r in range(k - 1)
-    )
-    D = 0.5 * math.fsum(beta[r] ** 2 * cg[r].c_zero ** 2 for r in range(1, k + 1))
-    E = _SQRT1_2 * math.fsum(
-        beta[r] * beta[r + 1] * cg[r].c_zero * cg[r + 1].c_minus for r in range(k)
-    )
-    F = math.fsum(beta[r] ** 2 * cg[r].c_minus ** 2 for r in range(k + 1))
+    table = n_table(params.n_qubits)
+    cp, c0, cm = (c[: k + 1].tolist() for c in (table.c_plus, table.c_zero, table.c_minus))
+    A = math.fsum(beta[r] ** 2 * cp[r] ** 2 for r in range(k + 1))
+    B = _SQRT1_2 * math.fsum(beta[r] * beta[r + 1] * cp[r] * c0[r + 1] for r in range(k))
+    C = math.fsum(beta[r] * beta[r + 2] * cp[r] * cm[r + 2] for r in range(k - 1))
+    D = 0.5 * math.fsum(beta[r] ** 2 * c0[r] ** 2 for r in range(1, k + 1))
+    E = _SQRT1_2 * math.fsum(beta[r] * beta[r + 1] * c0[r] * cm[r + 1] for r in range(k))
+    F = math.fsum(beta[r] ** 2 * cm[r] ** 2 for r in range(k + 1))
     return TwoQubitMarginal(params, A, B, C, D, E, F)
 
 

@@ -14,37 +14,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .dicke import DickeParams
+import numpy as np
+
+from .dicke import DickeParams, amplitude_rows, check_a_values, check_n_k
 from .errors import (
     InvalidParamsError,
+    NoConvergenceError,
     NotDensityMatrixError,
     NotSymmetricError,
     NumericalInstabilityError,
     WrongDimensionError,
 )
-from .marginals import (
-    SingleQubitMarginal,
-    TwoQubitMarginal,
-    marginal_matrix,
-    partial_transpose,
-    single_qubit_marginal,
-    two_qubit_marginal,
-)
-from .smallmat import SmallMatrix, det2, general_eigenvalues, sym_eigenvalues, trace_norm_symmetric
-
-# (sigma_y x sigma_y) = s_j on the antidiagonal; conjugating a real rho by it
-# sends entry (i, j) to s_i * s_j * rho[3-i][3-j].
-_FLIP_SIGN = (-1.0, 1.0, 1.0, -1.0)
+from .marginals import SingleQubitMarginal, TwoQubitMarginal, check_elements, marginal_elements
+from .smallmat import SmallMatrix, det2, sym_eigenvalues
 
 _IMAG_ABORT = 1e-8
 _RANGE_TOL = 1e-10
 
-# rho @ rho~ always has an exact zero eigenvalue (the marginal is rank <= 3),
-# which the eigensolver returns as O(eps)-scale noise. Anything below this
-# relative floor is indistinguishable from 0, and letting it through would
-# inject sqrt(noise) ~ 1e-8 into the concurrence.
-_EIG_FLOOR = 1e-12
+_SQRT2 = math.sqrt(2.0)
+
+# sigma_y x sigma_y is real: -1 on the outer antidiagonal, +1 on the inner one.
+_Y4 = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
+# Its restriction to the triplet basis {|00>, |psi+>, |11>}; R @ Y3 reverses
+# the columns of R and negates the outer two.
+_Y3_COLUMN_SIGNS = np.array([-1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -69,6 +64,48 @@ class TangleRecord:
             raise InvalidParamsError("xi is inconsistent with c1_sq and n2")
 
 
+class TangleTable(NamedTuple):
+    """The measures of one (N, k) at each overlap a: five arrays of shape (m,)."""
+
+    c1_sq: np.ndarray
+    c2_sq: np.ndarray
+    tau: np.ndarray
+    n2: np.ndarray
+    xi: np.ndarray
+
+
+def _eig(solver, mats: np.ndarray) -> np.ndarray:
+    try:
+        return solver(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+
+
+def _first(values: np.ndarray, bad: np.ndarray):
+    return values[bad].reshape(-1)[0].item()
+
+
+def _wootters(mu: np.ndarray) -> np.ndarray:
+    """Concurrence from the eigenvalues mu of rho Y along the last axis.
+
+    For real rho, Y = sigma_y x sigma_y is a real signed permutation with
+    Y^2 = I, so rho rho~ = (rho Y)^2 and the Wootters square-root eigenvalues
+    are |mu|: no product is formed and no square root amplifies noise. The
+    exact eigenvalues mu^2 of rho rho~ are real and nonnegative; an imaginary
+    part beyond 1e-8 or a real part below -1e-10 aborts.
+    """
+    lam = mu * mu
+    if np.iscomplexobj(lam):
+        bad = np.abs(lam.imag) > _IMAG_ABORT
+        if bad.any():
+            raise NumericalInstabilityError(f"complex eigenvalue of rho rho~: {_first(lam, bad)!r}")
+    bad = lam.real < -_RANGE_TOL
+    if bad.any():
+        raise NumericalInstabilityError(f"negative eigenvalue of rho rho~: {_first(lam, bad)!r}")
+    roots = np.sort(np.abs(mu), axis=-1)
+    return np.maximum(0.0, roots[..., -1] - roots[..., :-1].sum(axis=-1))
+
+
 def _check_density_matrix(rho: SmallMatrix) -> None:
     trace = rho.trace()
     if abs(trace - 1.0) > _RANGE_TOL:
@@ -81,37 +118,57 @@ def _check_density_matrix(rho: SmallMatrix) -> None:
         raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {low!r}")
 
 
-def _spin_flipped(rho: SmallMatrix) -> SmallMatrix:
-    s = _FLIP_SIGN
-    return SmallMatrix.from_rows(
-        [[s[i] * s[j] * rho.entry(3 - i, 3 - j) for j in range(4)] for i in range(4)]
-    )
-
-
 def concurrence_two_qubit(rho: SmallMatrix) -> float:
     """Wootters concurrence of a real symmetric two-qubit density matrix.
 
-    Builds the spin-flipped rho~ = (sy x sy) rho (sy x sy) (conjugation is a
-    no-op for real rho), takes the eigenvalues of rho @ rho~, and returns
-    max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with the sqrt values
-    sorted descending. The exact spectrum is real nonnegative; tiny
-    imaginary parts and negatives are clamped, anything beyond tolerance
-    aborts rather than silently propagating garbage.
+    Returns max(0, l1 - l2 - l3 - l4), where l1 >= ... >= l4 are the moduli
+    of the eigenvalues of rho (sigma_y x sigma_y); these are the square roots
+    of the eigenvalues of rho rho~ (see _wootters). rho must have unit trace
+    and be symmetric and positive semidefinite, to within 1e-10.
     """
     if rho.dim != 4:
         raise WrongDimensionError(f"concurrence needs a 4x4 matrix, got dim {rho.dim}")
     _check_density_matrix(rho)
-    product = SmallMatrix.from_rows((rho.to_array() @ _spin_flipped(rho).to_array()).tolist())
-    floor = _EIG_FLOOR * product.max_abs()
-    lams = []
-    for lam in general_eigenvalues(product):
-        if abs(lam.imag) > _IMAG_ABORT:
-            raise NumericalInstabilityError(f"complex eigenvalue of rho @ rho~: {lam!r}")
-        if lam.real < -_RANGE_TOL:
-            raise NumericalInstabilityError(f"negative eigenvalue of rho @ rho~: {lam!r}")
-        lams.append(lam.real if lam.real >= floor else 0.0)
-    roots = sorted((math.sqrt(x) for x in lams), reverse=True)
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    return float(_wootters(_eig(np.linalg.eigvals, rho.to_array() @ _Y4)))
+
+
+def _triplet_blocks(A, B, C, D, E, F) -> np.ndarray:
+    """The marginals in the triplet basis {|00>, |psi+>, |11>}: shape (m, 3, 3).
+
+    The singlet |psi-> carries no weight, so this block holds the whole
+    spectrum of rho apart from one exact zero.
+    """
+    sB, sE = _SQRT2 * B, _SQRT2 * E
+    return np.array([A, sB, C, sB, 2.0 * D, sE, C, sE, F]).T.reshape(-1, 3, 3)
+
+
+def _triplet_concurrence(blocks: np.ndarray) -> np.ndarray:
+    """Concurrence of each triplet block R: the PSD check, then eig(R Y3)."""
+    low = _eig(np.linalg.eigvalsh, blocks)[:, 0]
+    bad = low < -_RANGE_TOL
+    if bad.any():
+        raise NotDensityMatrixError(
+            f"matrix is not PSD, smallest eigenvalue {_first(low, bad)!r}"
+        )
+    return _wootters(_eig(np.linalg.eigvals, blocks[:, :, ::-1] * _Y3_COLUMN_SIGNS))
+
+
+def _negativity(A, B, C, D, E, F) -> np.ndarray:
+    """Doubled negativity of each marginal, from its partial transpose.
+
+    The qubit swap commutes with the partial transpose, which therefore
+    splits into a 3x3 symmetric block on {|00>, |psi+>, |11>} and the scalar
+    D - C on the singlet. N2 is twice the summed moduli of the negative
+    eigenvalues. A value above 1 + 1e-10 aborts.
+    """
+    sB, sE = _SQRT2 * B, _SQRT2 * E
+    blocks = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
+    eigs = _eig(np.linalg.eigvalsh, blocks)
+    value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(D - C, 0.0)))
+    bad = value > 1.0 + _RANGE_TOL
+    if bad.any():
+        raise NumericalInstabilityError(f"doubled negativity left [0, 1]: {_first(value, bad)!r}")
+    return np.minimum(value, 1.0)
 
 
 def one_vs_rest(rho1: SingleQubitMarginal) -> float:
@@ -124,26 +181,53 @@ def one_vs_rest(rho1: SingleQubitMarginal) -> float:
 
 def negativity_two_qubit(m: TwoQubitMarginal) -> float:
     """Doubled negativity ||rho_2^T_B||_1 - 1 of the two-qubit marginal, in [0, 1]."""
-    value = trace_norm_symmetric(partial_transpose(m)) - 1.0
-    if value < -_RANGE_TOL or value > 1.0 + _RANGE_TOL:
-        raise NumericalInstabilityError(f"doubled negativity left [0, 1]: {value!r}")
-    return min(1.0, max(0.0, value))
+    return _negativity(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F))).item()
+
+
+def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
+    """Concurrence and negativity tangles of (N, k) at every overlap in `a_values`.
+
+    Evaluates the amplitudes, the marginal elements A..F and the three
+    measures as array operations over the whole a-grid, with the same checks
+    and typed errors as the scalar pieces: invalid (N, k, a) raise
+    InvalidParamsError, marginals that fail the TwoQubitMarginal checks
+    raise InvalidParamsError, a marginal or one-qubit reduction that is not
+    positive semidefinite raises NotDensityMatrixError, and measures that
+    leave their range abort with NumericalInstabilityError. One failing a
+    fails the whole call. Row i depends on a_values[i] alone, bit for bit.
+    """
+    n, k = check_n_k(n_qubits, degeneracy)
+    a = check_a_values(a_values)
+    A, B, C, D, E, F = marginal_elements(n, amplitude_rows(n, k, a))
+    check_elements(A, B, C, D, E, F)
+    # C1^2 = 4 det rho_1, with SingleQubitMarginal's PSD check and one_vs_rest's range abort
+    det = (A + D) * (D + F) - (B + E) * (B + E)
+    bad = det < -_RANGE_TOL
+    if bad.any():
+        raise NotDensityMatrixError(
+            f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
+        )
+    c1_sq = 4.0 * np.maximum(det, 0.0)
+    bad = c1_sq > (1.0 + _RANGE_TOL) ** 2
+    if bad.any():
+        raise NumericalInstabilityError(
+            f"one-vs-rest measure left [0, 1]: {math.sqrt(_first(c1_sq, bad))!r}"
+        )
+    c1_sq = np.minimum(c1_sq, 1.0)
+    c2 = _triplet_concurrence(_triplet_blocks(A, B, C, D, E, F))
+    c2_sq = c2 * c2
+    n2 = _negativity(A, B, C, D, E, F)
+    for name, value in (("c1_sq", c1_sq), ("c2_sq", c2_sq), ("n2", n2)):
+        bad = ~(np.isfinite(value) & (value >= 0.0) & (value <= 1.0))
+        if bad.any():
+            raise InvalidParamsError(f"{name} must lie in [0, 1], got {_first(value, bad)!r}")
+    return TangleTable(c1_sq, c2_sq, c1_sq - (n - 1) * c2_sq, n2, c1_sq - (n - 1) * n2 * n2)
 
 
 def tangle_record(params: DickeParams) -> TangleRecord:
-    """Concurrence and negativity tangles for one canonical Dicke-class state."""
-    marg = two_qubit_marginal(params)
-    c2 = concurrence_two_qubit(marginal_matrix(marg))
-    n2 = negativity_two_qubit(marg)
-    c1 = one_vs_rest(single_qubit_marginal(marg))
-    n = params.n_qubits
-    c1_sq = c1 * c1
-    c2_sq = c2 * c2
-    return TangleRecord(
-        params,
-        c1_sq=c1_sq,
-        c2_sq=c2_sq,
-        tau=c1_sq - (n - 1) * c2_sq,
-        n2=n2,
-        xi=c1_sq - (n - 1) * n2 * n2,
-    )
+    """Concurrence and negativity tangles for one canonical Dicke-class state.
+
+    The one-row view of tangle_table.
+    """
+    row = tangle_table(params.n_qubits, params.degeneracy, [params.a])
+    return TangleRecord(params, *(float(col[0]) for col in row))

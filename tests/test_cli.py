@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dicketangle import measures
@@ -76,12 +77,6 @@ def test_sweep_is_deterministic():
     assert _sweep_text(cfg) == _sweep_text(cfg)
 
 
-def test_sweep_parallel_output_is_identical():
-    serial = SweepConfig(n_values=(4, 5), k_values=None, a_steps=5, jobs=1)
-    parallel = SweepConfig(n_values=(4, 5), k_values=None, a_steps=5, jobs=2)
-    assert _sweep_text(serial)[1] == _sweep_text(parallel)[1]
-
-
 def test_sweep_precision_flag():
     coarse = SweepConfig(n_values=(3,), k_values=(1,), a_steps=2, precision=3)
     _, text, _ = _sweep_text(coarse)
@@ -122,13 +117,41 @@ def test_sweep_empty_grid_fails():
 
 
 def test_sweep_reports_when_every_row_fails(monkeypatch):
-    def explode(params):
+    # the sweep's batches and its row-by-row fallback both run through tangle_table
+    def explode(n, k, a_values):
         raise InvalidParamsError("injected failure")
 
-    monkeypatch.setattr(measures, "tangle_record", explode)
+    monkeypatch.setattr(measures, "tangle_table", explode)
     rc, _, err = _sweep_text(SweepConfig(n_values=(4,), k_values=(1,), a_steps=3))
     assert rc == 2
     assert "every sweep row failed" in err
+
+
+def test_sweep_failed_batch_loses_only_its_failing_rows(monkeypatch):
+    # a batch error sends the (N, k) row by row through tangle_record
+    orig = measures.tangle_table
+
+    def flaky(n, k, a_values):
+        if len(a_values) > 1 or a_values[0] == 0.5:
+            raise InvalidParamsError("injected failure")
+        return orig(n, k, a_values)
+
+    monkeypatch.setattr(measures, "tangle_table", flaky)
+    rc, text, err = _sweep_text(SweepConfig(n_values=(4,), k_values=(1,), a_steps=3))
+    assert rc == 0
+    assert [line.split(",")[2] for line in text.splitlines()[1:]] == ["0", "1"]
+    assert err == "warning: skipping row (N=4, k=1, a=0.5): injected failure\n"
+
+
+def test_sweep_writes_no_file_when_every_row_fails(monkeypatch, tmp_path):
+    def explode(n, k, a_values):
+        raise InvalidParamsError("injected failure")
+
+    monkeypatch.setattr(measures, "tangle_table", explode)
+    target = tmp_path / "rows.csv"
+    cfg = SweepConfig(n_values=(4,), k_values=None, a_steps=3, output_path=str(target))
+    assert run_sweep(cfg, err=io.StringIO()) == 2
+    assert not target.exists()
 
 
 def test_sweep_config_validation():
@@ -140,8 +163,6 @@ def test_sweep_config_validation():
         SweepConfig(n_values=(4,), k_values=None, a_min=0.9, a_max=0.1)
     with pytest.raises(InvalidParamsError):
         SweepConfig(n_values=(4,), k_values=None, a_steps=1)
-    with pytest.raises(InvalidParamsError):
-        SweepConfig(n_values=(4,), k_values=None, jobs=0)
 
 
 def test_check_passes_on_honest_code():
@@ -156,9 +177,9 @@ def test_check_passes_on_honest_code():
 
 def test_check_detects_broken_concurrence(monkeypatch):
     # inflating the pair concurrence violates monogamy, which check must flag
-    orig = measures.concurrence_two_qubit
+    orig = measures._triplet_concurrence
     monkeypatch.setattr(
-        measures, "concurrence_two_qubit", lambda rho: min(1.0, 3.0 * orig(rho))
+        measures, "_triplet_concurrence", lambda blocks: np.minimum(1.0, 3.0 * orig(blocks))
     )
     out = io.StringIO()
     rc = run_check(5, 3, 1e-9, out=out)
@@ -213,8 +234,6 @@ def test_main_rejects_malformed_argv():
         main(["bogus"])
     with pytest.raises(SystemExit):
         main(["sweep", "--n", "x"])
-    with pytest.raises(SystemExit):
-        main(["sweep", "--jobs", "0"])
 
 
 def test_module_entry_point_matches_in_process_output():

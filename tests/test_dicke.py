@@ -1,3 +1,5 @@
+import decimal
+import fractions
 import math
 
 import numpy as np
@@ -7,8 +9,10 @@ from dicketangle.dicke import (
     AmplitudeVector,
     CgTriple,
     DickeParams,
+    amplitude_rows,
     amplitudes,
     cg_coefficients,
+    n_table,
 )
 from dicketangle.errors import InvalidParamsError, OutOfRangeError
 
@@ -93,6 +97,27 @@ def test_params_b_complements_a():
     assert DickeParams(6, 2, 1.0).b == 0.0
 
 
+def test_params_b_keeps_relative_accuracy_near_one():
+    # 1 - a*a loses ~2.5e-10 relative at a = 1 - 1e-9; (1 - a)(1 + a) is exact there
+    a = 1.0 - 1e-9
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        want = float((1 - decimal.Decimal(a) ** 2).sqrt())
+    assert DickeParams(6, 2, a).b == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 1000])
+def test_n_table_matches_cg_coefficients(n):
+    table = n_table(n)
+    for r in range(n + 1):
+        trip = cg_coefficients(n, r)
+        got = (table.c_plus[r], table.c_zero[r], table.c_minus[r])
+        assert got == (trip.c_plus, trip.c_zero, trip.c_minus), (n, r)
+    logs = [math.log(r) for r in range(1, n + 1)]
+    assert table.log_int[1:].tolist() == pytest.approx(logs, rel=4.5e-16, abs=0.0)
+    assert not table.c_plus.flags.writeable
+
+
 def test_amplitudes_two_qubit_closed_form():
     """beta for N=2, k=1 reduces to (2a, sqrt(2) b) normalized."""
     for a in np.linspace(0.0, 1.0, 21):
@@ -145,3 +170,42 @@ def test_amplitude_vector_rejects_bad_input():
         AmplitudeVector(p, (0.5, 0.5, 0.5))
     with pytest.raises(InvalidParamsError):
         AmplitudeVector(p, (-1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (9, 4), (100, 50), (1000, 3), (2000, 500)])
+def test_amplitude_rows_match_scalar_amplitudes(n, k):
+    grid = [0.0, 1e-300, 0.05, 0.37, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0]
+    rows = amplitude_rows(n, k, grid)
+    assert rows.shape == (len(grid), k + 1)
+    for a, row in zip(grid, rows):
+        want = amplitudes(DickeParams(n, k, a)).beta
+        assert np.allclose(row, want, rtol=1e-12, atol=1e-15), (n, k, a)
+    assert rows[0].tolist() == [0.0] * k + [1.0]
+    assert rows[-1].tolist() == [1.0] + [0.0] * k
+
+
+def _exact_amplitudes(n, k, a):
+    """beta_r from exact rational squares (a is an exact binary fraction), rounded once."""
+    a2 = fractions.Fraction(a) ** 2
+    b2 = 1 - a2
+    sq = [
+        fractions.Fraction(math.factorial(n - r), math.factorial(r) * math.factorial(k - r) ** 2)
+        * a2 ** (k - r)
+        * b2**r
+        for r in range(k + 1)
+    ]
+    total = sum(sq)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return [
+            float((decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)).sqrt())
+            for x in (s / total for s in sq)
+        ]
+
+
+@pytest.mark.parametrize("n,k,a", [(1000, 225, 0.0625), (2000, 250, 0.5), (60, 30, 0.83)])
+def test_amplitudes_keep_absolute_accuracy_at_large_n(n, k, a):
+    # log-factorials near 1e4 carry ~1e-12 absolute error; the ratio sums must not
+    want = _exact_amplitudes(n, k, a)
+    for got in (amplitudes(DickeParams(n, k, a)).beta, amplitude_rows(n, k, [a])[0].tolist()):
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 2e-15

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dicketangle.dicke import DickeParams
+from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import InvalidParamsError, NotDensityMatrixError
 from dicketangle.marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
+    marginal_elements,
     marginal_matrix,
     partial_transpose,
     single_qubit_marginal,
@@ -130,3 +131,13 @@ def test_single_qubit_marginal_validation():
         SingleQubitMarginal(p, SmallMatrix(2, (1.4, 0.0, 0.0, -0.4)))
     with pytest.raises(NotDensityMatrixError):
         SingleQubitMarginal(p, SmallMatrix(3, (0.0,) * 9))
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (8, 4), (100, 2), (1000, 500)])
+def test_marginal_elements_match_scalar_marginal(n, k):
+    grid = [0.0, 0.2, 0.5, 0.83, 1.0]
+    elems = marginal_elements(n, amplitude_rows(n, k, grid))
+    for i, a in enumerate(grid):
+        m = two_qubit_marginal(DickeParams(n, k, a))
+        want = (m.A, m.B, m.C, m.D, m.E, m.F)
+        assert np.allclose([col[i] for col in elems], want, rtol=1e-12, atol=1e-15), (n, k, a)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dicketangle import measures
 from dicketangle.dicke import DickeParams
 from dicketangle.errors import (
     InvalidParamsError,
@@ -24,6 +25,7 @@ from dicketangle.measures import (
     negativity_two_qubit,
     one_vs_rest,
     tangle_record,
+    tangle_table,
 )
 from dicketangle.smallmat import SmallMatrix
 
@@ -181,3 +183,78 @@ def test_tangle_record_validation():
     with pytest.raises(InvalidParamsError):
         TangleRecord(p, c1_sq=1.5, c2_sq=0.0, tau=1.5, n2=0.0, xi=1.5)
     TangleRecord(p, c1_sq=0.5, c2_sq=0.1, tau=0.3, n2=0.2, xi=0.42)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(2, 1), (5, 2), (13, 6), (64, 3), (100, 50), (1000, 3), (1000, 500)]
+)
+def test_tangle_table_rows_equal_tangle_record(n, k):
+    grid = [i / 40 for i in range(41)] + [1e-300, 0.123456789, 1.0 - 1e-9]
+    table = tangle_table(n, k, grid)
+    for i, a in enumerate(grid):
+        rec = tangle_record(DickeParams(n, k, a))
+        assert (rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi) == tuple(
+            float(col[i]) for col in table
+        ), (n, k, a)
+
+
+def test_triplet_concurrence_matches_four_by_four_route():
+    # the engine's 3x3 triplet block against the public 4x4 |eig(rho Y)| route
+    rng = np.random.default_rng(5)
+    for n in (3, 7, 12, 40):
+        for k in range(1, n // 2 + 1, max(1, n // 10)):
+            grid = rng.uniform(0.0, 1.0, size=5)
+            table = tangle_table(n, k, grid)
+            for a, c2_sq in zip(grid, table.c2_sq):
+                rho = marginal_matrix(two_qubit_marginal(DickeParams(n, k, float(a))))
+                assert math.sqrt(c2_sq) == pytest.approx(concurrence_two_qubit(rho), abs=1e-13)
+
+
+def test_xi_not_below_tau_where_negativity_equals_concurrence():
+    # N2 = C2 here, so the 50-digit reference has tau = xi; xi must not fall below tau
+    rec = tangle_record(DickeParams(1000, 500, 0.9))
+    assert rec.xi - rec.tau >= -1e-12
+
+
+def test_tiny_tau_keeps_its_sign_at_large_n():
+    # 50-digit reference: tau(1000, 3, 0.99) = 1.1977510583890642e-15
+    rec = tangle_record(DickeParams(1000, 3, 0.99))
+    assert rec.tau > 0.0
+    assert rec.tau == pytest.approx(1.1977510583890642e-15, rel=1e-6)
+
+
+def test_small_concurrence_keeps_relative_accuracy():
+    # 50-digit reference: c2_sq(100, 2, 0.76) = 7.9165869869084818586e-8
+    rec = tangle_record(DickeParams(100, 2, 0.76))
+    assert rec.c2_sq == pytest.approx(7.9165869869084818586e-8, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n,k,a",
+    [
+        (1, 1, 0.5),
+        (4, 0, 0.5),
+        (4, 3, 0.5),
+        (4, 2, 1.5),
+        (4, 2, -0.1),
+        (4, 2, math.nan),
+        (4.5, 2, 0.5),
+    ],
+)
+def test_out_of_range_input_raises_the_same_error_through_both_apis(n, k, a):
+    with pytest.raises(InvalidParamsError) as scalar:
+        tangle_record(DickeParams(n, k, a))
+    with pytest.raises(InvalidParamsError) as table:
+        tangle_table(n, k, [0.25, a])
+    assert str(table.value) == str(scalar.value)
+
+
+def test_engine_aborts_keep_their_types():
+    # spectra a physical marginal cannot produce: the aborts must fire, not clip
+    with pytest.raises(NumericalInstabilityError):
+        measures._wootters(np.array([[0.5 + 0.1j, 0.5 - 0.1j, 0.0]]))  # complex rho rho~ spectrum
+    with pytest.raises(NumericalInstabilityError):
+        measures._wootters(np.array([[1e-3j, -1e-3j, 0.1]]))  # negative rho rho~ eigenvalue
+    not_psd = np.diag([1.2, -0.2, 0.0])[None]
+    with pytest.raises(NotDensityMatrixError):
+        measures._triplet_concurrence(not_psd)
