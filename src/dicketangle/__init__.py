@@ -14,7 +14,6 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
     NotDensityMatrixError,
-    NotSymmetricError,
     NumericalInstabilityError,
     OutOfRangeError,
     WrongDimensionError,
@@ -46,7 +45,7 @@ from .oracle import (
     partial_trace_to_two,
     symmetrize_two_spinors,
 )
-from .smallmat import SmallMatrix, det2, general_eigenvalues, sym_eigenvalues, trace_norm_symmetric
+from .smallmat import SmallMatrix
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "NoConvergenceError",
     "NonFiniteError",
     "NotDensityMatrixError",
-    "NotSymmetricError",
     "NumericalInstabilityError",
     "OutOfRangeError",
     "SingleQubitMarginal",
@@ -75,10 +73,8 @@ __all__ = [
     "amplitudes",
     "cg_coefficients",
     "concurrence_two_qubit",
-    "det2",
     "dicke_basis_vector",
     "expand_state",
-    "general_eigenvalues",
     "marginal_matrix",
     "negativity_two_qubit",
     "one_vs_rest",
@@ -86,11 +82,9 @@ __all__ = [
     "partial_trace_to_two",
     "partial_transpose",
     "single_qubit_marginal",
-    "sym_eigenvalues",
     "symmetrize_two_spinors",
     "tangle_record",
     "tangle_table",
-    "trace_norm_symmetric",
     "two_qubit_marginal",
     "__version__",
 ]

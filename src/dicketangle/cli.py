@@ -15,6 +15,7 @@ import argparse
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -244,14 +245,71 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None, err=None) -> int:
     return report.render(out)
 
 
-def _trace_second_qubit(rho4: "list[list[float]]") -> list:
-    return [
-        [rho4[2 * x][2 * y] + rho4[2 * x + 1][2 * y + 1] for y in range(2)] for x in range(2)
-    ]
+def _worst(devs: dict, name: str, diff) -> None:
+    devs[name] = max(devs[name], float(np.max(np.abs(diff))))
+
+
+def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
+    """Largest deviation over `grid` between the closed forms and the dense oracle, for one (N, k).
+
+    Keys, in report order:
+        state              expand_state against symmetrize_two_spinors
+        marginal           the dense two-qubit marginal against marginal_matrix
+        partial-transpose  partial_transpose against an axis swap of the dense marginal
+        pair-choice        the dense marginal of every qubit pair against that of (0, 1)
+        rho1               the dense one-qubit marginal against single_qubit_marginal
+                           and against the dense two-qubit marginal traced over qubit 2
+        measures           C2, N2 and C1 of one tangle_table call (the numbers sweep
+                           prints) against the 4x4 measures of the dense matrices
+    """
+    table = measures.tangle_table(n, k, grid)
+    engine = np.stack([np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)], axis=1)
+    eps1 = Spinor(1.0, 0.0)
+    devs = dict.fromkeys(
+        ("state", "marginal", "partial-transpose", "pair-choice", "rho1", "measures"), 0.0
+    )
+    for a, engine_row in zip(grid, engine):
+        params = DickeParams(n, k, a)
+        psi = oracle.expand_state(params)
+        sym = oracle.symmetrize_two_spinors(n, k, eps1, Spinor(a, params.b))
+        _worst(devs, "state", psi.amplitudes - sym.amplitudes)
+
+        brute = oracle.partial_trace_to_two(psi)
+        rho2 = brute.to_array()
+        marg = marginals.two_qubit_marginal(params)
+        _worst(devs, "marginal", rho2 - marginals.marginal_matrix(marg).to_array())
+        swapped = rho2.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        _worst(devs, "partial-transpose", marginals.partial_transpose(marg).to_array() - swapped)
+        pairs = combinations(range(n), 2)
+        others = [oracle.partial_trace_to_two(psi, pair).entries for pair in pairs]
+        _worst(devs, "pair-choice", np.subtract(others, brute.entries))
+
+        rho1 = oracle.partial_trace_to_one(psi)
+        dense1 = rho1.to_array()
+        _worst(devs, "rho1", dense1 - marginals.single_qubit_marginal(marg).rho.to_array())
+        _worst(devs, "rho1", np.trace(rho2.reshape(2, 2, 2, 2), axis1=1, axis2=3) - dense1)
+
+        e = brute.entries
+        brute_marg = marginals.TwoQubitMarginal(
+            params, A=e[0], B=e[1], C=e[3], D=e[5], E=e[7], F=e[15]
+        )
+        dense = (
+            measures.concurrence_two_qubit(brute),
+            measures.negativity_two_qubit(brute_marg),
+            measures.one_vs_rest(marginals.SingleQubitMarginal(params, rho1)),
+        )
+        _worst(devs, "measures", engine_row - dense)
+    return devs
 
 
 def run_oracle(n_max: int, a_steps: int, tol: float, out=None, err=None) -> int:
-    """Cross-validate analytic states, marginals, and measures against the oracle."""
+    """Cross-validate the closed forms and the engine against the dense oracle.
+
+    Prints one line of oracle_deviations per (N, k) with N = 2..n_max, then
+    the largest deviation and PASS or FAIL; returns 1 if any deviation
+    exceeds tol. n_max is capped at 12, since the pair-choice check traces
+    every qubit pair of a 2^N state.
+    """
     out = out if out is not None else sys.stdout
     if n_max < 2:
         raise InvalidParamsError(f"oracle needs n_max >= 2, got {n_max}")
@@ -260,76 +318,11 @@ def run_oracle(n_max: int, a_steps: int, tol: float, out=None, err=None) -> int:
     if a_steps < 2:
         raise InvalidParamsError(f"a_steps must be >= 2, got {a_steps}")
     grid = _a_grid(0.0, 1.0, a_steps)
-    eps1 = Spinor(1.0, 0.0)
     worst = (-1.0, "")
     failed = False
     for n in range(2, n_max + 1):
         for k in range(1, n // 2 + 1):
-            devs = {"state": 0.0, "marginal": 0.0, "pair-choice": 0.0, "rho1": 0.0, "measures": 0.0}
-            for a in grid:
-                params = DickeParams(n, k, a)
-                psi = oracle.expand_state(params)
-                sym = oracle.symmetrize_two_spinors(n, k, eps1, Spinor(a, params.b))
-                devs["state"] = max(
-                    devs["state"], float(np.max(np.abs(psi.amplitudes - sym.amplitudes)))
-                )
-
-                brute = oracle.partial_trace_to_two(psi)
-                marg = marginals.two_qubit_marginal(params)
-                analytic = marginals.marginal_matrix(marg)
-                devs["marginal"] = max(
-                    devs["marginal"],
-                    max(abs(x - y) for x, y in zip(brute.entries, analytic.entries)),
-                )
-
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        other = oracle.partial_trace_to_two(psi, (i, j))
-                        devs["pair-choice"] = max(
-                            devs["pair-choice"],
-                            max(abs(x - y) for x, y in zip(other.entries, brute.entries)),
-                        )
-
-                rho1_brute = oracle.partial_trace_to_one(psi)
-                rho1_analytic = marginals.single_qubit_marginal(marg).rho
-                devs["rho1"] = max(
-                    devs["rho1"],
-                    max(abs(x - y) for x, y in zip(rho1_brute.entries, rho1_analytic.entries)),
-                )
-                contracted = _trace_second_qubit(brute.rows())
-                devs["rho1"] = max(
-                    devs["rho1"],
-                    max(
-                        abs(contracted[x][y] - rho1_brute.entry(x, y))
-                        for x in range(2)
-                        for y in range(2)
-                    ),
-                )
-
-                brute_marg = marginals.TwoQubitMarginal(
-                    params,
-                    A=brute.entry(0, 0),
-                    B=brute.entry(0, 1),
-                    C=brute.entry(0, 3),
-                    D=brute.entry(1, 1),
-                    E=brute.entry(1, 3),
-                    F=brute.entry(3, 3),
-                )
-                devs["measures"] = max(
-                    devs["measures"],
-                    abs(
-                        measures.concurrence_two_qubit(brute)
-                        - measures.concurrence_two_qubit(analytic)
-                    ),
-                    abs(
-                        measures.negativity_two_qubit(brute_marg)
-                        - measures.negativity_two_qubit(marg)
-                    ),
-                    abs(
-                        measures.one_vs_rest(marginals.SingleQubitMarginal(params, rho1_brute))
-                        - measures.one_vs_rest(marginals.single_qubit_marginal(marg))
-                    ),
-                )
+            devs = oracle_deviations(n, k, grid)
             print(
                 f"N={n} k={k}: " + " ".join(f"{name}={dev:.3e}" for name, dev in devs.items()),
                 file=out,

@@ -9,10 +9,6 @@ class NonFiniteError(DicketangleError, ValueError):
     """A matrix or vector entry is NaN or infinite."""
 
 
-class NotSymmetricError(DicketangleError, ValueError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
-
-
 class WrongDimensionError(DicketangleError, ValueError):
     """A matrix has the wrong dimension for the requested operation."""
 

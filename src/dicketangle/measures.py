@@ -23,15 +23,16 @@ from .errors import (
     InvalidParamsError,
     NoConvergenceError,
     NotDensityMatrixError,
-    NotSymmetricError,
     NumericalInstabilityError,
     WrongDimensionError,
 )
 from .marginals import SingleQubitMarginal, TwoQubitMarginal, check_elements, marginal_elements
-from .smallmat import SmallMatrix, det2, sym_eigenvalues
+from .smallmat import SmallMatrix
 
 _IMAG_ABORT = 1e-8
 _RANGE_TOL = 1e-10
+# eigvalsh reads one triangle only, so asymmetry beyond this (relative) is an error
+_SYM_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -110,10 +111,13 @@ def _check_density_matrix(rho: SmallMatrix) -> None:
     trace = rho.trace()
     if abs(trace - 1.0) > _RANGE_TOL:
         raise NotDensityMatrixError(f"trace must be 1, got {trace!r}")
-    try:
-        low = sym_eigenvalues(rho)[-1]
-    except NotSymmetricError as exc:
-        raise NotDensityMatrixError(f"matrix is not symmetric: {exc}") from exc
+    arr = rho.to_array()
+    skew = float(np.max(np.abs(arr - arr.T)))
+    if skew > _SYM_TOL * rho.max_abs():
+        raise NotDensityMatrixError(
+            f"matrix is not symmetric: an entry differs from its transpose by {skew!r}"
+        )
+    low = _eig(np.linalg.eigvalsh, arr)[0]
     if low < -_RANGE_TOL:
         raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {low!r}")
 
@@ -124,7 +128,8 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
     Returns max(0, l1 - l2 - l3 - l4), where l1 >= ... >= l4 are the moduli
     of the eigenvalues of rho (sigma_y x sigma_y); these are the square roots
     of the eigenvalues of rho rho~ (see _wootters). rho must have unit trace
-    and be symmetric and positive semidefinite, to within 1e-10.
+    and be positive semidefinite, to within 1e-10, and symmetric to within
+    1e-12 of its largest entry; otherwise NotDensityMatrixError is raised.
     """
     if rho.dim != 4:
         raise WrongDimensionError(f"concurrence needs a 4x4 matrix, got dim {rho.dim}")
@@ -173,7 +178,8 @@ def _negativity(A, B, C, D, E, F) -> np.ndarray:
 
 def one_vs_rest(rho1: SingleQubitMarginal) -> float:
     """One-vs-rest entanglement 2 sqrt(det rho_1); for pure global states C1 = N1."""
-    value = 2.0 * math.sqrt(max(0.0, det2(rho1.rho)))
+    e = rho1.rho.entries
+    value = 2.0 * math.sqrt(max(0.0, e[0] * e[3] - e[1] * e[2]))
     if value > 1.0 + _RANGE_TOL:
         raise NumericalInstabilityError(f"one-vs-rest measure left [0, 1]: {value!r}")
     return min(1.0, value)

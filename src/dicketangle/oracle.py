@@ -168,6 +168,11 @@ def _partial_trace(psi: FullState, keep: tuple[int, ...]) -> np.ndarray:
 
 
 def _as_real_small_matrix(rho: np.ndarray, dim: int) -> SmallMatrix:
+    """The real part of a reduced density matrix, as a validated SmallMatrix.
+
+    The states under study have real amplitudes, so an imaginary part above
+    1e-12 means a complex state was passed and raises InvalidParamsError.
+    """
     residue = float(np.max(np.abs(rho.imag)))
     if residue > _REAL_TOL:
         raise InvalidParamsError(

@@ -1,11 +1,9 @@
-"""Dense real linear-algebra kernels for tiny (2x2 .. 4x4) matrices.
+"""A validated value type for tiny (2x2 .. 4x4) real matrices.
 
-Everything downstream works with two-qubit density matrices and their
-partial transposes, so the only sizes that matter are 2, 3 and 4. The
-symmetric path is a hand-rolled cyclic Jacobi sweep (deterministic, no
-LAPACK involved); the general path delegates to LAPACK's shifted-QR via
-numpy, which is backward stable on the matrix itself and therefore keeps
-the structural zero rows/columns that the marginal construction produces.
+The oracle's reduced density matrices and the closed-form marginal_matrix
+and partial_transpose are returned as SmallMatrix: a dim x dim real matrix
+of dim 2, 3 or 4 with finite entries, checked on construction. Spectra are
+taken with numpy/LAPACK on to_array().
 """
 
 from __future__ import annotations
@@ -15,21 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    NonFiniteError,
-    NotSymmetricError,
-    WrongDimensionError,
-)
+from .errors import NonFiniteError, WrongDimensionError
 
 _ALLOWED_DIMS = (2, 3, 4)
-
-# Off-diagonal Frobenius mass below this multiple of ||m||_F counts as diagonal.
-_JACOBI_TOL = 1e-14
-_MAX_SWEEPS = 64
-
-# Imaginary parts below this multiple of max|entry| are eigensolver noise.
-_IMAG_CLAMP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,98 +60,3 @@ class SmallMatrix:
 
     def max_abs(self) -> float:
         return max(abs(x) for x in self.entries)
-
-
-def _check_symmetric(m: SmallMatrix, tol: float) -> None:
-    scale = m.max_abs()
-    for i in range(m.dim):
-        for j in range(i + 1, m.dim):
-            if abs(m.entry(i, j) - m.entry(j, i)) > tol * scale:
-                raise NotSymmetricError(
-                    f"entry ({i},{j}) differs from ({j},{i}) beyond {tol:g} relative"
-                )
-
-
-def sym_eigenvalues(m: SmallMatrix, tol: float = 1e-12) -> list[float]:
-    """Eigenvalues of a symmetric matrix, descending, via cyclic Jacobi sweeps.
-
-    Parameters
-    ----------
-    m : SmallMatrix
-        Matrix to diagonalize; must be symmetric to within `tol` relative
-        to its largest entry.
-    tol : float
-        Symmetry tolerance (relative).
-
-    Returns
-    -------
-    list of float
-        The dim real eigenvalues, sorted in descending order.
-    """
-    _check_symmetric(m, tol)
-    n = m.dim
-    a = m.rows()
-    # symmetrize exactly so rounding in the input cannot bias the sweeps
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = 0.5 * (a[i][j] + a[j][i])
-            a[i][j] = a[j][i] = v
-
-    fro = math.sqrt(sum(x * x for row in a for x in row))
-    threshold = _JACOBI_TOL * fro
-    for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(2.0 * sum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
-        if off <= threshold:
-            return sorted((a[i][i] for i in range(n)), reverse=True)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip = a[i][p]
-                    aiq = a[i][q]
-                    a[i][p] = a[p][i] = c * aip - s * aiq
-                    a[i][q] = a[q][i] = s * aip + c * aiq
-    raise NoConvergenceError(f"Jacobi sweep did not converge in {_MAX_SWEEPS} sweeps")
-
-
-def general_eigenvalues(m: SmallMatrix) -> list[complex]:
-    """Eigenvalues of a general real matrix (shifted-QR), complex pairs permitted.
-
-    Imaginary parts smaller than 1e-10 * max|entry| are rounding noise from
-    the real-Schur form and are clamped to zero. Results are sorted by
-    descending real part, then descending imaginary part.
-    """
-    try:
-        vals = np.linalg.eigvals(m.to_array())
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"QR eigensolver failed: {exc}") from exc
-    clamp = _IMAG_CLAMP * m.max_abs()
-    out = [complex(v.real, 0.0 if abs(v.imag) < clamp else v.imag) for v in vals]
-    out.sort(key=lambda z: (-z.real, -z.imag))
-    return out
-
-
-def trace_norm_symmetric(m: SmallMatrix, tol: float = 1e-12) -> float:
-    """Trace norm (sum of absolute eigenvalues) of a symmetric matrix."""
-    return sum(abs(v) for v in sym_eigenvalues(m, tol))
-
-
-def det2(m: SmallMatrix) -> float:
-    """Determinant of a 2x2 matrix."""
-    if m.dim != 2:
-        raise WrongDimensionError(f"det2 needs a 2x2 matrix, got dim {m.dim}")
-    e = m.entries
-    return e[0] * e[3] - e[1] * e[2]

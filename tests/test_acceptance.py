@@ -11,28 +11,17 @@ import time
 import numpy as np
 import pytest
 
+from dicketangle.cli import oracle_deviations
 from dicketangle.dicke import DickeParams, amplitudes
-from dicketangle.marginals import (
-    SingleQubitMarginal,
-    TwoQubitMarginal,
-    marginal_matrix,
-    partial_transpose,
-    single_qubit_marginal,
-    two_qubit_marginal,
-)
+from dicketangle.marginals import marginal_matrix, two_qubit_marginal
 from dicketangle.measures import (
+    TangleRecord,
     concurrence_two_qubit,
     negativity_two_qubit,
-    one_vs_rest,
     tangle_record,
+    tangle_table,
 )
-from dicketangle.oracle import (
-    Spinor,
-    expand_state,
-    partial_trace_to_one,
-    partial_trace_to_two,
-    symmetrize_two_spinors,
-)
+from dicketangle.oracle import Spinor, expand_state, symmetrize_two_spinors
 
 A_GRID_101 = [i / 100 for i in range(101)]
 A_GRID_11 = [i / 10 for i in range(11)]
@@ -47,23 +36,23 @@ def _dense_pairs(n_max: int):
     return [(n, k) for n in range(2, n_max + 1) for k in range(1, n // 2 + 1)]
 
 
+def _records(n: int, k: int, grid):
+    """One tangle_table call, each row checked as a TangleRecord."""
+    rows = zip(*(col.tolist() for col in tangle_table(n, k, grid)))
+    return [TangleRecord(DickeParams(n, k, a), *row) for a, row in zip(grid, rows)]
+
+
 @pytest.fixture(scope="module")
 def check_grid_records():
     """tangle records on the dense N <= 12 grid plus N in {50, 100} spots."""
     pairs = _dense_pairs(12) + [(n, k) for n in (50, 100) for k in range(1, 6)]
-    return {
-        (n, k): [tangle_record(DickeParams(n, k, a)) for a in A_GRID_101] for n, k in pairs
-    }
+    return {(n, k): _records(n, k, A_GRID_101) for n, k in pairs}
 
 
 @pytest.fixture(scope="module")
 def sweep_family_records():
     """tangle records for N in {10, 100}, k in 2..5, 101-point a-grid."""
-    return {
-        (n, k): [tangle_record(DickeParams(n, k, a)) for a in A_GRID_101]
-        for n in (10, 100)
-        for k in (2, 3, 4, 5)
-    }
+    return {(n, k): _records(n, k, A_GRID_101) for n in (10, 100) for k in (2, 3, 4, 5)}
 
 
 def test_criterion_1_w_class_saturation():
@@ -82,44 +71,9 @@ def test_criterion_2_oracle_equivalence():
     dev_rho = 0.0
     dev_meas = 0.0
     for n, k in _dense_pairs(12):
-        for a in A_GRID_11:
-            params = DickeParams(n, k, a)
-            psi = expand_state(params)
-            brute = partial_trace_to_two(psi)
-            marg = two_qubit_marginal(params)
-            analytic = marginal_matrix(marg)
-            dev_rho = max(
-                dev_rho, max(abs(x - y) for x, y in zip(brute.entries, analytic.entries))
-            )
-
-            # arrangement of the partial transpose, against an axis swap
-            # performed directly on the brute-force matrix
-            swapped = (
-                brute.to_array().reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-            )
-            dev_rho = max(
-                dev_rho, float(np.max(np.abs(swapped - partial_transpose(marg).to_array())))
-            )
-
-            brute_marg = TwoQubitMarginal(
-                params,
-                A=brute.entry(0, 0),
-                B=brute.entry(0, 1),
-                C=brute.entry(0, 3),
-                D=brute.entry(1, 1),
-                E=brute.entry(1, 3),
-                F=brute.entry(3, 3),
-            )
-            rho1_brute = partial_trace_to_one(psi)
-            dev_meas = max(
-                dev_meas,
-                abs(concurrence_two_qubit(brute) - concurrence_two_qubit(analytic)),
-                abs(negativity_two_qubit(brute_marg) - negativity_two_qubit(marg)),
-                abs(
-                    one_vs_rest(SingleQubitMarginal(params, rho1_brute))
-                    - one_vs_rest(single_qubit_marginal(marg))
-                ),
-            )
+        devs = oracle_deviations(n, k, A_GRID_11)
+        dev_rho = max(dev_rho, devs["marginal"], devs["partial-transpose"])
+        dev_meas = max(dev_meas, devs["measures"])
     elapsed = time.perf_counter() - start
     ok = dev_rho <= 1e-12 and dev_meas <= 1e-10 and elapsed < 60.0
     _verdict(

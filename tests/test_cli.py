@@ -211,6 +211,18 @@ def test_oracle_fails_on_impossible_tolerance():
     assert out.getvalue().splitlines()[-1].startswith("FAIL")
 
 
+def test_oracle_detects_broken_concurrence(monkeypatch):
+    # the oracle holds the engine's concurrence, the one sweep prints, against the dense route
+    orig = measures._triplet_concurrence
+    monkeypatch.setattr(
+        measures, "_triplet_concurrence", lambda blocks: np.minimum(1.0, 3.0 * orig(blocks))
+    )
+    out = io.StringIO()
+    rc = run_oracle(6, 5, 1e-10, out=out)
+    assert rc == 1
+    assert out.getvalue().splitlines()[-1].startswith("FAIL")
+
+
 def test_oracle_enforces_cap():
     with pytest.raises(CapExceededError):
         run_oracle(13, 3, 1e-10)

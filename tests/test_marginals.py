@@ -14,7 +14,7 @@ from dicketangle.marginals import (
     single_qubit_marginal,
     two_qubit_marginal,
 )
-from dicketangle.smallmat import SmallMatrix, sym_eigenvalues
+from dicketangle.smallmat import SmallMatrix
 
 
 def _grid_params(n_max=10, a_steps=11):
@@ -63,14 +63,18 @@ def test_marginal_matrix_layout():
 
 
 def test_partial_transpose_of_half_filled_point():
-    m = two_qubit_marginal(DickeParams(4, 2, 0.0))
+    pt = partial_transpose(two_qubit_marginal(DickeParams(4, 2, 0.0)))
     want = [
         [1 / 6, 0.0, 0.0, 1 / 3],
         [0.0, 1 / 3, 0.0, 0.0],
         [0.0, 0.0, 1 / 3, 0.0],
         [1 / 3, 0.0, 0.0, 1 / 6],
     ]
-    assert np.allclose(partial_transpose(m).rows(), want, atol=1e-15, rtol=0.0)
+    assert np.allclose(pt.rows(), want, atol=1e-15, rtol=0.0)
+    # spectrum (1/2, 1/3, 1/3, -1/6), whose moduli sum to 4/3
+    vals = np.linalg.eigvalsh(pt.to_array())
+    assert vals.tolist() == pytest.approx([-1 / 6, 1 / 3, 1 / 3, 1 / 2], abs=1e-14)
+    assert np.abs(vals).sum() == pytest.approx(4 / 3, abs=1e-14)
 
 
 def test_partial_transpose_matches_axis_swap():
@@ -87,7 +91,7 @@ def test_marginal_is_density_matrix_across_grid():
         m = two_qubit_marginal(params)
         rho = marginal_matrix(m)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-        low = sym_eigenvalues(rho)[-1]
+        low = np.linalg.eigvalsh(rho.to_array())[0]
         assert low >= -1e-12, f"{params}: eigenvalue {low}"
 
 

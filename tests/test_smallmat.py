@@ -3,28 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dicketangle.errors import (
-    NonFiniteError,
-    NotSymmetricError,
-    WrongDimensionError,
-)
-from dicketangle.smallmat import (
-    SmallMatrix,
-    det2,
-    general_eigenvalues,
-    sym_eigenvalues,
-    trace_norm_symmetric,
-)
-
-# the a=0, N=4, k=2 partial transpose; its spectrum is (1/2, 1/3, 1/3, -1/6)
-PT_420 = SmallMatrix.from_rows(
-    [
-        [1 / 6, 0, 0, 1 / 3],
-        [0, 1 / 3, 0, 0],
-        [0, 0, 1 / 3, 0],
-        [1 / 3, 0, 0, 1 / 6],
-    ]
-)
+from dicketangle.errors import NonFiniteError, WrongDimensionError
+from dicketangle.smallmat import SmallMatrix
 
 
 def test_small_matrix_rejects_bad_dim():
@@ -41,120 +21,6 @@ def test_small_matrix_rejects_non_finite():
         SmallMatrix(2, (1.0, 0.0, 0.0, math.nan))
     with pytest.raises(NonFiniteError):
         SmallMatrix(2, (1.0, 0.0, math.inf, 0.0))
-
-
-def test_sym_eigenvalues_identity():
-    m = SmallMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
-    assert sym_eigenvalues(m) == [1.0, 1.0]
-
-
-def test_sym_eigenvalues_coherence_block():
-    # 2x2 closed form: diagonal d with off-diagonal o gives d +/- o
-    m = SmallMatrix.from_rows([[1 / 6, 1 / 3], [1 / 3, 1 / 6]])
-    lo, hi = 1 / 6 - 1 / 3, 1 / 6 + 1 / 3
-    vals = sym_eigenvalues(m)
-    assert vals[0] == pytest.approx(hi, abs=1e-15)
-    assert vals[1] == pytest.approx(lo, abs=1e-15)
-
-
-def test_sym_eigenvalues_degenerate():
-    m = SmallMatrix.from_rows([[1 / 3, 0.0], [0.0, 1 / 3]])
-    assert sym_eigenvalues(m) == [1 / 3, 1 / 3]
-
-
-def test_sym_eigenvalues_rejects_asymmetric():
-    m = SmallMatrix.from_rows([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(NotSymmetricError):
-        sym_eigenvalues(m)
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_sym_eigenvalues_matches_lapack(dim):
-    """Jacobi sweep agrees with an independent symmetric eigensolver."""
-    rng = np.random.default_rng(20240517 + dim)
-    for _ in range(200):
-        raw = rng.normal(size=(dim, dim))
-        sym = (raw + raw.T) / 2
-        got = sym_eigenvalues(SmallMatrix.from_rows(sym.tolist()))
-        want = sorted(np.linalg.eigvalsh(sym).tolist(), reverse=True)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert sum(got) == pytest.approx(np.trace(sym), abs=1e-12)
-        assert all(x >= y for x, y in zip(got, got[1:]))
-
-
-def test_general_eigenvalues_diagonal():
-    m = SmallMatrix.from_rows([[4.0, 0.0], [0.0, 1.0]])
-    assert general_eigenvalues(m) == [4 + 0j, 1 + 0j]
-
-
-def test_general_eigenvalues_rotation_generator():
-    m = SmallMatrix.from_rows([[0.0, 1.0], [-1.0, 0.0]])
-    vals = general_eigenvalues(m)
-    assert vals == pytest.approx([1j, -1j], abs=1e-14)
-
-
-def test_general_eigenvalues_zero_matrix():
-    m = SmallMatrix(4, (0.0,) * 16)
-    assert general_eigenvalues(m) == [0j, 0j, 0j, 0j]
-
-
-def test_general_eigenvalues_clamps_imaginary_noise():
-    # symmetric input: exact spectrum is real, so imaginary parts must vanish
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        raw = rng.normal(size=(4, 4))
-        sym = (raw + raw.T) / 2
-        vals = general_eigenvalues(SmallMatrix.from_rows(sym.tolist()))
-        assert all(v.imag == 0.0 for v in vals)
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_general_eigenvalues_product_is_det(dim):
-    rng = np.random.default_rng(99 + dim)
-    for _ in range(200):
-        arr = rng.normal(size=(dim, dim))
-        vals = general_eigenvalues(SmallMatrix.from_rows(arr.tolist()))
-        prod = 1.0 + 0.0j
-        for v in vals:
-            prod *= v
-        det = np.linalg.det(arr)
-        assert prod == pytest.approx(det, rel=1e-10, abs=1e-12)
-
-
-def test_trace_norm_of_density_matrix_is_one():
-    w_marginal = SmallMatrix.from_rows(
-        [
-            [1 / 3, 0, 0, 0],
-            [0, 1 / 3, 1 / 3, 0],
-            [0, 1 / 3, 1 / 3, 0],
-            [0, 0, 0, 0],
-        ]
-    )
-    assert trace_norm_symmetric(w_marginal) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_trace_norm_of_partial_transpose():
-    # spectrum (1/2, 1/3, 1/3, -1/6) sums in absolute value to 4/3
-    assert trace_norm_symmetric(PT_420) == pytest.approx(4 / 3, abs=1e-14)
-    vals = sym_eigenvalues(PT_420)
-    assert vals == pytest.approx([1 / 2, 1 / 3, 1 / 3, -1 / 6], abs=1e-14)
-
-
-def test_trace_norm_zero_matrix():
-    assert trace_norm_symmetric(SmallMatrix(3, (0.0,) * 9)) == 0.0
-
-
-def test_det2_values():
-    assert det2(SmallMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])) == 1.0
-    assert det2(SmallMatrix.from_rows([[2 / 3, 0.0], [0.0, 1 / 3]])) == pytest.approx(
-        2 / 9, abs=1e-16
-    )
-    assert det2(SmallMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]])) == 0.0
-
-
-def test_det2_rejects_other_dims():
-    with pytest.raises(WrongDimensionError):
-        det2(SmallMatrix(4, tuple(float(i) for i in range(16))))
 
 
 def test_entry_and_rows_round_trip():
