@@ -63,18 +63,14 @@ def test_marginal_matrix_layout():
 
 
 def test_partial_transpose_of_half_filled_point():
-    pt = partial_transpose(two_qubit_marginal(DickeParams(4, 2, 0.0)))
+    m = two_qubit_marginal(DickeParams(4, 2, 0.0))
     want = [
         [1 / 6, 0.0, 0.0, 1 / 3],
         [0.0, 1 / 3, 0.0, 0.0],
         [0.0, 0.0, 1 / 3, 0.0],
         [1 / 3, 0.0, 0.0, 1 / 6],
     ]
-    assert np.allclose(pt.rows(), want, atol=1e-15, rtol=0.0)
-    # spectrum (1/2, 1/3, 1/3, -1/6), whose moduli sum to 4/3
-    vals = np.linalg.eigvalsh(pt.to_array())
-    assert vals.tolist() == pytest.approx([-1 / 6, 1 / 3, 1 / 3, 1 / 2], abs=1e-14)
-    assert np.abs(vals).sum() == pytest.approx(4 / 3, abs=1e-14)
+    assert np.allclose(partial_transpose(m).rows(), want, atol=1e-15, rtol=0.0)
 
 
 def test_partial_transpose_matches_axis_swap():
