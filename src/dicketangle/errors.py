@@ -14,7 +14,7 @@ class WrongDimensionError(DicketangleError, ValueError):
 
 
 class NoConvergenceError(DicketangleError, ArithmeticError):
-    """An iterative eigensolver failed to converge."""
+    """A LAPACK eigensolver failed to converge."""
 
 
 class OutOfRangeError(DicketangleError, ValueError):
@@ -26,7 +26,7 @@ class InvalidParamsError(DicketangleError, ValueError):
 
 
 class CapExceededError(DicketangleError, ValueError):
-    """A requested qubit count exceeds the configured dense-state cap."""
+    """A requested qubit count exceeds the dense-state cap or the oracle command's n_max cap."""
 
 
 class NotDensityMatrixError(DicketangleError, ValueError):

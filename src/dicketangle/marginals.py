@@ -42,18 +42,12 @@ class TwoQubitMarginal:
     F: float
 
     def __post_init__(self):
-        elems = (self.A, self.B, self.C, self.D, self.E, self.F)
-        if not all(math.isfinite(x) for x in elems):
-            raise InvalidParamsError("marginal elements must be finite")
-        if self.A < 0.0 or self.D < 0.0 or self.F < 0.0:
-            raise InvalidParamsError("diagonal elements A, D, F must be nonnegative")
-        trace = self.A + 2.0 * self.D + self.F
-        if abs(trace - 1.0) > 1e-12:
-            raise InvalidParamsError(f"marginal must have unit trace, got {trace!r}")
+        check_elements(*np.array([self.A, self.B, self.C, self.D, self.E, self.F])[:, None])
 
 
 def check_elements(A, B, C, D, E, F) -> None:
-    """TwoQubitMarginal's checks on arrays of A..F: raise InvalidParamsError if any set fails."""
+    """Raise InvalidParamsError unless every set of A..F is finite, with A, D, F
+    nonnegative and unit trace A + 2D + F to within 1e-12."""
     if not all(np.isfinite(x).all() for x in (A, B, C, D, E, F)):
         raise InvalidParamsError("marginal elements must be finite")
     if (A < 0.0).any() or (D < 0.0).any() or (F < 0.0).any():

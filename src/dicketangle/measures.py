@@ -107,6 +107,13 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, roots[..., -1] - roots[..., :-1].sum(axis=-1))
 
 
+def _check_psd(low: np.ndarray) -> None:
+    """Raise NotDensityMatrixError if a smallest eigenvalue in `low` is below -1e-10."""
+    bad = low < -_RANGE_TOL
+    if bad.any():
+        raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {_first(low, bad)!r}")
+
+
 def _check_density_matrix(rho: SmallMatrix) -> None:
     trace = rho.trace()
     if abs(trace - 1.0) > _RANGE_TOL:
@@ -117,9 +124,7 @@ def _check_density_matrix(rho: SmallMatrix) -> None:
         raise NotDensityMatrixError(
             f"matrix is not symmetric: an entry differs from its transpose by {skew!r}"
         )
-    low = _eig(np.linalg.eigvalsh, arr)[0]
-    if low < -_RANGE_TOL:
-        raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {low!r}")
+    _check_psd(_eig(np.linalg.eigvalsh, arr)[:1])
 
 
 def concurrence_two_qubit(rho: SmallMatrix) -> float:
@@ -149,12 +154,7 @@ def _triplet_blocks(A, B, C, D, E, F) -> np.ndarray:
 
 def _triplet_concurrence(blocks: np.ndarray) -> np.ndarray:
     """Concurrence of each triplet block R: the PSD check, then eig(R Y3)."""
-    low = _eig(np.linalg.eigvalsh, blocks)[:, 0]
-    bad = low < -_RANGE_TOL
-    if bad.any():
-        raise NotDensityMatrixError(
-            f"matrix is not PSD, smallest eigenvalue {_first(low, bad)!r}"
-        )
+    _check_psd(_eig(np.linalg.eigvalsh, blocks)[:, 0])
     return _wootters(_eig(np.linalg.eigvals, blocks[:, :, ::-1] * _Y3_COLUMN_SIGNS))
 
 

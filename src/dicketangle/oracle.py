@@ -27,7 +27,7 @@ from .errors import (
 )
 from .smallmat import SmallMatrix
 
-# Dense vectors above this qubit count are refused (2^14 amplitudes by default).
+# Dense vectors above this qubit count are refused (2^14 amplitudes).
 DEFAULT_CAP = 14
 
 _REAL_TOL = 1e-12
@@ -77,9 +77,9 @@ class FullState:
         object.__setattr__(self, "amplitudes", amp)
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(f"N = {n} exceeds the dense-state cap {cap}")
+def _check_cap(n: int) -> None:
+    if n > DEFAULT_CAP:
+        raise CapExceededError(f"N = {n} exceeds the dense-state cap {DEFAULT_CAP}")
 
 
 @lru_cache(maxsize=None)
@@ -89,23 +89,23 @@ def _hamming_weights(n: int) -> np.ndarray:
     return w
 
 
-def dicke_basis_vector(n_qubits: int, r: int, cap: int = DEFAULT_CAP) -> FullState:
+def dicke_basis_vector(n_qubits: int, r: int) -> FullState:
     """The Dicke state |N/2, N/2 - r>: equal weight on all strings with r ones."""
     n = int(n_qubits)
     if n < 1:
         raise OutOfRangeError(f"need at least one qubit, got {n}")
     if not 0 <= r <= n:
         raise OutOfRangeError(f"excitation number r must satisfy 0 <= r <= {n}, got {r}")
-    _check_cap(n, cap)
+    _check_cap(n)
     coeff = np.zeros(n + 1, dtype=complex)
     coeff[r] = 1.0 / math.sqrt(math.comb(n, r))
     return FullState(n, coeff[_hamming_weights(n)])
 
 
-def expand_state(params: DickeParams, cap: int = DEFAULT_CAP) -> FullState:
+def expand_state(params: DickeParams) -> FullState:
     """The canonical state sum_r beta_r |N/2, N/2 - r> as a dense vector."""
     n, k = params.n_qubits, params.degeneracy
-    _check_cap(n, cap)
+    _check_cap(n)
     beta = amplitudes(params).beta
     coeff = np.zeros(n + 1, dtype=complex)
     for r in range(k + 1):
@@ -113,9 +113,7 @@ def expand_state(params: DickeParams, cap: int = DEFAULT_CAP) -> FullState:
     return FullState(n, coeff[_hamming_weights(n)])
 
 
-def symmetrize_two_spinors(
-    n_qubits: int, k: int, eps1: Spinor, eps2: Spinor, cap: int = DEFAULT_CAP
-) -> FullState:
+def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) -> FullState:
     """Normalized symmetrized product of N-k copies of eps1 and k copies of eps2.
 
     The sum over all N! orderings collapses onto the binom(N, k) distinct
@@ -133,7 +131,7 @@ def symmetrize_two_spinors(
         raise OutOfRangeError(f"need at least two qubits, got {n}")
     if not 1 <= k <= n - 1:
         raise OutOfRangeError(f"copy count k must satisfy 1 <= k <= {n - 1}, got {k}")
-    _check_cap(n, cap)
+    _check_cap(n)
     g = np.zeros(n + 1, dtype=complex)
     for w in range(n + 1):
         acc = 0.0 + 0.0j

@@ -18,6 +18,7 @@ from dicketangle.dicke import DickeParams
 from dicketangle.errors import (
     CapExceededError,
     InvalidParamsError,
+    NumericalInstabilityError,
 )
 
 HEADER = "N,k,a,c1_sq,c2_sq,tau,n2,xi"
@@ -175,6 +176,23 @@ def test_check_passes_on_honest_code():
     assert any(line.startswith("PASS n-decay") for line in lines)
 
 
+def test_check_output_is_frozen():
+    # margins and locations of the default check, tie rule included (first tightest point wins)
+    out = io.StringIO()
+    assert run_check(12, 11, 1e-9, out=out) == 0
+    assert out.getvalue().splitlines() == [
+        "PASS a-monotonicity: margin 4.932e-09 (tightest at (N=100, k=2, a=0.9->1))",
+        "PASS endpoint-max-at-a-0: margin 1.000e-09 (tightest at (N=6, k=1, a=0.1))",
+        "PASS k-ordering: margin 4.932e-09 (tightest at (N=100, k=1->2, a=0.9))",
+        "PASS monogamy-tau: margin 1.000e-09 (tightest at (N=6, k=1, a=0))",
+        "PASS monogamy-xi: margin 1.000e-09 (tightest at (N=3, k=1, a=1))",
+        "PASS n-decay: margin 1.000e-09 (tightest at (N=3->4, k=1, a=0))",
+        "PASS ordering-xi-ge-tau: margin 1.000e-09 (tightest at (N=10, k=5, a=0.3))",
+        "PASS vanishing-at-a-1: margin 1.000e-09 (tightest at (N=3, k=1, a=1))",
+        "PASS w-class-saturation: margin 1.000e-09 (tightest at (N=3, k=1, a=0.3))",
+    ]
+
+
 def test_check_detects_broken_concurrence(monkeypatch):
     # inflating the pair concurrence violates monogamy, which check must flag
     orig = measures._triplet_concurrence
@@ -185,6 +203,17 @@ def test_check_detects_broken_concurrence(monkeypatch):
     rc = run_check(5, 3, 1e-9, out=out)
     assert rc == 1
     assert any(line.startswith("FAIL monogamy-tau") for line in out.getvalue().splitlines())
+
+
+def test_check_stops_with_exit_2_on_a_numerical_abort(monkeypatch, capsys):
+    def explode(n, k, a_values):
+        raise NumericalInstabilityError("injected abort")
+
+    monkeypatch.setattr(measures, "tangle_table", explode)
+    assert main(["check", "--n-max", "4", "--a-steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: injected abort\n"
 
 
 def test_check_rejects_bad_arguments():
@@ -216,6 +245,18 @@ def test_oracle_detects_broken_concurrence(monkeypatch):
     orig = measures._triplet_concurrence
     monkeypatch.setattr(
         measures, "_triplet_concurrence", lambda blocks: np.minimum(1.0, 3.0 * orig(blocks))
+    )
+    out = io.StringIO()
+    rc = run_oracle(6, 5, 1e-10, out=out)
+    assert rc == 1
+    assert out.getvalue().splitlines()[-1].startswith("FAIL")
+
+
+def test_oracle_detects_broken_negativity(monkeypatch):
+    # the dense N2 comes from the partial-transpose spectrum, not from the engine's _negativity
+    orig = measures._negativity
+    monkeypatch.setattr(
+        measures, "_negativity", lambda *elems: np.minimum(1.0, 3.0 * orig(*elems))
     )
     out = io.StringIO()
     rc = run_oracle(6, 5, 1e-10, out=out)

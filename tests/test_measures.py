@@ -258,3 +258,12 @@ def test_engine_aborts_keep_their_types():
     not_psd = np.diag([1.2, -0.2, 0.0])[None]
     with pytest.raises(NotDensityMatrixError):
         measures._triplet_concurrence(not_psd)
+
+
+def test_psd_abort_reads_the_same_through_both_routes():
+    with pytest.raises(NotDensityMatrixError) as four:
+        concurrence_two_qubit(SmallMatrix(4, tuple(np.diag([1.2, -0.2, 0.0, 0.0]).ravel())))
+    with pytest.raises(NotDensityMatrixError) as three:
+        measures._triplet_concurrence(np.diag([1.2, -0.2, 0.0])[None])
+    assert "np.float64(" not in str(four.value)
+    assert str(four.value) == str(three.value)

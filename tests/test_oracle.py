@@ -75,8 +75,6 @@ def test_dicke_basis_vector_range_and_cap():
         dicke_basis_vector(3, -1)
     with pytest.raises(CapExceededError):
         dicke_basis_vector(15, 1)
-    with pytest.raises(CapExceededError):
-        dicke_basis_vector(5, 1, cap=4)
 
 
 def test_expand_state_two_qubits_closed_form():
