@@ -6,7 +6,7 @@ tangle tau and the negativity tangle xi, and validates everything against
 a brute-force full-state oracle at small N.
 """
 
-from .dicke import AmplitudeVector, CgTriple, DickeParams, amplitudes, cg_coefficients
+from .dicke import AmplitudeVector, DickeParams, amplitudes
 from .errors import (
     CapExceededError,
     DicketangleError,
@@ -47,12 +47,11 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AmplitudeVector",
     "CapExceededError",
-    "CgTriple",
     "DickeParams",
     "DicketangleError",
     "FullState",
@@ -71,7 +70,6 @@ __all__ = [
     "WrongDimensionError",
     "ZeroStateError",
     "amplitudes",
-    "cg_coefficients",
     "concurrence_two_qubit",
     "dicke_basis_vector",
     "expand_state",

@@ -9,9 +9,9 @@ the canonical form
 where |N/2, N/2 - r> is the Dicke state with r excitations and the real,
 nonnegative amplitudes beta_r depend on a single overlap parameter
 a = |<eps1|eps2>| in [0, 1] (b = sqrt(1 - a^2)). This module evaluates
-those amplitudes stably for N into the thousands, plus the specialized
-Clebsch-Gordan coefficients that couple one qubit (j2 = 1/2 twice, i.e.
-j2 = 1 for a pair) out of the symmetric multiplet.
+those amplitudes stably for N into the thousands, plus the per-N table of
+Clebsch-Gordan coefficients that couple a qubit pair (j2 = 1) out of the
+symmetric multiplet.
 """
 
 from __future__ import annotations
@@ -24,9 +24,14 @@ import numpy as np
 
 from .errors import InvalidParamsError, OutOfRangeError
 
+
 def check_n_k(n, k) -> tuple[int, int]:
     """Validate (N, k) as integers with N >= 2 and 1 <= k <= N//2; return them as ints."""
-    if n != int(n) or k != int(k):
+    try:
+        integral = n == int(n) and k == int(k)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
         raise InvalidParamsError("n_qubits and degeneracy must be integers")
     n, k = int(n), int(k)
     if n < 2:
@@ -37,11 +42,23 @@ def check_n_k(n, k) -> tuple[int, int]:
 
 
 def check_a_values(a_values) -> np.ndarray:
-    """Validate overlaps a as finite values in [0, 1]; return them as a 1-D float array."""
-    a = np.asarray(a_values, dtype=float).reshape(-1)
-    bad = ~(np.isfinite(a) & (a >= 0.0) & (a <= 1.0))
-    if bad.any():
-        raise InvalidParamsError(f"non-orthogonality a must lie in [0, 1], got {a[bad][0]}")
+    """Validate overlaps a (a number or a 1-D sequence) as finite values in [0, 1].
+
+    Returns them as a 1-D float array.
+    """
+    try:
+        a = np.asarray(a_values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParamsError("non-orthogonality a must be a real number") from exc
+    if a.ndim > 1:
+        raise InvalidParamsError(
+            f"non-orthogonality a must be a number or a 1-D sequence, got shape {a.shape}"
+        )
+    a = a.reshape(-1)
+    # nan fails both comparisons and +-inf one, so this also rejects non-finite values
+    ok = (a >= 0.0) & (a <= 1.0)
+    if not ok.all():
+        raise InvalidParamsError(f"non-orthogonality a must lie in [0, 1], got {a[~ok][0]}")
     return a
 
 
@@ -55,9 +72,11 @@ class DickeParams:
 
     def __post_init__(self):
         n, k = check_n_k(self.n_qubits, self.degeneracy)
-        a = float(self.non_orthogonality)
-        if not (math.isfinite(a) and 0.0 <= a <= 1.0):
-            raise InvalidParamsError(f"non-orthogonality a must lie in [0, 1], got {a}")
+        if np.ndim(self.non_orthogonality) != 0:
+            raise InvalidParamsError(
+                f"non-orthogonality a must be a single number, got {self.non_orthogonality!r}"
+            )
+        a = float(check_a_values(self.non_orthogonality)[0])
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "degeneracy", k)
         object.__setattr__(self, "non_orthogonality", a)
@@ -70,23 +89,6 @@ class DickeParams:
     def b(self) -> float:
         # (1 - a)(1 + a) keeps full relative accuracy as a -> 1, where 1 - a*a does not
         return math.sqrt((1.0 - self.a) * (1.0 + self.a))
-
-
-@dataclass(frozen=True)
-class CgTriple:
-    """Coefficients (c_+1, c_0, c_-1) coupling a qubit pair off the symmetric multiplet."""
-
-    c_plus: float
-    c_zero: float
-    c_minus: float
-
-    def __post_init__(self):
-        triple = (self.c_plus, self.c_zero, self.c_minus)
-        if not all(0.0 <= c <= 1.0 for c in triple):
-            raise InvalidParamsError(f"coefficients must lie in [0, 1], got {triple}")
-        norm = sum(c * c for c in triple)
-        if abs(norm - 1.0) > 1e-14:
-            raise InvalidParamsError(f"coefficients must be normalized, got sum of squares {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -109,43 +111,20 @@ class AmplitudeVector:
         object.__setattr__(self, "beta", beta)
 
 
-def cg_coefficients(n_qubits: int, r: int) -> CgTriple:
-    """Clebsch-Gordan triple (c_+1^(r), c_0^(r), c_-1^(r)) for N qubits.
-
-    These are the three coefficients of <j1 = N/2 - 1; j2 = 1 | N/2> needed
-    to split a pair of qubits off the Dicke state with r excitations:
-
-        c_+1 = sqrt((N-r)(N-r-1) / (N(N-1)))
-        c_0  = sqrt(2 r (N-r)    / (N(N-1)))
-        c_-1 = sqrt(r (r-1)      / (N(N-1)))
-
-    The numerators are integer products, so the degenerate cases (r = 0, 1
-    for c_-1; r = N-1, N for c_+1) come out exactly zero.
-    """
-    n = int(n_qubits)
-    if n < 2:
-        raise OutOfRangeError(f"need at least 2 qubits, got {n}")
-    if not 0 <= r <= n:
-        raise OutOfRangeError(f"excitation number r must satisfy 0 <= r <= {n}, got {r}")
-    denom = n * (n - 1)
-    plus = max(0, (n - r) * (n - r - 1))
-    zero = 2 * r * (n - r)
-    minus = max(0, r * (r - 1))
-    return CgTriple(
-        math.sqrt(plus / denom),
-        math.sqrt(zero / denom),
-        math.sqrt(minus / denom),
-    )
-
-
 @dataclass(frozen=True)
 class NTable:
     """Everything about N alone that the amplitudes and marginals need, indexed by r = 0..N.
 
     `log_int[r]` is log(r) (log_int[0] = -inf is never read); `c_plus`,
-    `c_zero`, `c_minus` hold the Clebsch-Gordan triples of
-    cg_coefficients(N, r). The arrays are read-only because one table is
-    shared by every caller.
+    `c_zero`, `c_minus` hold the Clebsch-Gordan coefficients
+    (c_+1, c_0, c_-1) of <j1 = N/2 - 1; j2 = 1 | N/2> that split a pair of
+    qubits off the Dicke state with r excitations:
+
+        c_+1 = sqrt((N-r)(N-r-1) / (N(N-1)))
+        c_0  = sqrt(2 r (N-r)    / (N(N-1)))
+        c_-1 = sqrt(r (r-1)      / (N(N-1)))
+
+    The arrays are read-only because one table is shared by every caller.
     """
 
     log_int: np.ndarray
@@ -163,8 +142,8 @@ def n_table(n_qubits: int) -> NTable:
     r = np.arange(n + 1, dtype=float)
     with np.errstate(divide="ignore"):
         log_int = np.log(r)
-    # same integer numerators as cg_coefficients; below 2^53 they convert to
-    # float exactly, so each entry equals the scalar one bit for bit
+    # the numerators are integers, exact in float below 2^53, so the
+    # degenerate entries (r = 0, 1 for c_-1; r = N-1, N for c_+1) are exact zeros
     denom = float(n * (n - 1))
     arrays = (
         log_int,

@@ -10,7 +10,6 @@ point: it buys certainty at small N.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,11 +47,6 @@ class Spinor:
             raise InvalidParamsError(f"spinor must have unit norm, got |c0|^2+|c1|^2 = {norm!r}")
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
-
-    @classmethod
-    def from_angles(cls, alpha: float, beta_phase: float = 0.0) -> "Spinor":
-        """Bloch-sphere spinor cos(a/2)|0> + e^{i b} sin(a/2)|1>."""
-        return cls(math.cos(alpha / 2.0), cmath.exp(1j * beta_phase) * math.sin(alpha / 2.0))
 
 
 @dataclass(frozen=True)

@@ -45,18 +45,11 @@ class SmallMatrix:
             raise WrongDimensionError("matrix rows must form a square array")
         return cls(dim, tuple(x for row in rows for x in row))
 
-    def entry(self, i: int, j: int) -> float:
-        return self.entries[i * self.dim + j]
-
-    def rows(self) -> list[list[float]]:
-        n = self.dim
-        return [list(self.entries[i * n : (i + 1) * n]) for i in range(n)]
-
     def to_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float).reshape(self.dim, self.dim)
 
     def trace(self) -> float:
-        return sum(self.entry(i, i) for i in range(self.dim))
+        return sum(self.entries[:: self.dim + 1])
 
     def max_abs(self) -> float:
         return max(abs(x) for x in self.entries)

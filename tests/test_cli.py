@@ -1,11 +1,13 @@
 import io
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dicketangle
 from dicketangle import measures
 from dicketangle.cli import (
     SweepConfig,
@@ -292,10 +294,14 @@ def test_main_rejects_malformed_argv():
 def test_module_entry_point_matches_in_process_output():
     cfg = SweepConfig(n_values=(3,), k_values=(1,), a_steps=5)
     _, text, _ = _sweep_text(cfg)
+    # the child imports the same source tree as this process, installed or not
+    src = os.path.dirname(os.path.dirname(dicketangle.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "dicketangle", "sweep", "--n", "3", "--k", "1", "--a-steps", "5"],
         capture_output=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.decode() == text

@@ -7,11 +7,9 @@ import pytest
 
 from dicketangle.dicke import (
     AmplitudeVector,
-    CgTriple,
     DickeParams,
     amplitude_rows,
     amplitudes,
-    cg_coefficients,
     n_table,
 )
 from dicketangle.errors import InvalidParamsError, OutOfRangeError
@@ -20,59 +18,62 @@ from dicketangle.errors import InvalidParamsError, OutOfRangeError
 THINNED_N = list(range(2, 31)) + [40, 50, 75, 100, 150, 200]
 
 
+def _cg_reference(n, r):
+    """(c_+1, c_0, c_-1) of <N/2 - 1; 1 | N/2> at r excitations, from integer numerators."""
+    denom = n * (n - 1)
+    return (
+        math.sqrt(max(0, (n - r) * (n - r - 1)) / denom),
+        math.sqrt(2 * r * (n - r) / denom),
+        math.sqrt(max(0, r * (r - 1)) / denom),
+    )
+
+
+def _cg_triple(n, r):
+    table = n_table(n)
+    return table.c_plus[r], table.c_zero[r], table.c_minus[r]
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 101])
 def test_cg_bottom_of_ladder(n):
-    trip = cg_coefficients(n, 0)
-    assert trip.c_plus == 1.0
-    assert trip.c_zero == 0.0
-    assert trip.c_minus == 0.0
+    assert _cg_triple(n, 0) == (1.0, 0.0, 0.0)
 
 
 def test_cg_three_qubit_single_excitation():
-    trip = cg_coefficients(3, 1)
-    assert trip.c_plus == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
-    assert trip.c_zero == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
-    assert trip.c_minus == 0.0
+    plus, zero, minus = _cg_triple(3, 1)
+    assert plus == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
+    assert zero == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+    assert minus == 0.0
 
 
 def test_cg_four_qubit_double_excitation():
-    trip = cg_coefficients(4, 2)
-    assert trip.c_plus == pytest.approx(math.sqrt(1 / 6), abs=1e-15)
-    assert trip.c_zero == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
-    assert trip.c_minus == pytest.approx(math.sqrt(1 / 6), abs=1e-15)
+    plus, zero, minus = _cg_triple(4, 2)
+    assert plus == pytest.approx(math.sqrt(1 / 6), abs=1e-15)
+    assert zero == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+    assert minus == pytest.approx(math.sqrt(1 / 6), abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 60])
 def test_cg_exact_zeros_at_ladder_edges(n):
     # integer numerators must produce exact zeros, not rounding residue
-    assert cg_coefficients(n, 1).c_minus == 0.0
-    assert cg_coefficients(n, n - 1).c_plus == 0.0
-    assert cg_coefficients(n, n).c_plus == 0.0
-    assert cg_coefficients(n, n).c_zero == 0.0
+    table = n_table(n)
+    assert table.c_minus[1] == 0.0
+    assert table.c_plus[n - 1] == 0.0
+    assert table.c_plus[n] == 0.0
+    assert table.c_zero[n] == 0.0
 
 
 @pytest.mark.parametrize("n", THINNED_N)
 def test_cg_normalization(n):
-    for r in range(n + 1):
-        trip = cg_coefficients(n, r)
-        total = trip.c_plus**2 + trip.c_zero**2 + trip.c_minus**2
-        assert total == pytest.approx(1.0, abs=1e-14), f"n={n} r={r}"
+    table = n_table(n)
+    total = table.c_plus**2 + table.c_zero**2 + table.c_minus**2
+    assert total.tolist() == pytest.approx([1.0] * (n + 1), abs=1e-14)
 
 
 def test_cg_out_of_range():
     with pytest.raises(OutOfRangeError):
-        cg_coefficients(3, -1)
+        n_table(1)
     with pytest.raises(OutOfRangeError):
-        cg_coefficients(3, 4)
-    with pytest.raises(OutOfRangeError):
-        cg_coefficients(1, 0)
-
-
-def test_cg_triple_rejects_unnormalized():
-    with pytest.raises(InvalidParamsError):
-        CgTriple(1.0, 1.0, 0.0)
-    with pytest.raises(InvalidParamsError):
-        CgTriple(-0.5, 0.5, 0.5)
+        n_table(0)
 
 
 def test_params_validation():
@@ -88,6 +89,11 @@ def test_params_validation():
         DickeParams(4, 2, 1.5)
     with pytest.raises(InvalidParamsError):
         DickeParams(4, 2, -0.1)
+    # a sequence of overlaps must not be cut down to its first value
+    for a in ([0.1, 0.2], [0.5], np.array([0.5])):
+        with pytest.raises(InvalidParamsError, match="single number"):
+            DickeParams(10, 3, a)
+    assert DickeParams(10, 3, np.float64(0.5)).a == 0.5
 
 
 def test_params_b_complements_a():
@@ -107,12 +113,10 @@ def test_params_b_keeps_relative_accuracy_near_one():
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 1000])
-def test_n_table_matches_cg_coefficients(n):
+def test_n_table_matches_integer_formula(n):
     table = n_table(n)
     for r in range(n + 1):
-        trip = cg_coefficients(n, r)
-        got = (table.c_plus[r], table.c_zero[r], table.c_minus[r])
-        assert got == (trip.c_plus, trip.c_zero, trip.c_minus), (n, r)
+        assert _cg_triple(n, r) == _cg_reference(n, r), (n, r)
     logs = [math.log(r) for r in range(1, n + 1)]
     assert table.log_int[1:].tolist() == pytest.approx(logs, rel=4.5e-16, abs=0.0)
     assert not table.c_plus.flags.writeable

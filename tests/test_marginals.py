@@ -54,7 +54,7 @@ def test_product_state_marginal_is_pure(n, k):
 
 def test_marginal_matrix_layout():
     m = TwoQubitMarginal(DickeParams(4, 2, 0.5), 0.4, 0.05, 0.01, 0.2, 0.02, 0.2)
-    assert marginal_matrix(m).rows() == [
+    assert marginal_matrix(m).to_array().tolist() == [
         [0.4, 0.05, 0.05, 0.01],
         [0.05, 0.2, 0.2, 0.02],
         [0.05, 0.2, 0.2, 0.02],
@@ -70,7 +70,7 @@ def test_partial_transpose_of_half_filled_point():
         [0.0, 0.0, 1 / 3, 0.0],
         [1 / 3, 0.0, 0.0, 1 / 6],
     ]
-    assert np.allclose(partial_transpose(m).rows(), want, atol=1e-15, rtol=0.0)
+    assert np.allclose(partial_transpose(m).to_array(), want, atol=1e-15, rtol=0.0)
 
 
 def test_partial_transpose_matches_axis_swap():
@@ -93,13 +93,13 @@ def test_marginal_is_density_matrix_across_grid():
 
 def test_single_qubit_examples():
     w = single_qubit_marginal(two_qubit_marginal(DickeParams(3, 1, 0.0)))
-    assert np.allclose(w.rho.rows(), [[2 / 3, 0.0], [0.0, 1 / 3]], atol=1e-15, rtol=0.0)
+    assert np.allclose(w.rho.to_array(), [[2 / 3, 0.0], [0.0, 1 / 3]], atol=1e-15, rtol=0.0)
 
     half = single_qubit_marginal(two_qubit_marginal(DickeParams(4, 2, 0.0)))
-    assert np.allclose(half.rho.rows(), [[1 / 2, 0.0], [0.0, 1 / 2]], atol=1e-15, rtol=0.0)
+    assert np.allclose(half.rho.to_array(), [[1 / 2, 0.0], [0.0, 1 / 2]], atol=1e-15, rtol=0.0)
 
     prod = single_qubit_marginal(two_qubit_marginal(DickeParams(4, 2, 1.0)))
-    assert prod.rho.rows() == [[1.0, 0.0], [0.0, 0.0]]
+    assert prod.rho.to_array().tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
 def test_single_qubit_consistent_with_tracing_the_matrix():

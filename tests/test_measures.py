@@ -239,6 +239,12 @@ def test_small_concurrence_keeps_relative_accuracy():
         (4, 2, -0.1),
         (4, 2, math.nan),
         (4.5, 2, 0.5),
+        (None, 3, 0.4),
+        (math.inf, 3, 0.4),
+        (math.nan, 3, 0.4),
+        ("x", 3, 0.4),
+        (10, 3, "x"),
+        (10, 3, None),
     ],
 )
 def test_out_of_range_input_raises_the_same_error_through_both_apis(n, k, a):
@@ -247,6 +253,14 @@ def test_out_of_range_input_raises_the_same_error_through_both_apis(n, k, a):
     with pytest.raises(InvalidParamsError) as table:
         tangle_table(n, k, [0.25, a])
     assert str(table.value) == str(scalar.value)
+
+
+def test_tangle_table_rejects_a_grid_of_more_than_one_dimension():
+    with pytest.raises(InvalidParamsError, match=r"shape \(2, 2\)"):
+        tangle_table(10, 3, [[0.1, 0.2], [0.3, 0.4]])
+    scalar = tangle_table(10, 3, 0.3)
+    row = tangle_table(10, 3, [0.3])
+    assert [col.tolist() for col in scalar] == [col.tolist() for col in row]
 
 
 def test_engine_aborts_keep_their_types():

@@ -37,7 +37,8 @@ def _overlap_spinor(a):
 def test_spinor_validation_and_angles():
     with pytest.raises(InvalidParamsError):
         Spinor(1.0, 1.0)
-    s = Spinor.from_angles(math.pi / 2, 0.7)
+    # the Bloch-sphere spinor cos(pi/4)|0> + e^{0.7i} sin(pi/4)|1>
+    s = Spinor(math.cos(math.pi / 4), np.exp(0.7j) * math.sin(math.pi / 4))
     assert s.c0 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert s.c1 == pytest.approx(np.exp(0.7j) / math.sqrt(2), abs=1e-15)
 
@@ -116,7 +117,7 @@ def test_symmetrize_recovers_bell_state():
 
 
 def test_symmetrize_identical_spinors_gives_product_state():
-    s = Spinor.from_angles(1.1)
+    s = Spinor(math.cos(0.55), math.sin(0.55))
     got = symmetrize_two_spinors(4, 2, s, s)
     vec = np.array([s.c0, s.c1])
     want = functools.reduce(np.kron, [vec] * 4)
@@ -162,18 +163,18 @@ def test_partial_trace_of_w_state():
         [0, 1 / 3, 1 / 3, 0],
         [0, 0, 0, 0],
     ]
-    assert np.allclose(rho2.rows(), want, atol=1e-15, rtol=0.0)
+    assert np.allclose(rho2.to_array(), want, atol=1e-15, rtol=0.0)
     rho1 = partial_trace_to_one(dicke_basis_vector(3, 1))
-    assert np.allclose(rho1.rows(), [[2 / 3, 0], [0, 1 / 3]], atol=1e-15, rtol=0.0)
+    assert np.allclose(rho1.to_array(), [[2 / 3, 0], [0, 1 / 3]], atol=1e-15, rtol=0.0)
 
 
 def test_partial_trace_of_product_state():
     psi = expand_state(DickeParams(4, 2, 1.0))
     rho2 = partial_trace_to_two(psi)
-    assert rho2.entry(0, 0) == 1.0
+    assert rho2.to_array()[0, 0] == 1.0
     assert rho2.trace() == 1.0
     rho1 = partial_trace_to_one(psi)
-    assert rho1.rows() == [[1.0, 0.0], [0.0, 0.0]]
+    assert rho1.to_array().tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
 def test_partial_trace_of_bell_pair_keeps_purity():
@@ -182,7 +183,7 @@ def test_partial_trace_of_bell_pair_keeps_purity():
     arr = rho2.to_array()
     assert np.trace(arr @ arr) == pytest.approx(1.0, abs=1e-14)
     rho1 = partial_trace_to_one(psi)
-    assert np.allclose(rho1.rows(), [[0.5, 0.0], [0.0, 0.5]], atol=1e-15, rtol=0.0)
+    assert np.allclose(rho1.to_array(), [[0.5, 0.0], [0.0, 0.5]], atol=1e-15, rtol=0.0)
 
 
 def test_partial_trace_pair_choice_is_irrelevant():
@@ -210,7 +211,8 @@ def test_partial_trace_index_checks():
 
 
 def test_partial_trace_rejects_complex_marginal():
-    phased = symmetrize_two_spinors(3, 1, UP, Spinor.from_angles(math.pi / 3, 0.7))
+    tilted = Spinor(math.cos(math.pi / 6), np.exp(0.7j) * math.sin(math.pi / 6))
+    phased = symmetrize_two_spinors(3, 1, UP, tilted)
     with pytest.raises(InvalidParamsError):
         partial_trace_to_two(phased)
 

@@ -35,8 +35,7 @@ def test_small_matrix_rejects_non_finite():
 
 def test_entry_and_rows_round_trip():
     m = SmallMatrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
-    assert m.entry(0, 1) == 2.0
-    assert m.rows() == [[1.0, 2.0], [3.0, 4.0]]
+    assert m.entries == (1.0, 2.0, 3.0, 4.0)
     assert np.array_equal(m.to_array(), np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert m.trace() == 5.0
 
