@@ -39,7 +39,6 @@ from .measures import (
 from .oracle import (
     FullState,
     Spinor,
-    dicke_basis_vector,
     expand_state,
     partial_trace_to_one,
     partial_trace_to_two,
@@ -47,7 +46,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AmplitudeVector",
@@ -71,7 +70,6 @@ __all__ = [
     "ZeroStateError",
     "amplitudes",
     "concurrence_two_qubit",
-    "dicke_basis_vector",
     "expand_state",
     "marginal_matrix",
     "negativity_two_qubit",

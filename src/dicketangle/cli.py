@@ -63,8 +63,17 @@ class SweepConfig:
 
 
 def _a_grid(a_min: float, a_max: float, a_steps: int) -> list[float]:
-    # endpoints inclusive by construction
-    return [a_min + i * (a_max - a_min) / (a_steps - 1) for i in range(a_steps)]
+    # the last point can round past a_max or short of it, so it is a_max itself,
+    # and min() keeps the rest inside [a_min, a_max]
+    grid = [min(a_min + i * (a_max - a_min) / (a_steps - 1), a_max) for i in range(a_steps)]
+    grid[-1] = a_max
+    return grid
+
+
+def _check_tol(tol: float) -> None:
+    # a nan tol makes every margin nan, and nan < 0 is false, so it would pass everything
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -192,6 +201,7 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
         raise InvalidParamsError(f"check needs n_max >= 3, got {n_max}")
     if a_steps < 2:
         raise InvalidParamsError(f"a_steps must be >= 2, got {a_steps}")
+    _check_tol(tol)
     grid = _a_grid(0.0, 1.0, a_steps)
     taus = {}
     report = _PropertyReport()
@@ -316,6 +326,7 @@ def run_oracle(n_max: int, a_steps: int, tol: float, out=None) -> int:
         raise CapExceededError(f"oracle command is capped at n_max <= {_ORACLE_N_MAX}, got {n_max}")
     if a_steps < 2:
         raise InvalidParamsError(f"a_steps must be >= 2, got {a_steps}")
+    _check_tol(tol)
     grid = _a_grid(0.0, 1.0, a_steps)
     worst = (-1.0, "")
     failed = False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeParams, amplitudes, n_table
+from .dicke import DickeParams, amplitude_rows, n_table
 from .errors import InvalidParamsError, NotDensityMatrixError
 from .smallmat import SmallMatrix
 
@@ -113,19 +113,11 @@ def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]
 def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
     """Two-qubit marginal elements A..F for a canonical Dicke-class state.
 
-    The formulas of marginal_elements, for one point, summed with math.fsum.
+    The one-row view of marginal_elements.
     """
-    k = params.degeneracy
-    beta = amplitudes(params).beta
-    table = n_table(params.n_qubits)
-    cp, c0, cm = (c[: k + 1].tolist() for c in (table.c_plus, table.c_zero, table.c_minus))
-    A = math.fsum(beta[r] ** 2 * cp[r] ** 2 for r in range(k + 1))
-    B = _SQRT1_2 * math.fsum(beta[r] * beta[r + 1] * cp[r] * c0[r + 1] for r in range(k))
-    C = math.fsum(beta[r] * beta[r + 2] * cp[r] * cm[r + 2] for r in range(k - 1))
-    D = 0.5 * math.fsum(beta[r] ** 2 * c0[r] ** 2 for r in range(1, k + 1))
-    E = _SQRT1_2 * math.fsum(beta[r] * beta[r + 1] * c0[r] * cm[r + 1] for r in range(k))
-    F = math.fsum(beta[r] ** 2 * cm[r] ** 2 for r in range(k + 1))
-    return TwoQubitMarginal(params, A, B, C, D, E, F)
+    n, k = params.n_qubits, params.degeneracy
+    row = marginal_elements(n, amplitude_rows(n, k, [params.a]))
+    return TwoQubitMarginal(params, *(float(col[0]) for col in row))
 
 
 def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:

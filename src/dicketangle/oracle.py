@@ -83,19 +83,6 @@ def _hamming_weights(n: int) -> np.ndarray:
     return w
 
 
-def dicke_basis_vector(n_qubits: int, r: int) -> FullState:
-    """The Dicke state |N/2, N/2 - r>: equal weight on all strings with r ones."""
-    n = int(n_qubits)
-    if n < 1:
-        raise OutOfRangeError(f"need at least one qubit, got {n}")
-    if not 0 <= r <= n:
-        raise OutOfRangeError(f"excitation number r must satisfy 0 <= r <= {n}, got {r}")
-    _check_cap(n)
-    coeff = np.zeros(n + 1, dtype=complex)
-    coeff[r] = 1.0 / math.sqrt(math.comb(n, r))
-    return FullState(n, coeff[_hamming_weights(n)])
-
-
 def expand_state(params: DickeParams) -> FullState:
     """The canonical state sum_r beta_r |N/2, N/2 - r> as a dense vector."""
     n, k = params.n_qubits, params.degeneracy

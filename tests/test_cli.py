@@ -11,6 +11,7 @@ import dicketangle
 from dicketangle import measures
 from dicketangle.cli import (
     SweepConfig,
+    _a_grid,
     main,
     run_check,
     run_oracle,
@@ -48,6 +49,27 @@ def test_sweep_a_grid_includes_endpoints():
     _, text, _ = _sweep_text(cfg)
     a_col = [line.split(",")[2] for line in text.splitlines()[1:]]
     assert a_col == ["0", "0.5", "1"]
+
+    # 0.065 + 10 * (1.0 - 0.065) / 10 rounds to 1.0000000000000002
+    cfg = SweepConfig(n_values=(4,), k_values=(1,), a_min=0.065, a_max=1.0, a_steps=11)
+    rc, text, err = _sweep_text(cfg)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert (rc, err, len(rows)) == (0, "", 11)
+    assert rows[-1][2:] == ["1", "0", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "a_min,a_max,a_steps",
+    [(0.065, 1.0, 11), (0.002, 1.0, 7), (0.003, 0.95, 11), (0.0, 1.0, 101), (0.4, 0.4, 2)],
+)
+def test_a_grid_keeps_its_points_inside_the_endpoints(a_min, a_max, a_steps):
+    # on the first three, a_min + (a_steps - 1) * (a_max - a_min) / (a_steps - 1)
+    # rounds to 1.0000000000000002, 0.9999999999999999 and 0.9499999999999998
+    grid = _a_grid(a_min, a_max, a_steps)
+    assert len(grid) == a_steps
+    assert grid[0] == a_min and grid[-1] == a_max
+    assert all(a_min <= a <= a_max for a in grid)
+    assert grid == sorted(grid)
 
 
 def test_sweep_rows_match_tangle_records():
@@ -218,11 +240,24 @@ def test_check_stops_with_exit_2_on_a_numerical_abort(monkeypatch, capsys):
     assert captured.err == "error: injected abort\n"
 
 
+BAD_TOLS = [math.nan, math.inf, -1.0]
+
+
 def test_check_rejects_bad_arguments():
     with pytest.raises(InvalidParamsError):
         run_check(2, 3, 1e-9)
     with pytest.raises(InvalidParamsError):
         run_check(5, 1, 1e-9)
+    # a nan margin is never negative, so a nan tol would pass every property
+    for tol in BAD_TOLS:
+        with pytest.raises(InvalidParamsError, match="tol"):
+            run_check(5, 3, tol)
+
+
+def test_oracle_rejects_bad_tolerance():
+    for tol in BAD_TOLS:
+        with pytest.raises(InvalidParamsError, match="tol"):
+            run_oracle(3, 3, tol)
 
 
 def test_oracle_passes_and_reports_deviations():
@@ -282,6 +317,9 @@ def test_main_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
 
     assert main(["check", "--n-max", "4", "--a-steps", "3"]) == 0
+
+    assert main(["oracle", "--n-max", "3", "--tol", "nan"]) == 2
+    assert "tol must be a finite number >= 0" in capsys.readouterr().err
 
 
 def test_main_rejects_malformed_argv():

@@ -18,14 +18,19 @@ from dicketangle.errors import InvalidParamsError, OutOfRangeError
 THINNED_N = list(range(2, 31)) + [40, 50, 75, 100, 150, 200]
 
 
-def _cg_reference(n, r):
-    """(c_+1, c_0, c_-1) of <N/2 - 1; 1 | N/2> at r excitations, from integer numerators."""
+def _cg_squares(n, r):
+    """(c_+1^2, c_0^2, c_-1^2) of <N/2 - 1; 1 | N/2> at r excitations, as exact rationals."""
     denom = n * (n - 1)
     return (
-        math.sqrt(max(0, (n - r) * (n - r - 1)) / denom),
-        math.sqrt(2 * r * (n - r) / denom),
-        math.sqrt(max(0, r * (r - 1)) / denom),
+        fractions.Fraction((n - r) * (n - r - 1), denom),
+        fractions.Fraction(2 * r * (n - r), denom),
+        fractions.Fraction(r * (r - 1), denom),
     )
+
+
+def _cg_reference(n, r):
+    """(c_+1, c_0, c_-1) as float square roots of _cg_squares."""
+    return tuple(math.sqrt(x) for x in _cg_squares(n, r))
 
 
 def _cg_triple(n, r):
@@ -188,23 +193,32 @@ def test_amplitude_rows_match_scalar_amplitudes(n, k):
     assert rows[-1].tolist() == [1.0] + [0.0] * k
 
 
-def _exact_amplitudes(n, k, a):
-    """beta_r from exact rational squares (a is an exact binary fraction), rounded once."""
-    a2 = fractions.Fraction(a) ** 2
+def _amplitude_squares(n, k, a):
+    """beta_r^2 in the current decimal context, from the exact binary value of a.
+
+    beta_r^2 is proportional to (N-r)! / (r! (k-r)!^2) a^(2(k-r)) b^(2r), whose
+    factorial part, scaled by (k!)^2, is the integer (N-r)! binom(k, r) k!/(k-r)!.
+    """
+    a2 = decimal.Decimal(a) ** 2
     b2 = 1 - a2
+    # decimal rejects 0 ** 0, so the powers are built up by products
+    a_pow, b_pow = [decimal.Decimal(1)], [decimal.Decimal(1)]
+    for _ in range(k):
+        a_pow.append(a_pow[-1] * a2)
+        b_pow.append(b_pow[-1] * b2)
     sq = [
-        fractions.Fraction(math.factorial(n - r), math.factorial(r) * math.factorial(k - r) ** 2)
-        * a2 ** (k - r)
-        * b2**r
+        math.factorial(n - r) * math.comb(k, r) * math.perm(k, r) * a_pow[k - r] * b_pow[r]
         for r in range(k + 1)
     ]
     total = sum(sq)
+    return [s / total for s in sq]
+
+
+def _exact_amplitudes(n, k, a):
+    """beta_r from 40-digit squares, rounded once."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        return [
-            float((decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)).sqrt())
-            for x in (s / total for s in sq)
-        ]
+        return [float(x.sqrt()) for x in _amplitude_squares(n, k, a)]
 
 
 @pytest.mark.parametrize("n,k,a", [(1000, 225, 0.0625), (2000, 250, 0.5), (60, 30, 0.83)])

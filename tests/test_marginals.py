@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from dicketangle.marginals import (
     two_qubit_marginal,
 )
 from dicketangle.smallmat import SmallMatrix
+
+from test_dicke import _amplitude_squares, _cg_squares
 
 
 def _grid_params(n_max=10, a_steps=11):
@@ -133,11 +136,48 @@ def test_single_qubit_marginal_validation():
         SingleQubitMarginal(p, SmallMatrix(3, (0.0,) * 9))
 
 
+def _reference_elements(n, k, a):
+    """A..F in 60-digit decimal from the exact binary value of a and the integer
+    Clebsch-Gordan formula, each element rounded to float once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        beta = [x.sqrt() for x in _amplitude_squares(n, k, a)]
+        cg = [
+            [(decimal.Decimal(x.numerator) / x.denominator).sqrt() for x in _cg_squares(n, r)]
+            for r in range(k + 1)
+        ]
+
+        def total(shift, i, j):
+            # sum_r beta_r beta_{r+shift} c_i^(r) c_j^(r+shift)
+            terms = (
+                beta[r] * beta[r + shift] * cg[r][i] * cg[r + shift][j]
+                for r in range(k + 1 - shift)
+            )
+            return sum(terms, decimal.Decimal(0))
+
+        half = decimal.Decimal(1) / 2
+        root_half = half.sqrt()
+        return [
+            float(x)
+            for x in (
+                total(0, 0, 0),
+                root_half * total(1, 0, 1),
+                total(2, 0, 2),
+                half * total(0, 1, 1),
+                root_half * total(1, 1, 2),
+                total(0, 2, 2),
+            )
+        ]
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (8, 4), (100, 2), (1000, 500)])
 def test_marginal_elements_match_scalar_marginal(n, k):
+    """marginal_elements against the 60-digit reference, and two_qubit_marginal as its
+    row i, bit for bit."""
     grid = [0.0, 0.2, 0.5, 0.83, 1.0]
     elems = marginal_elements(n, amplitude_rows(n, k, grid))
     for i, a in enumerate(grid):
+        row = [float(col[i]) for col in elems]
+        assert np.allclose(row, _reference_elements(n, k, a), rtol=1e-12, atol=1e-15), (n, k, a)
         m = two_qubit_marginal(DickeParams(n, k, a))
-        want = (m.A, m.B, m.C, m.D, m.E, m.F)
-        assert np.allclose([col[i] for col in elems], want, rtol=1e-12, atol=1e-15), (n, k, a)
+        assert [m.A, m.B, m.C, m.D, m.E, m.F] == row, (n, k, a)

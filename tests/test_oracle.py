@@ -19,7 +19,6 @@ from dicketangle.marginals import (
 from dicketangle.oracle import (
     FullState,
     Spinor,
-    dicke_basis_vector,
     expand_state,
     partial_trace_to_one,
     partial_trace_to_two,
@@ -28,6 +27,17 @@ from dicketangle.oracle import (
 
 UP = Spinor(1.0, 0.0)
 DOWN = Spinor(0.0, 1.0)
+
+
+def _equal_weight_state(n, indices):
+    amp = np.zeros(2**n)
+    amp[indices] = 1 / math.sqrt(len(indices))
+    return FullState(n, amp)
+
+
+# the Dicke states |3/2, 1/2> (the W state) and |2, 0>, basis strings listed by index
+W3 = _equal_weight_state(3, [1, 2, 4])
+D42 = _equal_weight_state(4, [3, 5, 6, 9, 10, 12])
 
 
 def _overlap_spinor(a):
@@ -53,29 +63,16 @@ def test_full_state_validation():
         state.amplitudes[0] = 1.0
 
 
-def test_dicke_basis_vectors():
-    w = dicke_basis_vector(3, 1)
-    want = np.zeros(8, dtype=complex)
-    want[[1, 2, 4]] = 1 / math.sqrt(3)
-    assert np.allclose(w.amplitudes, want, atol=1e-15, rtol=0.0)
-
-    ground = dicke_basis_vector(3, 0)
-    assert ground.amplitudes[0] == 1.0
-    assert np.count_nonzero(ground.amplitudes) == 1
-
-    half = dicke_basis_vector(4, 2)
-    idx = np.nonzero(half.amplitudes)[0]
-    assert idx.tolist() == [3, 5, 6, 9, 10, 12]
-    assert np.allclose(half.amplitudes[idx], 1 / math.sqrt(6), atol=1e-15, rtol=0.0)
+def test_expand_state_at_a_0_is_the_dicke_state():
+    w = expand_state(DickeParams(3, 1, 0.0)).amplitudes
+    assert np.allclose(w, W3.amplitudes, atol=1e-15, rtol=0.0)
+    half = expand_state(DickeParams(4, 2, 0.0)).amplitudes
+    assert np.allclose(half, D42.amplitudes, atol=1e-15, rtol=0.0)
 
 
-def test_dicke_basis_vector_range_and_cap():
-    with pytest.raises(OutOfRangeError):
-        dicke_basis_vector(3, 4)
-    with pytest.raises(OutOfRangeError):
-        dicke_basis_vector(3, -1)
+def test_expand_state_enforces_cap():
     with pytest.raises(CapExceededError):
-        dicke_basis_vector(15, 1)
+        expand_state(DickeParams(15, 1, 0.5))
 
 
 def test_expand_state_two_qubits_closed_form():
@@ -106,8 +103,7 @@ def test_expand_state_endpoint_is_product():
 
 def test_symmetrize_recovers_w_state():
     got = symmetrize_two_spinors(3, 1, UP, DOWN)
-    want = dicke_basis_vector(3, 1)
-    assert np.allclose(got.amplitudes, want.amplitudes, atol=1e-15, rtol=0.0)
+    assert np.allclose(got.amplitudes, W3.amplitudes, atol=1e-15, rtol=0.0)
 
 
 def test_symmetrize_recovers_bell_state():
@@ -156,7 +152,7 @@ def test_symmetrize_range_checks():
 
 
 def test_partial_trace_of_w_state():
-    rho2 = partial_trace_to_two(dicke_basis_vector(3, 1))
+    rho2 = partial_trace_to_two(W3)
     want = [
         [1 / 3, 0, 0, 0],
         [0, 1 / 3, 1 / 3, 0],
@@ -164,7 +160,7 @@ def test_partial_trace_of_w_state():
         [0, 0, 0, 0],
     ]
     assert np.allclose(rho2.to_array(), want, atol=1e-15, rtol=0.0)
-    rho1 = partial_trace_to_one(dicke_basis_vector(3, 1))
+    rho1 = partial_trace_to_one(W3)
     assert np.allclose(rho1.to_array(), [[2 / 3, 0], [0, 1 / 3]], atol=1e-15, rtol=0.0)
 
 

@@ -1,3 +1,7 @@
+from pathlib import Path
+
+import pytest
+
 import dicketangle
 
 
@@ -7,3 +11,9 @@ def test_public_names_resolve():
     namespace = {}
     exec("from dicketangle import *", namespace)
     assert set(dicketangle.__all__) <= set(namespace)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == dicketangle.__version__
