@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import marginals, measures, oracle
-from .dicke import DickeParams
+from .dicke import DickeParams, check_int, check_n_k
 from .errors import CapExceededError, DicketangleError, InvalidParamsError
 from .oracle import Spinor
 
@@ -33,36 +32,18 @@ _SPOT_K_MAX = 5
 _ORACLE_N_MAX = 12
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated sweep parameters; k_values None means all k per N."""
-
-    n_values: tuple[int, ...]
-    k_values: tuple[int, ...] | None
-    a_min: float = 0.0
-    a_max: float = 1.0
-    a_steps: int = 101
-    output_path: str = "-"
-    precision: int = 12
-
-    def __post_init__(self):
-        if not self.n_values:
-            raise InvalidParamsError("need at least one N value")
-        if not all(isinstance(n, int) and n >= 2 for n in self.n_values):
-            raise InvalidParamsError(f"N values must be integers >= 2, got {self.n_values}")
-        if self.k_values is not None and not self.k_values:
-            raise InvalidParamsError("explicit k list must be nonempty")
-        if not 0.0 <= self.a_min <= self.a_max <= 1.0:
-            raise InvalidParamsError(
-                f"need 0 <= a_min <= a_max <= 1, got [{self.a_min}, {self.a_max}]"
-            )
-        if self.a_steps < 2:
-            raise InvalidParamsError(f"a_steps must be >= 2, got {self.a_steps}")
-        if self.precision < 1:
-            raise InvalidParamsError(f"precision must be >= 1, got {self.precision}")
+def _int_at_least(value, low: int, name: str) -> int:
+    value = check_int(value, name)
+    if value < low:
+        raise InvalidParamsError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _a_grid(a_min: float, a_max: float, a_steps: int) -> list[float]:
+    """a_steps evenly spaced overlaps from a_min to a_max, both included."""
+    a_steps = _int_at_least(a_steps, 2, "a_steps")
+    if not 0.0 <= a_min <= a_max <= 1.0:
+        raise InvalidParamsError(f"need 0 <= a_min <= a_max <= 1, got [{a_min}, {a_max}]")
     # the last point can round past a_max or short of it, so it is a_max itself,
     # and min() keeps the rest inside [a_min, a_max]
     grid = [min(a_min + i * (a_max - a_min) / (a_steps - 1), a_max) for i in range(a_steps)]
@@ -102,17 +83,35 @@ def _tangle_rows(n: int, k: int, grid: list[float]):
     yield from zip(grid, zip(*(col.tolist() for col in table)))
 
 
-def run_sweep(cfg: SweepConfig, out=None, err=None) -> int:
-    """Write the CSV of cfg's grid, one (N, k) batch at a time; returns the exit code.
+def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path="-",
+              precision=12, out=None, err=None) -> int:
+    """Write the CSV of an (N, k, a) grid, one (N, k) batch at a time; returns the exit code.
 
-    Nothing is written, and no output file is created, until the first row
-    has been computed, so a sweep in which every row fails writes nothing.
+    n_values are the N (integers >= 2) and k_values the k (integers), or None
+    for 1..N//2 at each N; a pair with k outside 1..N//2 is skipped with a
+    warning. The a-grid has a_steps >= 2 evenly spaced points from a_min to
+    a_max, with 0 <= a_min <= a_max <= 1. Rows go to output_path, or to out
+    (default stdout) if it is "-", with `precision` (>= 1) significant
+    digits; warnings go to err (default stderr). An invalid argument raises
+    InvalidParamsError. Nothing is written, and no output file is created,
+    until the first row has been computed, so a sweep in which every row
+    fails writes nothing.
     """
     err = err if err is not None else sys.stderr
+    if not n_values:
+        raise InvalidParamsError("need at least one N value")
+    # k = 1 is valid at every N >= 2, so this checks N alone
+    ns = sorted({check_n_k(n, 1)[0] for n in n_values})
+    if k_values is not None:
+        if not k_values:
+            raise InvalidParamsError("explicit k list must be nonempty")
+        k_values = sorted({check_int(k, "k") for k in k_values})
+    grid = _a_grid(a_min, a_max, a_steps)
+    precision = _int_at_least(precision, 1, "precision")
+
     pairs = []
-    for n in sorted(set(cfg.n_values)):
-        ks = range(1, n // 2 + 1) if cfg.k_values is None else sorted(set(cfg.k_values))
-        for k in ks:
+    for n in ns:
+        for k in range(1, n // 2 + 1) if k_values is None else k_values:
             if not 1 <= k <= n // 2:
                 print(f"warning: skipping invalid pair N={n}, k={k}", file=err)
                 continue
@@ -121,7 +120,6 @@ def run_sweep(cfg: SweepConfig, out=None, err=None) -> int:
         print("error: sweep grid is empty after filtering", file=err)
         return 2
 
-    grid = _a_grid(cfg.a_min, cfg.a_max, cfg.a_steps)
     failures = 0
     with ExitStack() as stack:
         stream = None
@@ -132,16 +130,16 @@ def run_sweep(cfg: SweepConfig, out=None, err=None) -> int:
                     failures += 1
                     print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {row}", file=err)
                     continue
-                fields = [str(n), str(k)] + [_fmt(x, cfg.precision) for x in (a, *row)]
+                fields = [str(n), str(k)] + [_fmt(x, precision) for x in (a, *row)]
                 lines.append(",".join(fields) + "\n")
             if not lines:
                 continue
             if stream is None:
-                if cfg.output_path == "-":
+                if output_path == "-":
                     stream = out if out is not None else sys.stdout
                 else:
                     stream = stack.enter_context(
-                        open(cfg.output_path, "w", encoding="utf-8", newline="\n")
+                        open(output_path, "w", encoding="utf-8", newline="\n")
                     )
                 stream.write(_COLUMNS + "\n")
             stream.write("".join(lines))
@@ -197,12 +195,9 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
     DicketangleError. Returns 1 if a property is violated by more than tol.
     """
     out = out if out is not None else sys.stdout
-    if n_max < 3:
-        raise InvalidParamsError(f"check needs n_max >= 3, got {n_max}")
-    if a_steps < 2:
-        raise InvalidParamsError(f"a_steps must be >= 2, got {a_steps}")
-    _check_tol(tol)
+    n_max = _int_at_least(n_max, 3, "n_max")
     grid = _a_grid(0.0, 1.0, a_steps)
+    _check_tol(tol)
     taus = {}
     report = _PropertyReport()
 
@@ -320,14 +315,11 @@ def run_oracle(n_max: int, a_steps: int, tol: float, out=None) -> int:
     every qubit pair of a 2^N state.
     """
     out = out if out is not None else sys.stdout
-    if n_max < 2:
-        raise InvalidParamsError(f"oracle needs n_max >= 2, got {n_max}")
+    n_max = _int_at_least(n_max, 2, "n_max")
     if n_max > _ORACLE_N_MAX:
         raise CapExceededError(f"oracle command is capped at n_max <= {_ORACLE_N_MAX}, got {n_max}")
-    if a_steps < 2:
-        raise InvalidParamsError(f"a_steps must be >= 2, got {a_steps}")
-    _check_tol(tol)
     grid = _a_grid(0.0, 1.0, a_steps)
+    _check_tol(tol)
     worst = (-1.0, "")
     failed = False
     for n in range(2, n_max + 1):
@@ -400,26 +392,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            cfg = SweepConfig(
-                n_values=args.n,
-                k_values=args.k,
-                a_min=args.a_min,
-                a_max=args.a_max,
-                a_steps=args.a_steps,
-                output_path=args.out,
-                precision=args.precision,
+            return run_sweep(
+                args.n, args.k, args.a_min, args.a_max, args.a_steps, args.out, args.precision
             )
-            return run_sweep(cfg)
         if args.command == "check":
             return run_check(args.n_max, args.a_steps, args.tol)
         return run_oracle(args.n_max, args.a_steps, args.tol)
-    except DicketangleError as exc:
+    except (DicketangleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

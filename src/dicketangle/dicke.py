@@ -22,18 +22,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParamsError, OutOfRangeError
+from .errors import DicketangleError, InvalidParamsError, OutOfRangeError
+
+
+def check_int(value, name: str, error: type[DicketangleError] = InvalidParamsError) -> int:
+    """`value` as an int if it is integral, as 4, 4.0 and np.int64(4) are; else raise `error`."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def check_n_k(n, k) -> tuple[int, int]:
     """Validate (N, k) as integers with N >= 2 and 1 <= k <= N//2; return them as ints."""
-    try:
-        integral = n == int(n) and k == int(k)
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise InvalidParamsError("n_qubits and degeneracy must be integers")
-    n, k = int(n), int(k)
+    n, k = check_int(n, "n_qubits"), check_int(k, "degeneracy")
     if n < 2:
         raise InvalidParamsError(f"need at least 2 qubits, got {n}")
     if not 1 <= k <= n // 2:

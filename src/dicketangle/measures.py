@@ -93,7 +93,8 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
     Y^2 = I, so rho rho~ = (rho Y)^2 and the Wootters square-root eigenvalues
     are |mu|: no product is formed and no square root amplifies noise. The
     exact eigenvalues mu^2 of rho rho~ are real and nonnegative; an imaginary
-    part beyond 1e-8 or a real part below -1e-10 aborts.
+    part beyond 1e-8 or a real part below -1e-10 aborts, and so does a
+    concurrence above 1 + 1e-10 or NaN.
     """
     lam = mu * mu
     if np.iscomplexobj(lam):
@@ -104,7 +105,11 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
     if bad.any():
         raise NumericalInstabilityError(f"negative eigenvalue of rho rho~: {_first(lam, bad)!r}")
     roots = np.sort(np.abs(mu), axis=-1)
-    return np.maximum(0.0, roots[..., -1] - roots[..., :-1].sum(axis=-1))
+    value = np.maximum(0.0, roots[..., -1] - roots[..., :-1].sum(axis=-1))
+    bad = ~(value <= 1.0 + _RANGE_TOL)
+    if bad.any():
+        raise NumericalInstabilityError(f"concurrence left [0, 1]: {_first(value, bad)!r}")
+    return np.minimum(value, 1.0)
 
 
 def _check_psd(low: np.ndarray) -> None:
@@ -164,13 +169,13 @@ def _negativity(A, B, C, D, E, F) -> np.ndarray:
     The qubit swap commutes with the partial transpose, which therefore
     splits into a 3x3 symmetric block on {|00>, |psi+>, |11>} and the scalar
     D - C on the singlet. N2 is twice the summed moduli of the negative
-    eigenvalues. A value above 1 + 1e-10 aborts.
+    eigenvalues. A value above 1 + 1e-10, or NaN, aborts.
     """
     sB, sE = _SQRT2 * B, _SQRT2 * E
     blocks = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
     eigs = _eig(np.linalg.eigvalsh, blocks)
     value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(D - C, 0.0)))
-    bad = value > 1.0 + _RANGE_TOL
+    bad = ~(value <= 1.0 + _RANGE_TOL)
     if bad.any():
         raise NumericalInstabilityError(f"doubled negativity left [0, 1]: {_first(value, bad)!r}")
     return np.minimum(value, 1.0)
@@ -198,9 +203,10 @@ def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
     and typed errors as the scalar pieces: invalid (N, k, a) raise
     InvalidParamsError, marginals that fail the TwoQubitMarginal checks
     raise InvalidParamsError, a marginal or one-qubit reduction that is not
-    positive semidefinite raises NotDensityMatrixError, and measures that
-    leave their range abort with NumericalInstabilityError. One failing a
-    fails the whole call. Row i depends on a_values[i] alone, bit for bit.
+    positive semidefinite raises NotDensityMatrixError, and a C1, C2 or N2
+    above 1 + 1e-10, or NaN, aborts with NumericalInstabilityError where it
+    is computed. One failing a fails the whole call. Row i depends on
+    a_values[i] alone, bit for bit.
     """
     n, k = check_n_k(n_qubits, degeneracy)
     a = check_a_values(a_values)
@@ -214,7 +220,7 @@ def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
             f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
         )
     c1_sq = 4.0 * np.maximum(det, 0.0)
-    bad = c1_sq > (1.0 + _RANGE_TOL) ** 2
+    bad = ~(c1_sq <= (1.0 + _RANGE_TOL) ** 2)
     if bad.any():
         raise NumericalInstabilityError(
             f"one-vs-rest measure left [0, 1]: {math.sqrt(_first(c1_sq, bad))!r}"
@@ -223,10 +229,6 @@ def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
     c2 = _triplet_concurrence(_triplet_blocks(A, B, C, D, E, F))
     c2_sq = c2 * c2
     n2 = _negativity(A, B, C, D, E, F)
-    for name, value in (("c1_sq", c1_sq), ("c2_sq", c2_sq), ("n2", n2)):
-        bad = ~(np.isfinite(value) & (value >= 0.0) & (value <= 1.0))
-        if bad.any():
-            raise InvalidParamsError(f"{name} must lie in [0, 1], got {_first(value, bad)!r}")
     return TangleTable(c1_sq, c2_sq, c1_sq - (n - 1) * c2_sq, n2, c1_sq - (n - 1) * n2 * n2)
 
 

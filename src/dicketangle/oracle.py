@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dicke import DickeParams, amplitudes
+from .dicke import DickeParams, amplitudes, check_int
 from .errors import (
     CapExceededError,
     InvalidParamsError,
@@ -57,7 +57,7 @@ class FullState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_qubits)
+        n = check_int(self.n_qubits, "n_qubits")
         if n < 1:
             raise InvalidParamsError(f"need at least one qubit, got {n}")
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -107,7 +107,8 @@ def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) ->
     Identical spinors are fine (the sum degenerates to a product state);
     ZeroState is raised only if the pre-normalization norm underflows.
     """
-    n = int(n_qubits)
+    n = check_int(n_qubits, "n_qubits", OutOfRangeError)
+    k = check_int(k, "copy count k", OutOfRangeError)
     if n < 2:
         raise OutOfRangeError(f"need at least two qubits, got {n}")
     if not 1 <= k <= n - 1:
@@ -135,6 +136,7 @@ def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) ->
 
 def _partial_trace(psi: FullState, keep: tuple[int, ...]) -> np.ndarray:
     n = psi.n_qubits
+    keep = tuple(check_int(q, "qubit index", OutOfRangeError) for q in keep)
     if len(set(keep)) != len(keep):
         raise OutOfRangeError(f"kept qubits must be distinct, got {keep}")
     for q in keep:

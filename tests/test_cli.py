@@ -10,7 +10,6 @@ import pytest
 import dicketangle
 from dicketangle import measures
 from dicketangle.cli import (
-    SweepConfig,
     _a_grid,
     main,
     run_check,
@@ -27,15 +26,14 @@ from dicketangle.errors import (
 HEADER = "N,k,a,c1_sq,c2_sq,tau,n2,xi"
 
 
-def _sweep_text(cfg):
+def _sweep_text(**kwargs):
     out, err = io.StringIO(), io.StringIO()
-    rc = run_sweep(cfg, out=out, err=err)
+    rc = run_sweep(**kwargs, out=out, err=err)
     return rc, out.getvalue(), err.getvalue()
 
 
 def test_sweep_header_and_grid_shape():
-    cfg = SweepConfig(n_values=(4,), k_values=None, a_steps=5)
-    rc, text, _ = _sweep_text(cfg)
+    rc, text, _ = _sweep_text(n_values=(4,), k_values=None, a_steps=5)
     lines = text.splitlines()
     assert rc == 0
     assert lines[0] == HEADER
@@ -45,14 +43,12 @@ def test_sweep_header_and_grid_shape():
 
 
 def test_sweep_a_grid_includes_endpoints():
-    cfg = SweepConfig(n_values=(4,), k_values=(1,), a_steps=3)
-    _, text, _ = _sweep_text(cfg)
+    _, text, _ = _sweep_text(n_values=(4,), k_values=(1,), a_steps=3)
     a_col = [line.split(",")[2] for line in text.splitlines()[1:]]
     assert a_col == ["0", "0.5", "1"]
 
     # 0.065 + 10 * (1.0 - 0.065) / 10 rounds to 1.0000000000000002
-    cfg = SweepConfig(n_values=(4,), k_values=(1,), a_min=0.065, a_max=1.0, a_steps=11)
-    rc, text, err = _sweep_text(cfg)
+    rc, text, err = _sweep_text(n_values=(4,), k_values=(1,), a_min=0.065, a_max=1.0, a_steps=11)
     rows = [line.split(",") for line in text.splitlines()[1:]]
     assert (rc, err, len(rows)) == (0, "", 11)
     assert rows[-1][2:] == ["1", "0", "0", "0", "0", "0"]
@@ -73,8 +69,7 @@ def test_a_grid_keeps_its_points_inside_the_endpoints(a_min, a_max, a_steps):
 
 
 def test_sweep_rows_match_tangle_records():
-    cfg = SweepConfig(n_values=(3, 4), k_values=None, a_steps=5)
-    rc, text, _ = _sweep_text(cfg)
+    rc, text, _ = _sweep_text(n_values=(3, 4), k_values=None, a_steps=5)
     assert rc == 0
     for line in text.splitlines()[1:]:
         n, k, a, c1_sq, c2_sq, tau, n2, xi = line.split(",")
@@ -87,8 +82,7 @@ def test_sweep_rows_match_tangle_records():
 
 
 def test_sweep_w_state_row_values():
-    cfg = SweepConfig(n_values=(3,), k_values=(1,), a_min=0.0, a_max=0.0, a_steps=2)
-    rc, text, _ = _sweep_text(cfg)
+    rc, text, _ = _sweep_text(n_values=(3,), k_values=(1,), a_min=0.0, a_max=0.0, a_steps=2)
     assert rc == 0
     row = text.splitlines()[1].split(",")
     assert row[:3] == ["3", "1", "0"]
@@ -98,45 +92,40 @@ def test_sweep_w_state_row_values():
 
 
 def test_sweep_is_deterministic():
-    cfg = SweepConfig(n_values=(4, 5), k_values=None, a_steps=7)
-    assert _sweep_text(cfg) == _sweep_text(cfg)
+    cfg = dict(n_values=(4, 5), k_values=None, a_steps=7)
+    assert _sweep_text(**cfg) == _sweep_text(**cfg)
 
 
 def test_sweep_precision_flag():
-    coarse = SweepConfig(n_values=(3,), k_values=(1,), a_steps=2, precision=3)
-    _, text, _ = _sweep_text(coarse)
+    _, text, _ = _sweep_text(n_values=(3,), k_values=(1,), a_steps=2, precision=3)
     row = text.splitlines()[1].split(",")
     assert row[3] == "0.889"  # c1_sq = 8/9 at three significant digits
 
 
 def test_sweep_negative_zero_never_printed():
-    cfg = SweepConfig(n_values=(3,), k_values=(1,), a_steps=11)
-    _, text, _ = _sweep_text(cfg)
+    _, text, _ = _sweep_text(n_values=(3,), k_values=(1,), a_steps=11)
     assert "-0," not in text and not text.rstrip().endswith("-0")
 
 
 def test_sweep_to_file_matches_stdout(tmp_path):
     target = tmp_path / "rows.csv"
-    base = SweepConfig(n_values=(4,), k_values=None, a_steps=5)
-    _, text, _ = _sweep_text(base)
+    _, text, _ = _sweep_text(n_values=(4,), k_values=None, a_steps=5)
     rc = run_sweep(
-        SweepConfig(n_values=(4,), k_values=None, a_steps=5, output_path=str(target)),
-        err=io.StringIO(),
+        n_values=(4,), k_values=None, a_steps=5, output_path=str(target), err=io.StringIO()
     )
     assert rc == 0
     assert target.read_bytes() == text.encode()
 
 
 def test_sweep_skips_invalid_pairs_with_warning():
-    cfg = SweepConfig(n_values=(3, 4), k_values=(2,), a_steps=3)
-    rc, text, err = _sweep_text(cfg)
+    rc, text, err = _sweep_text(n_values=(3, 4), k_values=(2,), a_steps=3)
     assert rc == 0
     assert "skipping invalid pair N=3, k=2" in err
     assert len(text.splitlines()) == 1 + 3  # only N=4 survives
 
 
 def test_sweep_empty_grid_fails():
-    rc, _, err = _sweep_text(SweepConfig(n_values=(3,), k_values=(2,), a_steps=3))
+    rc, _, err = _sweep_text(n_values=(3,), k_values=(2,), a_steps=3)
     assert rc == 2
     assert "empty" in err
 
@@ -147,7 +136,7 @@ def test_sweep_reports_when_every_row_fails(monkeypatch):
         raise InvalidParamsError("injected failure")
 
     monkeypatch.setattr(measures, "tangle_table", explode)
-    rc, _, err = _sweep_text(SweepConfig(n_values=(4,), k_values=(1,), a_steps=3))
+    rc, _, err = _sweep_text(n_values=(4,), k_values=(1,), a_steps=3)
     assert rc == 2
     assert "every sweep row failed" in err
 
@@ -162,7 +151,7 @@ def test_sweep_failed_batch_loses_only_its_failing_rows(monkeypatch):
         return orig(n, k, a_values)
 
     monkeypatch.setattr(measures, "tangle_table", flaky)
-    rc, text, err = _sweep_text(SweepConfig(n_values=(4,), k_values=(1,), a_steps=3))
+    rc, text, err = _sweep_text(n_values=(4,), k_values=(1,), a_steps=3)
     assert rc == 0
     assert [line.split(",")[2] for line in text.splitlines()[1:]] == ["0", "1"]
     assert err == "warning: skipping row (N=4, k=1, a=0.5): injected failure\n"
@@ -174,20 +163,35 @@ def test_sweep_writes_no_file_when_every_row_fails(monkeypatch, tmp_path):
 
     monkeypatch.setattr(measures, "tangle_table", explode)
     target = tmp_path / "rows.csv"
-    cfg = SweepConfig(n_values=(4,), k_values=None, a_steps=3, output_path=str(target))
-    assert run_sweep(cfg, err=io.StringIO()) == 2
+    rc = run_sweep(
+        n_values=(4,), k_values=None, a_steps=3, output_path=str(target), err=io.StringIO()
+    )
+    assert rc == 2
     assert not target.exists()
 
 
 def test_sweep_config_validation():
-    with pytest.raises(InvalidParamsError):
-        SweepConfig(n_values=(), k_values=None)
-    with pytest.raises(InvalidParamsError):
-        SweepConfig(n_values=(1,), k_values=None)
-    with pytest.raises(InvalidParamsError):
-        SweepConfig(n_values=(4,), k_values=None, a_min=0.9, a_max=0.1)
-    with pytest.raises(InvalidParamsError):
-        SweepConfig(n_values=(4,), k_values=None, a_steps=1)
+    bad = [
+        dict(n_values=(), k_values=None),
+        dict(n_values=(1,), k_values=None),
+        dict(n_values=(4,), k_values=None, a_min=0.9, a_max=0.1),
+        dict(n_values=(4,), k_values=None, a_steps=1),
+        dict(n_values=(4,), k_values=(1,), a_steps=3.5),
+        dict(n_values=(4,), k_values=(1,), precision=2.5),
+        dict(n_values=(4,), k_values=("x",)),
+        dict(n_values=(4.5,), k_values=(1,)),
+    ]
+    for kwargs in bad:
+        with pytest.raises(InvalidParamsError):
+            _sweep_text(**kwargs)
+
+
+def test_sweep_accepts_integral_n_of_any_type():
+    want = _sweep_text(n_values=(4,), k_values=None, a_steps=3)
+    assert want[0] == 0
+    for n in (np.int64(4), 4.0):
+        assert _sweep_text(n_values=(n,), k_values=None, a_steps=3) == want
+        assert _sweep_text(n_values=(n,), k_values=(1, 2.0), a_steps=3) == want
 
 
 def test_check_passes_on_honest_code():
@@ -248,6 +252,10 @@ def test_check_rejects_bad_arguments():
         run_check(2, 3, 1e-9)
     with pytest.raises(InvalidParamsError):
         run_check(5, 1, 1e-9)
+    with pytest.raises(InvalidParamsError):
+        run_check(5, 3.5, 1e-9)
+    with pytest.raises(InvalidParamsError):
+        run_check(3.5, 3, 1e-9)
     # a nan margin is never negative, so a nan tol would pass every property
     for tol in BAD_TOLS:
         with pytest.raises(InvalidParamsError, match="tol"):
@@ -258,6 +266,12 @@ def test_oracle_rejects_bad_tolerance():
     for tol in BAD_TOLS:
         with pytest.raises(InvalidParamsError, match="tol"):
             run_oracle(3, 3, tol)
+
+
+def test_oracle_rejects_bad_arguments():
+    for n_max, a_steps in ((1, 3), (3, 1), (3, 3.5), (2.5, 3)):
+        with pytest.raises(InvalidParamsError):
+            run_oracle(n_max, a_steps, 1e-9)
 
 
 def test_oracle_passes_and_reports_deviations():
@@ -330,8 +344,7 @@ def test_main_rejects_malformed_argv():
 
 
 def test_module_entry_point_matches_in_process_output():
-    cfg = SweepConfig(n_values=(3,), k_values=(1,), a_steps=5)
-    _, text, _ = _sweep_text(cfg)
+    _, text, _ = _sweep_text(n_values=(3,), k_values=(1,), a_steps=5)
     # the child imports the same source tree as this process, installed or not
     src = os.path.dirname(os.path.dirname(dicketangle.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -269,6 +269,10 @@ def test_engine_aborts_keep_their_types():
         measures._wootters(np.array([[0.5 + 0.1j, 0.5 - 0.1j, 0.0]]))  # complex rho rho~ spectrum
     with pytest.raises(NumericalInstabilityError):
         measures._wootters(np.array([[1e-3j, -1e-3j, 0.1]]))  # negative rho rho~ eigenvalue
+    with pytest.raises(NumericalInstabilityError):
+        measures._wootters(np.array([[1.5, 0.1, 0.1]]))  # concurrence 1.3
+    with pytest.raises(NumericalInstabilityError):
+        measures._wootters(np.array([[np.nan, 0.1, 0.1]]))
     not_psd = np.diag([1.2, -0.2, 0.0])[None]
     with pytest.raises(NotDensityMatrixError):
         measures._triplet_concurrence(not_psd)

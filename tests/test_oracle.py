@@ -58,6 +58,9 @@ def test_full_state_validation():
         FullState(2, np.ones(4))
     with pytest.raises(InvalidParamsError):
         FullState(2, np.array([1.0, 0.0]))
+    with pytest.raises(InvalidParamsError):
+        FullState(2.5, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert FullState(2.0, np.array([1.0, 0.0, 0.0, 0.0])).n_qubits == 2
     state = FullState(1, np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 1.0
@@ -147,6 +150,10 @@ def test_symmetrize_range_checks():
         symmetrize_two_spinors(4, 0, UP, DOWN)
     with pytest.raises(OutOfRangeError):
         symmetrize_two_spinors(4, 4, UP, DOWN)
+    with pytest.raises(OutOfRangeError):
+        symmetrize_two_spinors(3.5, 1, UP, DOWN)
+    with pytest.raises(OutOfRangeError):
+        symmetrize_two_spinors(4, 1.5, UP, DOWN)
     with pytest.raises(CapExceededError):
         symmetrize_two_spinors(15, 1, UP, DOWN)
 
@@ -201,6 +208,12 @@ def test_partial_trace_index_checks():
         partial_trace_to_two(psi, (0, 3))
     with pytest.raises(OutOfRangeError):
         partial_trace_to_one(psi, -1)
+    with pytest.raises(OutOfRangeError):
+        partial_trace_to_one(psi, 1.5)
+    with pytest.raises(OutOfRangeError):
+        partial_trace_to_two(psi, (0, 1.5))
+    # integral values name qubits as ints do
+    assert partial_trace_to_two(psi, (0, 1.0)) == partial_trace_to_two(psi, (0, 1))
     single = FullState(1, np.array([1.0, 0.0]))
     with pytest.raises(WrongDimensionError):
         partial_trace_to_two(single)
