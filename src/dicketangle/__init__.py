@@ -23,7 +23,6 @@ from .marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
     marginal_matrix,
-    partial_transpose,
     single_qubit_marginal,
     two_qubit_marginal,
 )
@@ -46,7 +45,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AmplitudeVector",
@@ -76,7 +75,6 @@ __all__ = [
     "one_vs_rest",
     "partial_trace_to_one",
     "partial_trace_to_two",
-    "partial_transpose",
     "single_qubit_marginal",
     "symmetrize_two_spinors",
     "tangle_record",

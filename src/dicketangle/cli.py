@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import marginals, measures, oracle
-from .dicke import DickeParams, check_int, check_n_k
+from .dicke import DickeParams, amplitude_rows, check_a_values, check_int, check_n_k
 from .errors import CapExceededError, DicketangleError, InvalidParamsError
 from .oracle import Spinor
 
@@ -30,6 +30,10 @@ _SPOT_N = (50, 100)
 _SPOT_K_MAX = 5
 
 _ORACLE_N_MAX = 12
+
+# rows |00>, |psi+>, |11> (the triplet basis T), then the singlet s = |psi->
+_R = np.sqrt(0.5)
+_BELL = np.array([[1, 0, 0, 0], [0, _R, _R, 0], [0, 0, 0, 1], [0, _R, -_R, 0]], dtype=float)
 
 
 def _int_at_least(value, low: int, name: str) -> int:
@@ -42,8 +46,9 @@ def _int_at_least(value, low: int, name: str) -> int:
 def _a_grid(a_min: float, a_max: float, a_steps: int) -> list[float]:
     """a_steps evenly spaced overlaps from a_min to a_max, both included."""
     a_steps = _int_at_least(a_steps, 2, "a_steps")
-    if not 0.0 <= a_min <= a_max <= 1.0:
-        raise InvalidParamsError(f"need 0 <= a_min <= a_max <= 1, got [{a_min}, {a_max}]")
+    a_min, a_max = check_a_values([a_min, a_max]).tolist()
+    if not a_min <= a_max:
+        raise InvalidParamsError(f"need a_min <= a_max, got [{a_min}, {a_max}]")
     # the last point can round past a_max or short of it, so it is a_max itself,
     # and min() keeps the rest inside [a_min, a_max]
     grid = [min(a_min + i * (a_max - a_min) / (a_steps - 1), a_max) for i in range(a_steps)]
@@ -51,10 +56,14 @@ def _a_grid(a_min: float, a_max: float, a_steps: int) -> list[float]:
     return grid
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float) -> float:
     # a nan tol makes every margin nan, and nan < 0 is false, so it would pass everything
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol}")
+    try:
+        if np.isfinite(float(tol)) and float(tol) >= 0.0:
+            return float(tol)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -197,7 +206,7 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
     out = out if out is not None else sys.stdout
     n_max = _int_at_least(n_max, 3, "n_max")
     grid = _a_grid(0.0, 1.0, a_steps)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     taus = {}
     report = _PropertyReport()
 
@@ -260,8 +269,10 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
 
     Keys, in report order:
         state              expand_state against symmetrize_two_spinors
-        marginal           the dense two-qubit marginal against marginal_matrix
-        partial-transpose  partial_transpose against an axis swap of the dense marginal
+        marginal           the dense two-qubit marginal rho2 against marginal_matrix, and
+                           T rho2 T^T against the R of triplet_blocks
+        partial-transpose  T S T^T, s^T S s and T S s of the axis-swapped dense marginal S
+                           against the P and D - C of triplet_blocks and against 0
         pair-choice        the dense marginal of every qubit pair against that of (0, 1)
         rho1               the dense one-qubit marginal against single_qubit_marginal
                            and against the dense two-qubit marginal traced over qubit 2
@@ -272,11 +283,12 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     """
     table = measures.tangle_table(n, k, grid)
     engine = np.stack([np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)], axis=1)
+    blocks = marginals.triplet_blocks(*marginals.marginal_elements(n, amplitude_rows(n, k, grid)))
     eps1 = Spinor(1.0, 0.0)
     devs = dict.fromkeys(
         ("state", "marginal", "partial-transpose", "pair-choice", "rho1", "measures"), 0.0
     )
-    for a, engine_row in zip(grid, engine):
+    for a, engine_row, R, P, singlet in zip(grid, engine, *blocks):
         params = DickeParams(n, k, a)
         psi = oracle.expand_state(params)
         sym = oracle.symmetrize_two_spinors(n, k, eps1, Spinor(a, params.b))
@@ -286,8 +298,11 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         rho2 = brute.to_array()
         marg = marginals.two_qubit_marginal(params)
         _worst(devs, "marginal", rho2 - marginals.marginal_matrix(marg).to_array())
+        _worst(devs, "marginal", (_BELL @ rho2 @ _BELL.T)[:3, :3] - R)
         swapped = rho2.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        _worst(devs, "partial-transpose", marginals.partial_transpose(marg).to_array() - swapped)
+        rotated = _BELL @ swapped @ _BELL.T
+        _worst(devs, "partial-transpose", rotated[:3, :3] - P)
+        _worst(devs, "partial-transpose", rotated[3] - [0.0, 0.0, 0.0, singlet])
         pairs = combinations(range(n), 2)
         others = [oracle.partial_trace_to_two(psi, pair).entries for pair in pairs]
         _worst(devs, "pair-choice", np.subtract(others, brute.entries))
@@ -319,7 +334,7 @@ def run_oracle(n_max: int, a_steps: int, tol: float, out=None) -> int:
     if n_max > _ORACLE_N_MAX:
         raise CapExceededError(f"oracle command is capped at n_max <= {_ORACLE_N_MAX}, got {n_max}")
     grid = _a_grid(0.0, 1.0, a_steps)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     worst = (-1.0, "")
     failed = False
     for n in range(2, n_max + 1):

@@ -140,7 +140,7 @@ class NTable:
 @lru_cache(maxsize=64)
 def n_table(n_qubits: int) -> NTable:
     """The cached NTable of N qubits."""
-    n = int(n_qubits)
+    n = check_int(n_qubits, "n_qubits", OutOfRangeError)
     if n < 2:
         raise OutOfRangeError(f"need at least 2 qubits, got {n}")
     r = np.arange(n + 1, dtype=float)

@@ -19,6 +19,7 @@ from .errors import InvalidParamsError, NotDensityMatrixError
 from .smallmat import SmallMatrix
 
 _SQRT1_2 = math.sqrt(0.5)
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -133,27 +134,18 @@ def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:
     )
 
 
-def partial_transpose(m: TwoQubitMarginal) -> SmallMatrix:
-    """Partial transpose (over one qubit) of the two-qubit marginal.
+def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R = T rho T^T, P = T rho^T_B T^T (shape (m, 3, 3)) and s^T rho^T_B s = D - C (shape (m,)).
 
-    Transposing the second tensor factor swaps the coherences: the corner
-    pair (C) moves onto the middle block and the middle diagonal (D) onto
-    the corners, giving
-
-        [[A, B, B, D],
-         [B, D, C, E],
-         [B, C, D, E],
-         [D, E, E, F]].
+    T has rows |00>, |psi+>, |11> and s is the singlet; A..F have shape (m,).
+    rho has no singlet weight, so R holds its spectrum apart from one exact
+    zero. The qubit swap commutes with the partial transpose, so T rho^T_B s
+    is 0, and P and D - C hold the whole spectrum of rho^T_B.
     """
-    A, B, C, D, E, F = m.A, m.B, m.C, m.D, m.E, m.F
-    return SmallMatrix.from_rows(
-        [
-            [A, B, B, D],
-            [B, D, C, E],
-            [B, C, D, E],
-            [D, E, E, F],
-        ]
-    )
+    sB, sE = _SQRT2 * B, _SQRT2 * E
+    R = np.array([A, sB, C, sB, 2.0 * D, sE, C, sE, F]).T.reshape(-1, 3, 3)
+    P = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
+    return R, P, D - C
 
 
 def single_qubit_marginal(m: TwoQubitMarginal) -> SingleQubitMarginal:

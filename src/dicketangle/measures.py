@@ -26,15 +26,19 @@ from .errors import (
     NumericalInstabilityError,
     WrongDimensionError,
 )
-from .marginals import SingleQubitMarginal, TwoQubitMarginal, check_elements, marginal_elements
+from .marginals import (
+    SingleQubitMarginal,
+    TwoQubitMarginal,
+    check_elements,
+    marginal_elements,
+    triplet_blocks,
+)
 from .smallmat import SmallMatrix
 
 _IMAG_ABORT = 1e-8
 _RANGE_TOL = 1e-10
 # eigvalsh reads one triangle only, so asymmetry beyond this (relative) is an error
 _SYM_TOL = 1e-12
-
-_SQRT2 = math.sqrt(2.0)
 
 # sigma_y x sigma_y is real: -1 on the outer antidiagonal, +1 on the inner one.
 _Y4 = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
@@ -147,52 +151,52 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
     return float(_wootters(_eig(np.linalg.eigvals, rho.to_array() @ _Y4)))
 
 
-def _triplet_blocks(A, B, C, D, E, F) -> np.ndarray:
-    """The marginals in the triplet basis {|00>, |psi+>, |11>}: shape (m, 3, 3).
-
-    The singlet |psi-> carries no weight, so this block holds the whole
-    spectrum of rho apart from one exact zero.
-    """
-    sB, sE = _SQRT2 * B, _SQRT2 * E
-    return np.array([A, sB, C, sB, 2.0 * D, sE, C, sE, F]).T.reshape(-1, 3, 3)
-
-
 def _triplet_concurrence(blocks: np.ndarray) -> np.ndarray:
     """Concurrence of each triplet block R: the PSD check, then eig(R Y3)."""
     _check_psd(_eig(np.linalg.eigvalsh, blocks)[:, 0])
     return _wootters(_eig(np.linalg.eigvals, blocks[:, :, ::-1] * _Y3_COLUMN_SIGNS))
 
 
-def _negativity(A, B, C, D, E, F) -> np.ndarray:
-    """Doubled negativity of each marginal, from its partial transpose.
+def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
+    """Doubled negativity: twice the summed moduli of the negative eigenvalues of P and D - C.
 
-    The qubit swap commutes with the partial transpose, which therefore
-    splits into a 3x3 symmetric block on {|00>, |psi+>, |11>} and the scalar
-    D - C on the singlet. N2 is twice the summed moduli of the negative
-    eigenvalues. A value above 1 + 1e-10, or NaN, aborts.
+    P and D - C are the partial-transpose blocks of marginals.triplet_blocks.
+    A value above 1 + 1e-10, or NaN, aborts.
     """
-    sB, sE = _SQRT2 * B, _SQRT2 * E
-    blocks = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
     eigs = _eig(np.linalg.eigvalsh, blocks)
-    value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(D - C, 0.0)))
+    value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(singlet, 0.0)))
     bad = ~(value <= 1.0 + _RANGE_TOL)
     if bad.any():
         raise NumericalInstabilityError(f"doubled negativity left [0, 1]: {_first(value, bad)!r}")
     return np.minimum(value, 1.0)
 
 
+def _c1_squared(det: np.ndarray) -> np.ndarray:
+    """C1^2 = 4 det rho_1 for each det: one PSD abort, one range abort, one clamp into [0, 1]."""
+    bad = det < -_RANGE_TOL
+    if bad.any():
+        raise NotDensityMatrixError(
+            f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
+        )
+    c1_sq = 4.0 * np.maximum(det, 0.0)
+    bad = ~(c1_sq <= (1.0 + _RANGE_TOL) ** 2)
+    if bad.any():
+        raise NumericalInstabilityError(
+            f"one-vs-rest measure left [0, 1]: {math.sqrt(_first(c1_sq, bad))!r}"
+        )
+    return np.minimum(c1_sq, 1.0)
+
+
 def one_vs_rest(rho1: SingleQubitMarginal) -> float:
-    """One-vs-rest entanglement 2 sqrt(det rho_1); for pure global states C1 = N1."""
+    """One-vs-rest entanglement 2 sqrt(det rho_1), the one-row view of tangle_table's C1 stage."""
     e = rho1.rho.entries
-    value = 2.0 * math.sqrt(max(0.0, e[0] * e[3] - e[1] * e[2]))
-    if value > 1.0 + _RANGE_TOL:
-        raise NumericalInstabilityError(f"one-vs-rest measure left [0, 1]: {value!r}")
-    return min(1.0, value)
+    return math.sqrt(_c1_squared(np.array([e[0] * e[3] - e[1] * e[2]])).item())
 
 
 def negativity_two_qubit(m: TwoQubitMarginal) -> float:
     """Doubled negativity ||rho_2^T_B||_1 - 1 of the two-qubit marginal, in [0, 1]."""
-    return _negativity(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F))).item()
+    _, blocks, singlet = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
+    return _negativity(blocks, singlet).item()
 
 
 def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
@@ -212,23 +216,11 @@ def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
     a = check_a_values(a_values)
     A, B, C, D, E, F = marginal_elements(n, amplitude_rows(n, k, a))
     check_elements(A, B, C, D, E, F)
-    # C1^2 = 4 det rho_1, with SingleQubitMarginal's PSD check and one_vs_rest's range abort
-    det = (A + D) * (D + F) - (B + E) * (B + E)
-    bad = det < -_RANGE_TOL
-    if bad.any():
-        raise NotDensityMatrixError(
-            f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
-        )
-    c1_sq = 4.0 * np.maximum(det, 0.0)
-    bad = ~(c1_sq <= (1.0 + _RANGE_TOL) ** 2)
-    if bad.any():
-        raise NumericalInstabilityError(
-            f"one-vs-rest measure left [0, 1]: {math.sqrt(_first(c1_sq, bad))!r}"
-        )
-    c1_sq = np.minimum(c1_sq, 1.0)
-    c2 = _triplet_concurrence(_triplet_blocks(A, B, C, D, E, F))
+    c1_sq = _c1_squared((A + D) * (D + F) - (B + E) * (B + E))
+    R, P, singlet = triplet_blocks(A, B, C, D, E, F)
+    c2 = _triplet_concurrence(R)
     c2_sq = c2 * c2
-    n2 = _negativity(A, B, C, D, E, F)
+    n2 = _negativity(P, singlet)
     return TangleTable(c1_sq, c2_sq, c1_sq - (n - 1) * c2_sq, n2, c1_sq - (n - 1) * n2 * n2)
 
 

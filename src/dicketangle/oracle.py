@@ -43,7 +43,7 @@ class Spinor:
     def __post_init__(self):
         c0, c1 = complex(self.c0), complex(self.c1)
         norm = abs(c0) ** 2 + abs(c1) ** 2
-        if abs(norm - 1.0) > 1e-14:
+        if not abs(norm - 1.0) <= 1e-14:
             raise InvalidParamsError(f"spinor must have unit norm, got |c0|^2+|c1|^2 = {norm!r}")
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
@@ -64,7 +64,7 @@ class FullState:
         if amp.shape != (2**n,):
             raise InvalidParamsError(f"expected {2**n} amplitudes, got shape {amp.shape}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > _REAL_TOL:
+        if not abs(norm - 1.0) <= _REAL_TOL:
             raise InvalidParamsError(f"state must have unit norm, got {norm!r}")
         amp.flags.writeable = False
         object.__setattr__(self, "n_qubits", n)

@@ -1,9 +1,9 @@
 """A validated value type for tiny (2x2 .. 4x4) real matrices.
 
-The oracle's reduced density matrices and the closed-form marginal_matrix
-and partial_transpose are returned as SmallMatrix: a dim x dim real matrix
-of dim 2, 3 or 4 with finite entries, checked on construction. Spectra are
-taken with numpy/LAPACK on to_array().
+The oracle's reduced density matrices, the closed-form marginal_matrix and
+the single-qubit marginal's rho are returned as SmallMatrix: a dim x dim
+real matrix of dim 2, 3 or 4 with finite entries, checked on construction.
+Spectra are taken with numpy/LAPACK on to_array().
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dicketangle
-from dicketangle import measures
+from dicketangle import marginals, measures
 from dicketangle.cli import (
     _a_grid,
     main,
@@ -180,6 +180,11 @@ def test_sweep_config_validation():
         dict(n_values=(4,), k_values=(1,), precision=2.5),
         dict(n_values=(4,), k_values=("x",)),
         dict(n_values=(4.5,), k_values=(1,)),
+        dict(n_values=(4,), k_values=(1,), a_min=-0.1),
+        dict(n_values=(4,), k_values=(1,), a_max=1.5),
+        dict(n_values=(4,), k_values=(1,), a_max=None),
+        dict(n_values=(4,), k_values=(1,), a_min="x"),
+        dict(n_values=(4,), k_values=(1,), a_min=(0.1, 0.2)),
     ]
     for kwargs in bad:
         with pytest.raises(InvalidParamsError):
@@ -192,6 +197,8 @@ def test_sweep_accepts_integral_n_of_any_type():
     for n in (np.int64(4), 4.0):
         assert _sweep_text(n_values=(n,), k_values=None, a_steps=3) == want
         assert _sweep_text(n_values=(n,), k_values=(1, 2.0), a_steps=3) == want
+    # numeric strings for the endpoints, as DickeParams accepts them for a
+    assert _sweep_text(n_values=(4,), k_values=None, a_min="0", a_max="1", a_steps=3) == want
 
 
 def test_check_passes_on_honest_code():
@@ -244,7 +251,7 @@ def test_check_stops_with_exit_2_on_a_numerical_abort(monkeypatch, capsys):
     assert captured.err == "error: injected abort\n"
 
 
-BAD_TOLS = [math.nan, math.inf, -1.0]
+BAD_TOLS = [math.nan, math.inf, -1.0, None, "x", 1j]
 
 
 def test_check_rejects_bad_arguments():
@@ -256,6 +263,7 @@ def test_check_rejects_bad_arguments():
         run_check(5, 3.5, 1e-9)
     with pytest.raises(InvalidParamsError):
         run_check(3.5, 3, 1e-9)
+    assert run_check(5, 3, "1e-9", out=io.StringIO()) == 0
     # a nan margin is never negative, so a nan tol would pass every property
     for tol in BAD_TOLS:
         with pytest.raises(InvalidParamsError, match="tol"):
@@ -272,6 +280,9 @@ def test_oracle_rejects_bad_arguments():
     for n_max, a_steps in ((1, 3), (3, 1), (3, 3.5), (2.5, 3)):
         with pytest.raises(InvalidParamsError):
             run_oracle(n_max, a_steps, 1e-9)
+    for tol in (None, "x"):
+        with pytest.raises(InvalidParamsError, match="tol"):
+            run_oracle(3, 3, tol)
 
 
 def test_oracle_passes_and_reports_deviations():
@@ -313,6 +324,25 @@ def test_oracle_detects_broken_negativity(monkeypatch):
     rc = run_oracle(6, 5, 1e-10, out=out)
     assert rc == 1
     assert out.getvalue().splitlines()[-1].startswith("FAIL")
+
+
+@pytest.mark.parametrize("index,name", [(0, "marginal"), (1, "partial-transpose")])
+def test_oracle_detects_perturbed_triplet_blocks(monkeypatch, index, name):
+    # adds 1e-9 I to R (index 0) or P (index 1) where both the engine and the oracle read it
+    orig = marginals.triplet_blocks
+
+    def perturbed(*elems):
+        blocks = list(orig(*elems))
+        blocks[index] = blocks[index] + 1e-9 * np.eye(3)
+        return tuple(blocks)
+
+    monkeypatch.setattr(marginals, "triplet_blocks", perturbed)
+    monkeypatch.setattr(measures, "triplet_blocks", perturbed)
+    out = io.StringIO()
+    assert run_oracle(6, 5, 1e-10, out=out) == 1
+    *pair_lines, _, verdict = out.getvalue().splitlines()
+    assert max(float(line.split(f" {name}=")[1].split()[0]) for line in pair_lines) > 1e-10
+    assert verdict.startswith("FAIL")
 
 
 def test_oracle_enforces_cap():

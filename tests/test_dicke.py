@@ -79,6 +79,8 @@ def test_cg_out_of_range():
         n_table(1)
     with pytest.raises(OutOfRangeError):
         n_table(0)
+    with pytest.raises(OutOfRangeError):
+        n_table(2.5)
 
 
 def test_params_validation():

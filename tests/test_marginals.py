@@ -11,8 +11,8 @@ from dicketangle.marginals import (
     TwoQubitMarginal,
     marginal_elements,
     marginal_matrix,
-    partial_transpose,
     single_qubit_marginal,
+    triplet_blocks,
     two_qubit_marginal,
 )
 from dicketangle.smallmat import SmallMatrix
@@ -65,24 +65,39 @@ def test_marginal_matrix_layout():
     ]
 
 
+_R = math.sqrt(0.5)
+# rows |00>, |psi+>, |11> of the triplet basis, and the singlet |psi->
+TRIPLET = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, _R, _R, 0.0], [0.0, 0.0, 0.0, 1.0]])
+SINGLET = np.array([0.0, _R, -_R, 0.0])
+
+
+def _blocks(m):
+    R, P, singlet = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
+    return R[0], P[0], singlet[0]
+
+
 def test_partial_transpose_of_half_filled_point():
-    m = two_qubit_marginal(DickeParams(4, 2, 0.0))
+    _, P, singlet = _blocks(two_qubit_marginal(DickeParams(4, 2, 0.0)))
     want = [
-        [1 / 6, 0.0, 0.0, 1 / 3],
-        [0.0, 1 / 3, 0.0, 0.0],
-        [0.0, 0.0, 1 / 3, 0.0],
-        [1 / 3, 0.0, 0.0, 1 / 6],
+        [1 / 6, 0.0, 1 / 3],
+        [0.0, 1 / 3, 0.0],
+        [1 / 3, 0.0, 1 / 6],
     ]
-    assert np.allclose(partial_transpose(m).to_array(), want, atol=1e-15, rtol=0.0)
+    assert np.allclose(P, want, atol=1e-15, rtol=0.0)
+    assert singlet == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_partial_transpose_matches_axis_swap():
-    """Element shuffle agrees with transposing the second tensor factor."""
+    """R, P and D - C agree with the triplet and singlet projections of rho and of its axis swap."""
     for params in _grid_params(n_max=8, a_steps=5):
         m = two_qubit_marginal(params)
+        R, P, singlet = _blocks(m)
         arr = marginal_matrix(m).to_array()
         swapped = arr.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        assert np.array_equal(partial_transpose(m).to_array(), swapped)
+        assert np.allclose(TRIPLET @ arr @ TRIPLET.T, R, atol=1e-15, rtol=0.0)
+        assert np.allclose(TRIPLET @ swapped @ TRIPLET.T, P, atol=1e-15, rtol=0.0)
+        assert SINGLET @ swapped @ SINGLET == pytest.approx(singlet, abs=1e-15)
+        assert np.allclose(TRIPLET @ swapped @ SINGLET, 0.0, atol=1e-15, rtol=0.0)
 
 
 def test_marginal_is_density_matrix_across_grid():

@@ -15,7 +15,6 @@ from dicketangle.marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
     marginal_matrix,
-    partial_transpose,
     single_qubit_marginal,
     two_qubit_marginal,
 )
@@ -99,6 +98,15 @@ def test_one_vs_rest_values():
     assert one_vs_rest(SingleQubitMarginal(p, SmallMatrix(2, (1.0, 0.0, 0.0, 0.0)))) == 0.0
 
 
+def test_one_vs_rest_is_the_one_row_view_of_the_c1_stage():
+    for n in (2, 3, 7, 12, 100, 1000):
+        for k in sorted({1, min(2, n // 2), max(1, n // 4), n // 2}):
+            for a in [i / 20 for i in range(21)] + [1e-300, 1.0 - 1e-9]:
+                p = DickeParams(n, k, a)
+                got = one_vs_rest(single_qubit_marginal(two_qubit_marginal(p)))
+                assert got == math.sqrt(tangle_record(p).c1_sq), (n, k, a)
+
+
 def test_negativity_of_bell_marginal_is_maximal():
     m = two_qubit_marginal(DickeParams(2, 1, 0.0))
     assert negativity_two_qubit(m) == pytest.approx(1.0, abs=1e-12)
@@ -120,7 +128,8 @@ def test_negativity_matches_numpy_spectrum():
         k = int(rng.integers(1, n // 2 + 1))
         a = float(rng.uniform(0.0, 1.0))
         m = two_qubit_marginal(DickeParams(n, k, a))
-        vals = np.linalg.eigvalsh(partial_transpose(m).to_array())
+        arr = marginal_matrix(m).to_array()
+        vals = np.linalg.eigvalsh(arr.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
         want = float(np.abs(vals).sum()) - 1.0
         assert negativity_two_qubit(m) == pytest.approx(max(0.0, want), abs=1e-13)
 
@@ -276,6 +285,11 @@ def test_engine_aborts_keep_their_types():
     not_psd = np.diag([1.2, -0.2, 0.0])[None]
     with pytest.raises(NotDensityMatrixError):
         measures._triplet_concurrence(not_psd)
+    with pytest.raises(NotDensityMatrixError):
+        measures._c1_squared(np.array([0.1, -1e-9]))  # det rho_1 < 0
+    for det in (0.26, np.nan):  # C1 = 2 sqrt(0.26) ~ 1.02, and nan
+        with pytest.raises(NumericalInstabilityError):
+            measures._c1_squared(np.array([0.1, det]))
 
 
 def test_psd_abort_reads_the_same_through_both_routes():

@@ -47,6 +47,9 @@ def _overlap_spinor(a):
 def test_spinor_validation_and_angles():
     with pytest.raises(InvalidParamsError):
         Spinor(1.0, 1.0)
+    for c0, c1 in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)):
+        with pytest.raises(InvalidParamsError):
+            Spinor(c0, c1)
     # the Bloch-sphere spinor cos(pi/4)|0> + e^{0.7i} sin(pi/4)|1>
     s = Spinor(math.cos(math.pi / 4), np.exp(0.7j) * math.sin(math.pi / 4))
     assert s.c0 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
@@ -60,6 +63,8 @@ def test_full_state_validation():
         FullState(2, np.array([1.0, 0.0]))
     with pytest.raises(InvalidParamsError):
         FullState(2.5, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(InvalidParamsError):
+        FullState(1, np.array([math.nan, 0.0]))
     assert FullState(2.0, np.array([1.0, 0.0, 0.0, 0.0])).n_qubits == 2
     state = FullState(1, np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
