@@ -6,7 +6,7 @@ tangle tau and the negativity tangle xi, and validates everything against
 a brute-force full-state oracle at small N.
 """
 
-from .dicke import AmplitudeVector, DickeParams, amplitudes
+from .dicke import DickeParams, amplitudes
 from .errors import (
     CapExceededError,
     DicketangleError,
@@ -45,10 +45,9 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
-    "AmplitudeVector",
     "CapExceededError",
     "DickeParams",
     "DicketangleError",

@@ -280,15 +280,22 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
                            prints) against concurrence_two_qubit of the dense marginal,
                            the trace norm of its axis-swapped partial transpose minus 1,
                            and one_vs_rest of the dense one-qubit marginal
+
+    A..F are evaluated once for the whole grid (marginal_elements); each point's
+    TwoQubitMarginal is built from its row, which is bit for bit what
+    two_qubit_marginal returns, and its triplet blocks from the same columns.
     """
     table = measures.tangle_table(n, k, grid)
     engine = np.stack([np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)], axis=1)
-    blocks = marginals.triplet_blocks(*marginals.marginal_elements(n, amplitude_rows(n, k, grid)))
+    elements = marginals.marginal_elements(n, amplitude_rows(n, k, grid))
+    rows = zip(*(col.tolist() for col in elements))
     eps1 = Spinor(1.0, 0.0)
     devs = dict.fromkeys(
         ("state", "marginal", "partial-transpose", "pair-choice", "rho1", "measures"), 0.0
     )
-    for a, engine_row, R, P, singlet in zip(grid, engine, *blocks):
+    for a, engine_row, row, R, P, singlet in zip(
+        grid, engine, rows, *marginals.triplet_blocks(*elements)
+    ):
         params = DickeParams(n, k, a)
         psi = oracle.expand_state(params)
         sym = oracle.symmetrize_two_spinors(n, k, eps1, Spinor(a, params.b))
@@ -296,7 +303,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
 
         brute = oracle.partial_trace_to_two(psi)
         rho2 = brute.to_array()
-        marg = marginals.two_qubit_marginal(params)
+        marg = marginals.TwoQubitMarginal(params, *row)
         _worst(devs, "marginal", rho2 - marginals.marginal_matrix(marg).to_array())
         _worst(devs, "marginal", (_BELL @ rho2 @ _BELL.T)[:3, :3] - R)
         swapped = rho2.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)

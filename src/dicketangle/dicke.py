@@ -51,9 +51,16 @@ def check_a_values(a_values) -> np.ndarray:
     Returns them as a 1-D float array.
     """
     try:
-        a = np.asarray(a_values, dtype=float)
+        a = np.asarray(a_values)
+        # a float cast keeps only the real part of complex input and turns None into nan
+        odd = [x for x in a.flat if x is None or np.iscomplexobj(x)] if a.dtype.kind in "cO" else []
+        if not odd:
+            a = a.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidParamsError("non-orthogonality a must be a real number") from exc
+    if odd:
+        got = "None" if odd[0] is None else "complex input"
+        raise InvalidParamsError(f"non-orthogonality a must be a real number, got {got}")
     if a.ndim > 1:
         raise InvalidParamsError(
             f"non-orthogonality a must be a number or a 1-D sequence, got shape {a.shape}"
@@ -93,26 +100,6 @@ class DickeParams:
     def b(self) -> float:
         # (1 - a)(1 + a) keeps full relative accuracy as a -> 1, where 1 - a*a does not
         return math.sqrt((1.0 - self.a) * (1.0 + self.a))
-
-
-@dataclass(frozen=True)
-class AmplitudeVector:
-    """Canonical amplitudes beta_0..beta_k of a Dicke-class state."""
-
-    params: DickeParams
-    beta: tuple[float, ...]
-
-    def __post_init__(self):
-        k = self.params.degeneracy
-        beta = tuple(float(x) for x in self.beta)
-        if len(beta) != k + 1:
-            raise InvalidParamsError(f"expected {k + 1} amplitudes, got {len(beta)}")
-        if not all(math.isfinite(x) and x >= 0.0 for x in beta):
-            raise InvalidParamsError("amplitudes must be finite and nonnegative")
-        norm = math.fsum(x * x for x in beta)
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidParamsError(f"amplitudes must be normalized, got sum of squares {norm!r}")
-        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -191,8 +178,8 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     return beta
 
 
-def amplitudes(params: DickeParams) -> AmplitudeVector:
-    """Canonical amplitudes beta_r, r = 0..k, for the given (N, k, a).
+def amplitudes(params: DickeParams) -> tuple[float, ...]:
+    """Canonical amplitudes (beta_0, ..., beta_k) for the given (N, k, a).
 
     Up to normalization,
 
@@ -211,9 +198,9 @@ def amplitudes(params: DickeParams) -> AmplitudeVector:
     """
     n, k, a, b = params.n_qubits, params.degeneracy, params.a, params.b
     if a == 0.0:
-        return AmplitudeVector(params, (0.0,) * k + (1.0,))
+        return (0.0,) * k + (1.0,)
     if a == 1.0:
-        return AmplitudeVector(params, (1.0,) + (0.0,) * k)
+        return (1.0,) + (0.0,) * k
     log_b_over_a = math.log(b) - math.log(a)
     steps = [
         (math.log(k - r) - 0.5 * (math.log(n - r) + math.log(r + 1))) + log_b_over_a
@@ -227,4 +214,4 @@ def amplitudes(params: DickeParams) -> AmplitudeVector:
         logs[r] = logs[r + 1] - steps[r]
     raw = [math.exp(x) for x in logs]
     norm = math.sqrt(math.fsum(x * x for x in raw))
-    return AmplitudeVector(params, tuple(x / norm for x in raw))
+    return tuple(x / norm for x in raw)

@@ -124,14 +124,7 @@ def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
 def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:
     """Assemble the 4x4 two-qubit density matrix in the computational basis."""
     A, B, C, D, E, F = m.A, m.B, m.C, m.D, m.E, m.F
-    return SmallMatrix.from_rows(
-        [
-            [A, B, B, C],
-            [B, D, D, E],
-            [B, D, D, E],
-            [C, E, E, F],
-        ]
-    )
+    return SmallMatrix(4, (A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F))
 
 
 def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -124,12 +124,12 @@ def _check_psd(low: np.ndarray) -> None:
 
 
 def _check_density_matrix(rho: SmallMatrix) -> None:
-    trace = rho.trace()
+    arr = rho.to_array()
+    trace = float(np.trace(arr))
     if abs(trace - 1.0) > _RANGE_TOL:
         raise NotDensityMatrixError(f"trace must be 1, got {trace!r}")
-    arr = rho.to_array()
     skew = float(np.max(np.abs(arr - arr.T)))
-    if skew > _SYM_TOL * rho.max_abs():
+    if skew > _SYM_TOL * np.max(np.abs(arr)):
         raise NotDensityMatrixError(
             f"matrix is not symmetric: an entry differs from its transpose by {skew!r}"
         )

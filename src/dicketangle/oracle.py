@@ -41,7 +41,12 @@ class Spinor:
     c1: complex
 
     def __post_init__(self):
-        c0, c1 = complex(self.c0), complex(self.c1)
+        try:
+            c0, c1 = complex(self.c0), complex(self.c1)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError(
+                f"spinor components must be numbers, got {self.c0!r} and {self.c1!r}"
+            ) from exc
         norm = abs(c0) ** 2 + abs(c1) ** 2
         if not abs(norm - 1.0) <= 1e-14:
             raise InvalidParamsError(f"spinor must have unit norm, got |c0|^2+|c1|^2 = {norm!r}")
@@ -60,7 +65,10 @@ class FullState:
         n = check_int(self.n_qubits, "n_qubits")
         if n < 1:
             raise InvalidParamsError(f"need at least one qubit, got {n}")
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        try:
+            amp = np.asarray(self.amplitudes, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError("state amplitudes must be numbers") from exc
         if amp.shape != (2**n,):
             raise InvalidParamsError(f"expected {2**n} amplitudes, got shape {amp.shape}")
         norm = float(np.linalg.norm(amp))
@@ -87,7 +95,7 @@ def expand_state(params: DickeParams) -> FullState:
     """The canonical state sum_r beta_r |N/2, N/2 - r> as a dense vector."""
     n, k = params.n_qubits, params.degeneracy
     _check_cap(n)
-    beta = amplitudes(params).beta
+    beta = amplitudes(params)
     coeff = np.zeros(n + 1, dtype=complex)
     for r in range(k + 1):
         coeff[r] = beta[r] / math.sqrt(math.comb(n, r))
@@ -160,7 +168,7 @@ def _as_real_small_matrix(rho: np.ndarray, dim: int) -> SmallMatrix:
             f"reduced density matrix has imaginary residue {residue:g}; "
             "only real states fit a SmallMatrix"
         )
-    return SmallMatrix(dim, tuple(float(x) for x in rho.real.ravel()))
+    return SmallMatrix(dim, rho.real.ravel())
 
 
 def partial_trace_to_two(psi: FullState, qubits: tuple[int, int] = (0, 1)) -> SmallMatrix:
@@ -172,7 +180,10 @@ def partial_trace_to_two(psi: FullState, qubits: tuple[int, int] = (0, 1)) -> Sm
     """
     if psi.n_qubits < 2:
         raise WrongDimensionError("need at least 2 qubits to keep a pair")
-    return _as_real_small_matrix(_partial_trace(psi, tuple(qubits)), 4)
+    keep = tuple(qubits) if np.iterable(qubits) else ()
+    if len(keep) != 2:
+        raise OutOfRangeError(f"need exactly two qubit indices, got {qubits!r}")
+    return _as_real_small_matrix(_partial_trace(psi, keep), 4)
 
 
 def partial_trace_to_one(psi: FullState, qubit: int = 0) -> SmallMatrix:

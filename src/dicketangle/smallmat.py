@@ -2,8 +2,10 @@
 
 The oracle's reduced density matrices, the closed-form marginal_matrix and
 the single-qubit marginal's rho are returned as SmallMatrix: a dim x dim
-real matrix of dim 2, 3 or 4 with finite entries, checked on construction.
-Spectra are taken with numpy/LAPACK on to_array().
+real matrix of dim 2, 3 or 4, stored row-major as a flat tuple of finite
+floats. The constructor is the one place its entries are converted and
+checked; everything else (traces, spectra, norms) is taken with numpy on
+to_array().
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dicke import check_int
 from .errors import NonFiniteError, WrongDimensionError
 
 _ALLOWED_DIMS = (2, 3, 4)
@@ -26,30 +29,23 @@ class SmallMatrix:
     entries: tuple[float, ...]
 
     def __post_init__(self):
-        if self.dim not in _ALLOWED_DIMS:
-            raise WrongDimensionError(f"dim must be one of {_ALLOWED_DIMS}, got {self.dim}")
-        entries = tuple(float(x) for x in self.entries)
-        if len(entries) != self.dim * self.dim:
-            raise WrongDimensionError(
-                f"need {self.dim * self.dim} entries for dim {self.dim}, got {len(entries)}"
-            )
-        if not all(math.isfinite(x) for x in entries):
+        dim = check_int(self.dim, "dim", WrongDimensionError)
+        if dim not in _ALLOWED_DIMS:
+            raise WrongDimensionError(f"dim must be one of {_ALLOWED_DIMS}, got {dim}")
+        try:
+            entries = tuple(self.entries)
+        except TypeError as exc:
+            raise WrongDimensionError(f"entries must be a sequence, got {self.entries!r}") from exc
+        if len(entries) != dim * dim:
+            raise WrongDimensionError(f"need {dim * dim} entries for dim {dim}, got {len(entries)}")
+        try:
+            entries = tuple(map(float, entries))
+        except (TypeError, ValueError) as exc:
+            raise NonFiniteError(f"matrix entries must be real numbers, got {entries!r}") from exc
+        if not all(map(math.isfinite, entries)):
             raise NonFiniteError("matrix entries must be finite")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> "SmallMatrix":
-        rows = [list(map(float, row)) for row in rows]
-        dim = len(rows)
-        if any(len(row) != dim for row in rows):
-            raise WrongDimensionError("matrix rows must form a square array")
-        return cls(dim, tuple(x for row in rows for x in row))
 
     def to_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float).reshape(self.dim, self.dim)
-
-    def trace(self) -> float:
-        return sum(self.entries[:: self.dim + 1])
-
-    def max_abs(self) -> float:
-        return max(abs(x) for x in self.entries)

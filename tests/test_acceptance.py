@@ -185,10 +185,10 @@ def test_criterion_8_large_n_amplitude_stability():
     calls = 50
     start = time.perf_counter()
     for _ in range(calls):
-        vec = amplitudes(params)
+        beta = amplitudes(params)
     per_call = (time.perf_counter() - start) / calls
-    total = math.fsum(x * x for x in vec.beta)
-    finite = all(math.isfinite(x) for x in vec.beta)
+    total = math.fsum(x * x for x in beta)
+    finite = all(math.isfinite(x) for x in beta)
     ok = finite and abs(total - 1.0) <= 1e-10 and per_call < 0.010
     _verdict(
         8,

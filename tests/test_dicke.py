@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dicketangle.dicke import (
-    AmplitudeVector,
     DickeParams,
     amplitude_rows,
     amplitudes,
@@ -134,53 +133,43 @@ def test_amplitudes_two_qubit_closed_form():
     for a in np.linspace(0.0, 1.0, 21):
         b = math.sqrt(max(0.0, 1.0 - a * a))
         norm = math.sqrt(4 * a * a + 2 * b * b)
-        vec = amplitudes(DickeParams(2, 1, float(a)))
-        assert vec.beta[0] == pytest.approx(2 * a / norm, abs=1e-14)
-        assert vec.beta[1] == pytest.approx(math.sqrt(2) * b / norm, abs=1e-14)
+        beta = amplitudes(DickeParams(2, 1, float(a)))
+        assert beta[0] == pytest.approx(2 * a / norm, abs=1e-14)
+        assert beta[1] == pytest.approx(math.sqrt(2) * b / norm, abs=1e-14)
 
 
 def test_amplitudes_three_qubit_balanced_point():
-    vec = amplitudes(DickeParams(3, 1, 1 / math.sqrt(2)))
-    assert vec.beta[0] == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
-    assert vec.beta[1] == pytest.approx(1 / 2, abs=1e-14)
+    beta = amplitudes(DickeParams(3, 1, 1 / math.sqrt(2)))
+    assert beta[0] == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
+    assert beta[1] == pytest.approx(1 / 2, abs=1e-14)
 
 
 def test_amplitudes_endpoints_are_exact():
-    vec = amplitudes(DickeParams(100, 50, 1.0))
-    assert vec.beta[0] == 1.0
-    assert all(x == 0.0 for x in vec.beta[1:])
+    beta = amplitudes(DickeParams(100, 50, 1.0))
+    assert beta[0] == 1.0
+    assert all(x == 0.0 for x in beta[1:])
 
-    vec = amplitudes(DickeParams(100, 50, 0.0))
-    assert vec.beta[-1] == 1.0
-    assert all(x == 0.0 for x in vec.beta[:-1])
+    beta = amplitudes(DickeParams(100, 50, 0.0))
+    assert beta[-1] == 1.0
+    assert all(x == 0.0 for x in beta[:-1])
 
 
 @pytest.mark.parametrize("n", THINNED_N)
 def test_amplitudes_normalized_across_family(n):
     for k in range(1, n // 2 + 1):
         for a in np.linspace(0.0, 1.0, 21):
-            vec = amplitudes(DickeParams(n, k, float(a)))
-            assert len(vec.beta) == k + 1
-            total = math.fsum(x * x for x in vec.beta)
+            beta = amplitudes(DickeParams(n, k, float(a)))
+            assert len(beta) == k + 1
+            total = math.fsum(x * x for x in beta)
             assert abs(total - 1.0) <= 1e-12, f"n={n} k={k} a={a}"
-            assert all(x >= 0.0 and math.isfinite(x) for x in vec.beta)
+            assert all(x >= 0.0 and math.isfinite(x) for x in beta)
 
 
 def test_amplitudes_monotone_weight_shift():
     # raising a pushes weight from the top rung toward beta_0
-    betas = [amplitudes(DickeParams(8, 3, a)).beta for a in (0.2, 0.5, 0.8)]
+    betas = [amplitudes(DickeParams(8, 3, a)) for a in (0.2, 0.5, 0.8)]
     assert betas[0][3] > betas[1][3] > betas[2][3]
     assert betas[0][0] < betas[1][0] < betas[2][0]
-
-
-def test_amplitude_vector_rejects_bad_input():
-    p = DickeParams(4, 2, 0.5)
-    with pytest.raises(InvalidParamsError):
-        AmplitudeVector(p, (1.0, 0.0))
-    with pytest.raises(InvalidParamsError):
-        AmplitudeVector(p, (0.5, 0.5, 0.5))
-    with pytest.raises(InvalidParamsError):
-        AmplitudeVector(p, (-1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (9, 4), (100, 50), (1000, 3), (2000, 500)])
@@ -189,7 +178,7 @@ def test_amplitude_rows_match_scalar_amplitudes(n, k):
     rows = amplitude_rows(n, k, grid)
     assert rows.shape == (len(grid), k + 1)
     for a, row in zip(grid, rows):
-        want = amplitudes(DickeParams(n, k, a)).beta
+        want = amplitudes(DickeParams(n, k, a))
         assert np.allclose(row, want, rtol=1e-12, atol=1e-15), (n, k, a)
     assert rows[0].tolist() == [0.0] * k + [1.0]
     assert rows[-1].tolist() == [1.0] + [0.0] * k
@@ -227,5 +216,5 @@ def _exact_amplitudes(n, k, a):
 def test_amplitudes_keep_absolute_accuracy_at_large_n(n, k, a):
     # log-factorials near 1e4 carry ~1e-12 absolute error; the ratio sums must not
     want = _exact_amplitudes(n, k, a)
-    for got in (amplitudes(DickeParams(n, k, a)).beta, amplitude_rows(n, k, [a])[0].tolist()):
+    for got in (amplitudes(DickeParams(n, k, a)), amplitude_rows(n, k, [a])[0].tolist()):
         assert max(abs(x - y) for x, y in zip(got, want)) <= 2e-15

@@ -104,7 +104,7 @@ def test_marginal_is_density_matrix_across_grid():
     for params in _grid_params():
         m = two_qubit_marginal(params)
         rho = marginal_matrix(m)
-        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho.to_array()) == pytest.approx(1.0, abs=1e-12)
         low = np.linalg.eigvalsh(rho.to_array())[0]
         assert low >= -1e-12, f"{params}: eigenvalue {low}"
 

@@ -39,13 +39,14 @@ def _corner_only_concurrence(m):
 
 
 def test_concurrence_of_bell_projector():
-    bell = SmallMatrix.from_rows(
-        [
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.5, 0.5, 0.0],
-            [0.0, 0.5, 0.5, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
+    bell = SmallMatrix(
+        4,
+        (
+            0.0, 0.0, 0.0, 0.0,
+            0.0, 0.5, 0.5, 0.0,
+            0.0, 0.5, 0.5, 0.0,
+            0.0, 0.0, 0.0, 0.0,
+        ),
     )
     assert concurrence_two_qubit(bell) == pytest.approx(1.0, abs=1e-12)
 
@@ -56,14 +57,7 @@ def test_concurrence_of_w_marginal():
 
 
 def test_concurrence_of_product_projector_is_zero():
-    rho = SmallMatrix.from_rows(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
+    rho = SmallMatrix(4, (1.0,) + (0.0,) * 15)
     assert concurrence_two_qubit(rho) == 0.0
 
 
@@ -254,6 +248,8 @@ def test_small_concurrence_keeps_relative_accuracy():
         ("x", 3, 0.4),
         (10, 3, "x"),
         (10, 3, None),
+        (10, 3, np.complex128(0.3 + 0.5j)),
+        (10, 3, 0.3 + 0j),
     ],
 )
 def test_out_of_range_input_raises_the_same_error_through_both_apis(n, k, a):
@@ -262,6 +258,8 @@ def test_out_of_range_input_raises_the_same_error_through_both_apis(n, k, a):
     with pytest.raises(InvalidParamsError) as table:
         tangle_table(n, k, [0.25, a])
     assert str(table.value) == str(scalar.value)
+    if a is None:
+        assert str(scalar.value).endswith("got None")
 
 
 def test_tangle_table_rejects_a_grid_of_more_than_one_dimension():

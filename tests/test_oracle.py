@@ -47,7 +47,7 @@ def _overlap_spinor(a):
 def test_spinor_validation_and_angles():
     with pytest.raises(InvalidParamsError):
         Spinor(1.0, 1.0)
-    for c0, c1 in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)):
+    for c0, c1 in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), ("x", 0), (None, 1)):
         with pytest.raises(InvalidParamsError):
             Spinor(c0, c1)
     # the Bloch-sphere spinor cos(pi/4)|0> + e^{0.7i} sin(pi/4)|1>
@@ -65,6 +65,8 @@ def test_full_state_validation():
         FullState(2.5, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(InvalidParamsError):
         FullState(1, np.array([math.nan, 0.0]))
+    with pytest.raises(InvalidParamsError):
+        FullState(1, ["a", 0])
     assert FullState(2.0, np.array([1.0, 0.0, 0.0, 0.0])).n_qubits == 2
     state = FullState(1, np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
@@ -180,7 +182,7 @@ def test_partial_trace_of_product_state():
     psi = expand_state(DickeParams(4, 2, 1.0))
     rho2 = partial_trace_to_two(psi)
     assert rho2.to_array()[0, 0] == 1.0
-    assert rho2.trace() == 1.0
+    assert np.trace(rho2.to_array()) == 1.0
     rho1 = partial_trace_to_one(psi)
     assert rho1.to_array().tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
@@ -217,6 +219,12 @@ def test_partial_trace_index_checks():
         partial_trace_to_one(psi, 1.5)
     with pytest.raises(OutOfRangeError):
         partial_trace_to_two(psi, (0, 1.5))
+    with pytest.raises(OutOfRangeError):
+        partial_trace_to_two(psi, 5)
+    with pytest.raises(OutOfRangeError, match="exactly two"):
+        partial_trace_to_two(psi, (0,))
+    with pytest.raises(OutOfRangeError, match="exactly two"):
+        partial_trace_to_two(psi, (0, 1, 2))
     # integral values name qubits as ints do
     assert partial_trace_to_two(psi, (0, 1.0)) == partial_trace_to_two(psi, (0, 1))
     single = FullState(1, np.array([1.0, 0.0]))
