@@ -66,30 +66,34 @@ def _check_tol(tol: float) -> float:
     raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol}")
 
 
-def _fmt(x: float, precision: int) -> str:
-    # x + 0.0 canonicalizes -0.0 so equal values always render identically
-    return format(x + 0.0, f".{precision}g")
+def _batch_text(n: int, k: int, grid: list[float], precision: int, err) -> tuple[str, int]:
+    """The CSV lines of (N, k) at every a of grid, and the number of rows that failed.
 
-
-def _tangle_rows(n: int, k: int, grid: list[float]):
-    """Yield (a, row) for each a of grid: row is (c1_sq, c2_sq, tau, n2, xi) or its error.
-
-    One tangle_table call covers the whole (N, k). If it fails, every a is
-    re-run through tangle_record, so that only the rows that fail are lost;
-    each of those yields its DicketangleError in place of the row.
+    One tangle_table call covers the whole (N, k), and each row is filled into
+    one template. If the call fails, every a is re-run through tangle_record,
+    so that only the rows that fail are lost; each of those is reported on err.
+    Every value gets + 0.0, which turns -0.0 into 0.0, so that equal values
+    always render identically.
     """
+    row = f"{n},{k}," + ",".join([f"%.{precision}g"] * 6) + "\n"
     try:
         table = measures.tangle_table(n, k, grid)
     except DicketangleError:
-        for a in grid:
-            try:
-                rec = measures.tangle_record(DickeParams(n, k, a))
-            except DicketangleError as exc:
-                yield a, exc
-            else:
-                yield a, (rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)
-        return
-    yield from zip(grid, zip(*(col.tolist() for col in table)))
+        pass
+    else:
+        values = np.column_stack((grid, *table)) + 0.0
+        return "".join(map(row.__mod__, map(tuple, values.tolist()))), 0
+    lines, failures = [], 0
+    for a in grid:
+        try:
+            rec = measures.tangle_record(DickeParams(n, k, a))
+        except DicketangleError as exc:
+            failures += 1
+            print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=err)
+        else:
+            fields = (a, rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)
+            lines.append(row % tuple(x + 0.0 for x in fields))
+    return "".join(lines), failures
 
 
 def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path="-",
@@ -133,15 +137,9 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
     with ExitStack() as stack:
         stream = None
         for n, k in pairs:
-            lines = []
-            for a, row in _tangle_rows(n, k, grid):
-                if isinstance(row, DicketangleError):
-                    failures += 1
-                    print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {row}", file=err)
-                    continue
-                fields = [str(n), str(k)] + [_fmt(x, precision) for x in (a, *row)]
-                lines.append(",".join(fields) + "\n")
-            if not lines:
+            text, failed = _batch_text(n, k, grid, precision, err)
+            failures += failed
+            if not text:
                 continue
             if stream is None:
                 if output_path == "-":
@@ -151,7 +149,7 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
                         open(output_path, "w", encoding="utf-8", newline="\n")
                     )
                 stream.write(_COLUMNS + "\n")
-            stream.write("".join(lines))
+            stream.write(text)
     if failures == len(pairs) * len(grid):
         print("error: every sweep row failed", file=err)
         return 2

@@ -35,6 +35,14 @@ def check_int(value, name: str, error: type[DicketangleError] = InvalidParamsErr
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def check_type(
+    value, cls: type, name: str, error: type[DicketangleError] = InvalidParamsError
+) -> None:
+    """Raise `error`, naming the expected type, unless `value` is an instance of `cls`."""
+    if not isinstance(value, cls):
+        raise error(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def check_n_k(n, k) -> tuple[int, int]:
     """Validate (N, k) as integers with N >= 2 and 1 <= k <= N//2; return them as ints."""
     n, k = check_int(n, "n_qubits"), check_int(k, "degeneracy")
@@ -196,6 +204,7 @@ def amplitudes(params: DickeParams) -> tuple[float, ...]:
     Euclidean norm. The endpoints degenerate exactly: a = 0 leaves only
     beta_k (the Dicke state itself), a = 1 only beta_0 (a product state).
     """
+    check_type(params, DickeParams, "params")
     n, k, a, b = params.n_qubits, params.degeneracy, params.a, params.b
     if a == 0.0:
         return (0.0,) * k + (1.0,)

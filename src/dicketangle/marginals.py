@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeParams, amplitude_rows, n_table
+from .dicke import DickeParams, amplitude_rows, check_type, n_table
 from .errors import InvalidParamsError, NotDensityMatrixError
 from .smallmat import SmallMatrix
 
@@ -116,6 +116,7 @@ def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
 
     The one-row view of marginal_elements.
     """
+    check_type(params, DickeParams, "params")
     n, k = params.n_qubits, params.degeneracy
     row = marginal_elements(n, amplitude_rows(n, k, [params.a]))
     return TwoQubitMarginal(params, *(float(col[0]) for col in row))
@@ -123,6 +124,7 @@ def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
 
 def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:
     """Assemble the 4x4 two-qubit density matrix in the computational basis."""
+    check_type(m, TwoQubitMarginal, "m")
     A, B, C, D, E, F = m.A, m.B, m.C, m.D, m.E, m.F
     return SmallMatrix(4, (A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F))
 
@@ -143,6 +145,7 @@ def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def single_qubit_marginal(m: TwoQubitMarginal) -> SingleQubitMarginal:
     """Trace one more qubit out of the two-qubit marginal."""
+    check_type(m, TwoQubitMarginal, "m")
     p = m.A + m.D
     off = m.B + m.E
     q = m.D + m.F

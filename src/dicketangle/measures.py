@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import DickeParams, amplitude_rows, check_a_values, check_n_k
+from .dicke import DickeParams, amplitude_rows, check_a_values, check_n_k, check_type
 from .errors import (
     InvalidParamsError,
     NoConvergenceError,
@@ -145,6 +145,7 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
     and be positive semidefinite, to within 1e-10, and symmetric to within
     1e-12 of its largest entry; otherwise NotDensityMatrixError is raised.
     """
+    check_type(rho, SmallMatrix, "rho", WrongDimensionError)
     if rho.dim != 4:
         raise WrongDimensionError(f"concurrence needs a 4x4 matrix, got dim {rho.dim}")
     _check_density_matrix(rho)
@@ -189,12 +190,14 @@ def _c1_squared(det: np.ndarray) -> np.ndarray:
 
 def one_vs_rest(rho1: SingleQubitMarginal) -> float:
     """One-vs-rest entanglement 2 sqrt(det rho_1), the one-row view of tangle_table's C1 stage."""
+    check_type(rho1, SingleQubitMarginal, "rho1")
     e = rho1.rho.entries
     return math.sqrt(_c1_squared(np.array([e[0] * e[3] - e[1] * e[2]])).item())
 
 
 def negativity_two_qubit(m: TwoQubitMarginal) -> float:
     """Doubled negativity ||rho_2^T_B||_1 - 1 of the two-qubit marginal, in [0, 1]."""
+    check_type(m, TwoQubitMarginal, "m")
     _, blocks, singlet = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
     return _negativity(blocks, singlet).item()
 
@@ -229,5 +232,6 @@ def tangle_record(params: DickeParams) -> TangleRecord:
 
     The one-row view of tangle_table.
     """
+    check_type(params, DickeParams, "params")
     row = tangle_table(params.n_qubits, params.degeneracy, [params.a])
     return TangleRecord(params, *(float(col[0]) for col in row))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dicke import DickeParams, amplitudes, check_int
+from .dicke import DickeParams, amplitudes, check_int, check_type
 from .errors import (
     CapExceededError,
     InvalidParamsError,
@@ -93,6 +93,7 @@ def _hamming_weights(n: int) -> np.ndarray:
 
 def expand_state(params: DickeParams) -> FullState:
     """The canonical state sum_r beta_r |N/2, N/2 - r> as a dense vector."""
+    check_type(params, DickeParams, "params")
     n, k = params.n_qubits, params.degeneracy
     _check_cap(n)
     beta = amplitudes(params)
@@ -122,6 +123,8 @@ def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) ->
     if not 1 <= k <= n - 1:
         raise OutOfRangeError(f"copy count k must satisfy 1 <= k <= {n - 1}, got {k}")
     _check_cap(n)
+    check_type(eps1, Spinor, "eps1")
+    check_type(eps2, Spinor, "eps2")
     g = np.zeros(n + 1, dtype=complex)
     for w in range(n + 1):
         acc = 0.0 + 0.0j
@@ -178,6 +181,7 @@ def partial_trace_to_two(psi: FullState, qubits: tuple[int, int] = (0, 1)) -> Sm
     states under study makes the choice irrelevant, which the test suite
     checks rather than assumes.
     """
+    check_type(psi, FullState, "psi")
     if psi.n_qubits < 2:
         raise WrongDimensionError("need at least 2 qubits to keep a pair")
     keep = tuple(qubits) if np.iterable(qubits) else ()
@@ -188,4 +192,5 @@ def partial_trace_to_two(psi: FullState, qubits: tuple[int, int] = (0, 1)) -> Sm
 
 def partial_trace_to_one(psi: FullState, qubit: int = 0) -> SmallMatrix:
     """Exact single-qubit reduced density matrix of the chosen qubit."""
+    check_type(psi, FullState, "psi")
     return _as_real_small_matrix(_partial_trace(psi, (qubit,)), 2)

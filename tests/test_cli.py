@@ -102,9 +102,58 @@ def test_sweep_precision_flag():
     assert row[3] == "0.889"  # c1_sq = 8/9 at three significant digits
 
 
-def test_sweep_negative_zero_never_printed():
-    _, text, _ = _sweep_text(n_values=(3,), k_values=(1,), a_steps=11)
-    assert "-0," not in text and not text.rstrip().endswith("-0")
+def _fail_batches(table):
+    """A stand-in for tangle_table that fails every call of more than one row."""
+
+    def one_row_only(n, k, a_values):
+        if len(a_values) > 1:
+            raise InvalidParamsError("injected failure")
+        return table(n, k, a_values)
+
+    return one_row_only
+
+
+def test_sweep_negative_zero_never_printed(monkeypatch):
+    # the last grid point is a_max itself, so the grid is [0.0, -0.0]
+    cfg = dict(n_values=(3,), k_values=(1,), a_min=0.0, a_max=-0.0, a_steps=2)
+    rc, text, _ = _sweep_text(**cfg)
+    assert rc == 0
+    assert [line[:6] for line in text.splitlines()[1:]] == ["3,1,0,", "3,1,0,"]
+
+    def negative_zeros(n, k, a_values):
+        return measures.TangleTable(*[np.full(len(a_values), -0.0)] * 5)
+
+    want = (0, HEADER + "\n" + "3,1,0,0,0,0,0,0\n" * 2, "")
+    monkeypatch.setattr(measures, "tangle_table", negative_zeros)
+    assert _sweep_text(**cfg) == want
+    # the row-by-row fallback, through tangle_record
+    monkeypatch.setattr(measures, "tangle_table", _fail_batches(negative_zeros))
+    assert _sweep_text(**cfg) == want
+
+
+def _reference_csv(n, grid, precision):
+    lines = [HEADER]
+    for k in range(1, n // 2 + 1):
+        table = measures.tangle_table(n, k, grid)
+        for a, *row in zip(grid, *(col.tolist() for col in table)):
+            values = [format(x + 0.0, f".{precision}g") for x in (a, *row)]
+            lines.append(",".join([str(n), str(k), *values]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+def test_sweep_matches_reference_formatting(precision):
+    rc, text, _ = _sweep_text(n_values=(10,), k_values=None, a_steps=11, precision=precision)
+    assert rc == 0
+    assert text == _reference_csv(10, _a_grid(0.0, 1.0, 11), precision)
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+def test_sweep_fallback_writes_the_batch_bytes(monkeypatch, precision):
+    cfg = dict(n_values=(10,), k_values=None, a_steps=11, precision=precision)
+    want = _sweep_text(**cfg)
+    monkeypatch.setattr(measures, "tangle_table", _fail_batches(measures.tangle_table))
+    assert _sweep_text(**cfg) == want
 
 
 def test_sweep_to_file_matches_stdout(tmp_path):
