@@ -5,7 +5,8 @@ Subcommands:
     check   verify the monogamy / ordering / monotonicity properties on a grid
     oracle  cross-validate the closed forms against the brute-force oracle
 
-Exit codes: 0 = all checks pass, 1 = property violation, 2 = usage/config error.
+Exit codes: 0 = all checks pass, 1 = property violation, 2 = usage/config error
+(or a grid too large for memory).
 Diagnostics go to stderr; stdout (or --out) carries the report or CSV only.
 """
 
@@ -70,30 +71,24 @@ def _batch_text(n: int, k: int, grid: list[float], precision: int, err) -> tuple
     """The CSV lines of (N, k) at every a of grid, and the number of rows that failed.
 
     One tangle_table call covers the whole (N, k), and each row is filled into
-    one template. If the call fails, every a is re-run through tangle_record,
-    so that only the rows that fail are lost; each of those is reported on err.
+    one template. If the call fails, every a is re-run as a one-row call, so
+    that only the rows that fail are lost; each of those is reported on err.
     Every value gets + 0.0, which turns -0.0 into 0.0, so that equal values
     always render identically.
     """
     row = f"{n},{k}," + ",".join([f"%.{precision}g"] * 6) + "\n"
     try:
-        table = measures.tangle_table(n, k, grid)
+        values = np.column_stack((grid, *measures.tangle_table(n, k, grid)))
     except DicketangleError:
-        pass
-    else:
-        values = np.column_stack((grid, *table)) + 0.0
-        return "".join(map(row.__mod__, map(tuple, values.tolist()))), 0
-    lines, failures = [], 0
-    for a in grid:
-        try:
-            rec = measures.tangle_record(DickeParams(n, k, a))
-        except DicketangleError as exc:
-            failures += 1
-            print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=err)
-        else:
-            fields = (a, rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)
-            lines.append(row % tuple(x + 0.0 for x in fields))
-    return "".join(lines), failures
+        kept = []
+        for a in grid:
+            try:
+                kept.append(np.column_stack(([a], *measures.tangle_table(n, k, [a]))))
+            except DicketangleError as exc:
+                print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=err)
+        values = np.reshape(kept, (-1, 6))
+    text = "".join(map(row.__mod__, map(tuple, (values + 0.0).tolist())))
+    return text, len(grid) - len(values)
 
 
 def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path="-",
@@ -418,8 +413,9 @@ def main(argv=None) -> int:
         if args.command == "check":
             return run_check(args.n_max, args.a_steps, args.tol)
         return run_oracle(args.n_max, args.a_steps, args.tol)
-    except (DicketangleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DicketangleError, OSError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 if __name__ == "__main__":

@@ -9,20 +9,18 @@ the canonical form
 where |N/2, N/2 - r> is the Dicke state with r excitations and the real,
 nonnegative amplitudes beta_r depend on a single overlap parameter
 a = |<eps1|eps2>| in [0, 1] (b = sqrt(1 - a^2)). This module evaluates
-those amplitudes stably for N into the thousands, plus the per-N table of
-Clebsch-Gordan coefficients that couple a qubit pair (j2 = 1) out of the
-symmetric multiplet.
+those amplitudes stably at any N: a call reads only the logs of r + 1 and
+N - r for r = 0..k-1, so its cost grows with k but not with N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DicketangleError, InvalidParamsError, OutOfRangeError
+from .errors import DicketangleError, InvalidParamsError
 
 
 def check_int(value, name: str, error: type[DicketangleError] = InvalidParamsError) -> int:
@@ -110,51 +108,6 @@ class DickeParams:
         return math.sqrt((1.0 - self.a) * (1.0 + self.a))
 
 
-@dataclass(frozen=True)
-class NTable:
-    """Everything about N alone that the amplitudes and marginals need, indexed by r = 0..N.
-
-    `log_int[r]` is log(r) (log_int[0] = -inf is never read); `c_plus`,
-    `c_zero`, `c_minus` hold the Clebsch-Gordan coefficients
-    (c_+1, c_0, c_-1) of <j1 = N/2 - 1; j2 = 1 | N/2> that split a pair of
-    qubits off the Dicke state with r excitations:
-
-        c_+1 = sqrt((N-r)(N-r-1) / (N(N-1)))
-        c_0  = sqrt(2 r (N-r)    / (N(N-1)))
-        c_-1 = sqrt(r (r-1)      / (N(N-1)))
-
-    The arrays are read-only because one table is shared by every caller.
-    """
-
-    log_int: np.ndarray
-    c_plus: np.ndarray
-    c_zero: np.ndarray
-    c_minus: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def n_table(n_qubits: int) -> NTable:
-    """The cached NTable of N qubits."""
-    n = check_int(n_qubits, "n_qubits", OutOfRangeError)
-    if n < 2:
-        raise OutOfRangeError(f"need at least 2 qubits, got {n}")
-    r = np.arange(n + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_int = np.log(r)
-    # the numerators are integers, exact in float below 2^53, so the
-    # degenerate entries (r = 0, 1 for c_-1; r = N-1, N for c_+1) are exact zeros
-    denom = float(n * (n - 1))
-    arrays = (
-        log_int,
-        np.sqrt((n - r) * np.maximum(n - r - 1.0, 0.0) / denom),
-        np.sqrt(2.0 * r * (n - r) / denom),
-        np.sqrt(r * np.maximum(r - 1.0, 0.0) / denom),
-    )
-    for arr in arrays:
-        arr.setflags(write=False)
-    return NTable(*arrays)
-
-
 def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     """Canonical amplitudes beta_0..beta_k at each overlap a, as an (m, k+1) array.
 
@@ -166,13 +119,14 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     """
     n, k = n_qubits, degeneracy
     a = np.asarray(a_values, dtype=float)
-    log_int = n_table(n).log_int
-    r = np.arange(k)
+    r = np.arange(k, dtype=float)
+    # log(r + 1) for r = 0..k-1, reversed, is log(k - r)
+    log_r1, log_n_r = np.log(np.array([r + 1.0, n - r]))
     inner = (a > 0.0) & (a < 1.0)
     # endpoint rows are overwritten below; 0.5 keeps their logs finite meanwhile
     a_in = np.where(inner, a, 0.5)
     log_b_over_a = np.log(np.sqrt((1.0 - a_in) * (1.0 + a_in))) - np.log(a_in)
-    steps = (log_int[k - r] - 0.5 * (log_int[n - r] + log_int[r + 1])) + log_b_over_a[:, None]
+    steps = (log_r1[::-1] - 0.5 * (log_n_r + log_r1)) + log_b_over_a[:, None]
     peak = (steps > 0.0).sum(axis=1, keepdims=True)
     logs = np.zeros((len(a), k + 1))
     logs[:, 1:] = np.cumsum(np.where(r >= peak, steps, 0.0), axis=1)

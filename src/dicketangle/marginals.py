@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeParams, amplitude_rows, check_type, n_table
+from .dicke import DickeParams, amplitude_rows, check_type
 from .errors import InvalidParamsError, NotDensityMatrixError
 from .smallmat import SmallMatrix
 
@@ -81,8 +81,15 @@ class SingleQubitMarginal:
 def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]:
     """Two-qubit marginal elements A..F for each row of amplitudes `beta` (shape (m, k+1)).
 
-    With c_m^(r) the pair-removal Clebsch-Gordan coefficients of N qubits
-    (dicke.n_table) and beta_r the canonical amplitudes:
+    With beta_r the canonical amplitudes and c_m^(r) the Clebsch-Gordan
+    coefficients (c_+1, c_0, c_-1) of <j1 = N/2 - 1; j2 = 1 | N/2> that split
+    a pair of qubits off the Dicke state with r excitations,
+
+        c_+1^(r) = sqrt((N-r)(N-r-1) / (N(N-1)))
+        c_0^(r)  = sqrt(2 r (N-r)    / (N(N-1)))
+        c_-1^(r) = sqrt(r (r-1)      / (N(N-1))),
+
+    computed in each call for r = 0..k only:
 
         A = sum_{r=0}^{k}   beta_r^2        (c_+1^(r))^2
         B = (1/sqrt 2) sum_{r=0}^{k-1} beta_r beta_{r+1} c_+1^(r) c_0^(r+1)
@@ -95,9 +102,15 @@ def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]
     cannot cancel. Each is reduced along its own row, so a row's result does
     not depend on the other rows. Returns six arrays of shape (m,).
     """
-    size = beta.shape[1]
-    table = n_table(n_qubits)
-    cp, c0, cm = (c[:size] for c in (table.c_plus, table.c_zero, table.c_minus))
+    n = n_qubits
+    r = np.arange(beta.shape[1], dtype=float)
+    n_r = n - r
+    # the numerators are integers, exact in float below 2^53, so c_-1 at r = 0, 1
+    # and c_+1 at r = N - 1 are exact zeros
+    cp, c0, cm = np.sqrt(
+        np.array([n_r * (n_r - 1.0), 2.0 * r * n_r, r * np.maximum(r - 1.0, 0.0)])
+        / float(n * (n - 1))
+    )
     sq = beta * beta
     near = beta[:, :-1] * beta[:, 1:]
     far = beta[:, :-2] * beta[:, 2:]

@@ -126,7 +126,7 @@ def test_sweep_negative_zero_never_printed(monkeypatch):
     want = (0, HEADER + "\n" + "3,1,0,0,0,0,0,0\n" * 2, "")
     monkeypatch.setattr(measures, "tangle_table", negative_zeros)
     assert _sweep_text(**cfg) == want
-    # the row-by-row fallback, through tangle_record
+    # the row-by-row fallback, one tangle_table call per a
     monkeypatch.setattr(measures, "tangle_table", _fail_batches(negative_zeros))
     assert _sweep_text(**cfg) == want
 
@@ -191,7 +191,7 @@ def test_sweep_reports_when_every_row_fails(monkeypatch):
 
 
 def test_sweep_failed_batch_loses_only_its_failing_rows(monkeypatch):
-    # a batch error sends the (N, k) row by row through tangle_record
+    # a batch error sends the (N, k) row by row through one-row tangle_table calls
     orig = measures.tangle_table
 
     def flaky(n, k, a_values):
@@ -413,6 +413,17 @@ def test_main_exit_codes(capsys):
 
     assert main(["oracle", "--n-max", "3", "--tol", "nan"]) == 2
     assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_main_exits_2_when_memory_runs_out(monkeypatch, capsys):
+    # exit code 1 means a property was violated, so an oversized grid must not end there;
+    # a failed Python allocation raises MemoryError without a message
+    def exhausted(n, k, a_values):
+        raise MemoryError
+
+    monkeypatch.setattr(measures, "tangle_table", exhausted)
+    assert main(["sweep", "--n", "4", "--k", "1", "--a-steps", "3"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_main_rejects_malformed_argv():

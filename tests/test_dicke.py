@@ -9,9 +9,9 @@ from dicketangle.dicke import (
     DickeParams,
     amplitude_rows,
     amplitudes,
-    n_table,
 )
-from dicketangle.errors import InvalidParamsError, OutOfRangeError
+from dicketangle.errors import InvalidParamsError
+from dicketangle.marginals import marginal_elements
 
 # modest sizes exhaustively, then spot checks out to the largest supported runs
 THINNED_N = list(range(2, 31)) + [40, 50, 75, 100, 150, 200]
@@ -32,54 +32,61 @@ def _cg_reference(n, r):
     return tuple(math.sqrt(x) for x in _cg_squares(n, r))
 
 
-def _cg_triple(n, r):
-    table = n_table(n)
-    return table.c_plus[r], table.c_zero[r], table.c_minus[r]
+def _cg_applied(n, rungs):
+    """(c_+1^2, c_0^2, c_-1^2) at r = 0..rungs-1 as marginal_elements applies them.
+
+    For the amplitude row beta = e_r (the Dicke state with r excitations), A, 2D
+    and F are exactly the squares of the coefficients it computed at r.
+    """
+    A, _, _, D, _, F = marginal_elements(n, np.eye(rungs))
+    return A, 2.0 * D, F
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 101])
 def test_cg_bottom_of_ladder(n):
-    assert _cg_triple(n, 0) == (1.0, 0.0, 0.0)
+    # no excitation: the pair splits off as |00> alone
+    assert [float(col[0]) for col in marginal_elements(n, np.eye(1))] == [1.0] + [0.0] * 5
 
 
 def test_cg_three_qubit_single_excitation():
-    plus, zero, minus = _cg_triple(3, 1)
-    assert plus == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
-    assert zero == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+    plus, zero, minus = (float(x[1]) for x in _cg_applied(3, 2))
+    assert plus == pytest.approx(1 / 3, abs=1e-15)
+    assert zero == pytest.approx(2 / 3, abs=1e-15)
     assert minus == 0.0
 
 
 def test_cg_four_qubit_double_excitation():
-    plus, zero, minus = _cg_triple(4, 2)
-    assert plus == pytest.approx(math.sqrt(1 / 6), abs=1e-15)
-    assert zero == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
-    assert minus == pytest.approx(math.sqrt(1 / 6), abs=1e-15)
+    plus, zero, minus = (float(x[2]) for x in _cg_applied(4, 3))
+    assert plus == pytest.approx(1 / 6, abs=1e-15)
+    assert zero == pytest.approx(2 / 3, abs=1e-15)
+    assert minus == pytest.approx(1 / 6, abs=1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 5, 17, 60])
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 50, 60, 10**6])
 def test_cg_exact_zeros_at_ladder_edges(n):
-    # integer numerators must produce exact zeros, not rounding residue
-    table = n_table(n)
-    assert table.c_minus[1] == 0.0
-    assert table.c_plus[n - 1] == 0.0
-    assert table.c_plus[n] == 0.0
-    assert table.c_zero[n] == 0.0
+    # integer numerators must produce exact zeros, not rounding residue: c_-1 vanishes
+    # at r = 0, 1, so F is exactly 0 at k = 1, and c_+1 at r = N - 1, which k <= N//2
+    # reaches only at N = 2
+    grid = [0.0, 1e-300, 0.3, 0.5, 0.99, 1.0]
+    elems = marginal_elements(n, amplitude_rows(n, 1, grid))
+    assert elems[5].tolist() == [0.0] * len(grid)
+    if n == 2:
+        assert elems[0][0] == 0.0
 
 
 @pytest.mark.parametrize("n", THINNED_N)
 def test_cg_normalization(n):
-    table = n_table(n)
-    total = table.c_plus**2 + table.c_zero**2 + table.c_minus**2
-    assert total.tolist() == pytest.approx([1.0] * (n + 1), abs=1e-14)
+    plus, zero, minus = _cg_applied(n, n // 2 + 1)
+    total = plus + zero + minus
+    assert total.tolist() == pytest.approx([1.0] * (n // 2 + 1), abs=1e-14)
 
 
-def test_cg_out_of_range():
-    with pytest.raises(OutOfRangeError):
-        n_table(1)
-    with pytest.raises(OutOfRangeError):
-        n_table(0)
-    with pytest.raises(OutOfRangeError):
-        n_table(2.5)
+@pytest.mark.parametrize("n", [2, 3, 17, 1000])
+def test_cg_matches_integer_formula(n):
+    applied = _cg_applied(n, n // 2 + 1)
+    for r in range(n // 2 + 1):
+        want = tuple(c * c for c in _cg_reference(n, r))
+        assert tuple(float(x[r]) for x in applied) == want, (n, r)
 
 
 def test_params_validation():
@@ -116,16 +123,6 @@ def test_params_b_keeps_relative_accuracy_near_one():
         ctx.prec = 50
         want = float((1 - decimal.Decimal(a) ** 2).sqrt())
     assert DickeParams(6, 2, a).b == pytest.approx(want, rel=1e-15)
-
-
-@pytest.mark.parametrize("n", [2, 3, 17, 1000])
-def test_n_table_matches_integer_formula(n):
-    table = n_table(n)
-    for r in range(n + 1):
-        assert _cg_triple(n, r) == _cg_reference(n, r), (n, r)
-    logs = [math.log(r) for r in range(1, n + 1)]
-    assert table.log_int[1:].tolist() == pytest.approx(logs, rel=4.5e-16, abs=0.0)
-    assert not table.c_plus.flags.writeable
 
 
 def test_amplitudes_two_qubit_closed_form():
@@ -172,7 +169,9 @@ def test_amplitudes_monotone_weight_shift():
     assert betas[0][0] < betas[1][0] < betas[2][0]
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (9, 4), (100, 50), (1000, 3), (2000, 500)])
+@pytest.mark.parametrize(
+    "n,k", [(2, 1), (9, 4), (100, 50), (1000, 3), (2000, 500), (10**6, 3)]
+)
 def test_amplitude_rows_match_scalar_amplitudes(n, k):
     grid = [0.0, 1e-300, 0.05, 0.37, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0]
     rows = amplitude_rows(n, k, grid)
@@ -188,7 +187,8 @@ def _amplitude_squares(n, k, a):
     """beta_r^2 in the current decimal context, from the exact binary value of a.
 
     beta_r^2 is proportional to (N-r)! / (r! (k-r)!^2) a^(2(k-r)) b^(2r), whose
-    factorial part, scaled by (k!)^2, is the integer (N-r)! binom(k, r) k!/(k-r)!.
+    factorial part, scaled by (k!)^2 / (N-k)!, is the integer
+    (N-r)!/(N-k)! binom(k, r) k!/(k-r)!.
     """
     a2 = decimal.Decimal(a) ** 2
     b2 = 1 - a2
@@ -198,7 +198,7 @@ def _amplitude_squares(n, k, a):
         a_pow.append(a_pow[-1] * a2)
         b_pow.append(b_pow[-1] * b2)
     sq = [
-        math.factorial(n - r) * math.comb(k, r) * math.perm(k, r) * a_pow[k - r] * b_pow[r]
+        math.perm(n - r, k - r) * math.comb(k, r) * math.perm(k, r) * a_pow[k - r] * b_pow[r]
         for r in range(k + 1)
     ]
     total = sum(sq)

@@ -185,7 +185,9 @@ def _reference_elements(n, k, a):
         ]
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (8, 4), (100, 2), (1000, 500)])
+@pytest.mark.parametrize(
+    "n,k", [(2, 1), (3, 1), (8, 4), (100, 2), (1000, 500), (10**6, 3), (10**7, 2)]
+)
 def test_marginal_elements_match_scalar_marginal(n, k):
     """marginal_elements against the 60-digit reference, and two_qubit_marginal as its
     row i, bit for bit."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,18 @@ def test_out_of_range_input_raises_the_same_error_through_both_apis(n, k, a):
     assert str(table.value) == str(scalar.value)
     if a is None:
         assert str(scalar.value).endswith("got None")
+
+
+def test_tangle_table_memory_does_not_grow_with_n():
+    # a call at degeneracy k needs O(k) logs and coefficients, not tables over 0..N;
+    # no other test uses this N, so nothing built for it earlier can hide the cost
+    tracemalloc.start()
+    try:
+        tangle_table(10**6 + 3, 3, [0.0, 0.5, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_tangle_table_rejects_a_grid_of_more_than_one_dimension():
