@@ -32,6 +32,7 @@ from .measures import (
     concurrence_two_qubit,
     negativity_two_qubit,
     one_vs_rest,
+    tangle_grid,
     tangle_record,
     tangle_table,
 )
@@ -45,7 +46,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "CapExceededError",
@@ -76,6 +77,7 @@ __all__ = [
     "partial_trace_to_two",
     "single_qubit_marginal",
     "symmetrize_two_spinors",
+    "tangle_grid",
     "tangle_record",
     "tangle_table",
     "two_qubit_marginal",

@@ -32,6 +32,9 @@ _SPOT_K_MAX = 5
 
 _ORACLE_N_MAX = 12
 
+# a sweep chunk holds whole (N, k) pairs, at most this many rows unless one pair has more
+_CHUNK_ROWS = 2**13
+
 # rows |00>, |psi+>, |11> (the triplet basis T), then the singlet s = |psi->
 _R = np.sqrt(0.5)
 _BELL = np.array([[1, 0, 0, 0], [0, _R, _R, 0], [0, 0, 0, 1], [0, _R, -_R, 0]], dtype=float)
@@ -67,33 +70,43 @@ def _check_tol(tol: float) -> float:
     raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol}")
 
 
-def _batch_text(n: int, k: int, grid: list[float], precision: int, err) -> tuple[str, int]:
-    """The CSV lines of (N, k) at every a of grid, and the number of rows that failed.
+def _chunk_text(pairs: list, grid: list[float], precision: int, err) -> tuple[str, int]:
+    """The CSV lines of every (N, k) in pairs at every a of grid, and the number of rows that failed.
 
-    One tangle_table call covers the whole (N, k), and each row is filled into
-    one template. If the call fails, every a is re-run as a one-row call, so
-    that only the rows that fail are lost; each of those is reported on err.
-    Every value gets + 0.0, which turns -0.0 into 0.0, so that equal values
-    always render identically.
+    One tangle_grid call covers the whole chunk, and each pair's rows are
+    filled into that pair's template. If the call fails, every row is re-run
+    as a one-row call, so that only the rows that fail are lost; each of those
+    is reported on err. Every value gets + 0.0, which turns -0.0 into 0.0, so
+    that equal values always render identically.
     """
-    row = f"{n},{k}," + ",".join([f"%.{precision}g"] * 6) + "\n"
+    m = len(grid)
+    template = ",".join([f"%.{precision}g"] * 6) + "\n"
     try:
-        values = np.column_stack((grid, *measures.tangle_table(n, k, grid)))
+        values = np.column_stack((np.tile(grid, len(pairs)), *measures.tangle_grid(pairs, grid)))
+        rows = (values + 0.0).tolist()
+        blocks = [rows[i * m:(i + 1) * m] for i in range(len(pairs))]
     except DicketangleError:
-        kept = []
-        for a in grid:
-            try:
-                kept.append(np.column_stack(([a], *measures.tangle_table(n, k, [a]))))
-            except DicketangleError as exc:
-                print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=err)
-        values = np.reshape(kept, (-1, 6))
-    text = "".join(map(row.__mod__, map(tuple, (values + 0.0).tolist())))
-    return text, len(grid) - len(values)
+        blocks = []
+        for n, k in pairs:
+            kept = []
+            for a in grid:
+                try:
+                    table = measures.tangle_grid([(n, k)], [a])
+                except DicketangleError as exc:
+                    print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=err)
+                else:
+                    kept.extend((np.column_stack(([a], *table)) + 0.0).tolist())
+            blocks.append(kept)
+    text = "".join(
+        "".join(map((f"{n},{k}," + template).__mod__, map(tuple, block)))
+        for (n, k), block in zip(pairs, blocks)
+    )
+    return text, len(pairs) * m - sum(map(len, blocks))
 
 
 def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path="-",
               precision=12, out=None, err=None) -> int:
-    """Write the CSV of an (N, k, a) grid, one (N, k) batch at a time; returns the exit code.
+    """Write the CSV of an (N, k, a) grid, one chunk of (N, k) pairs at a time; returns the exit code.
 
     n_values are the N (integers >= 2) and k_values the k (integers), or None
     for 1..N//2 at each N; a pair with k outside 1..N//2 is skipped with a
@@ -129,10 +142,11 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
         return 2
 
     failures = 0
+    per_chunk = max(1, _CHUNK_ROWS // len(grid))
     with ExitStack() as stack:
         stream = None
-        for n, k in pairs:
-            text, failed = _batch_text(n, k, grid, precision, err)
+        for start in range(0, len(pairs), per_chunk):
+            text, failed = _chunk_text(pairs[start:start + per_chunk], grid, precision, err)
             failures += failed
             if not text:
                 continue

@@ -16,6 +16,7 @@ N - r for r = 0..k-1, so its cost grows with k but not with N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,15 @@ def check_int(value, name: str, error: type[DicketangleError] = InvalidParamsErr
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(value, name: str) -> float:
+    """`value` as a float if it is a real number, as 0.5, 1 and np.float64(0.5) are;
+    else raise InvalidParamsError. Strings and None are not real numbers."""
+    # float and int first: they cover float, np.float64, int and bool without the slower ABC check
+    if isinstance(value, (float, int, numbers.Real)):
+        return float(value)
+    raise InvalidParamsError(f"{name} must be a real number, got {type(value).__name__}")
 
 
 def check_type(
@@ -122,9 +132,10 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     r = np.arange(k, dtype=float)
     # log(r + 1) for r = 0..k-1, reversed, is log(k - r)
     log_r1, log_n_r = np.log(np.array([r + 1.0, n - r]))
-    inner = (a > 0.0) & (a < 1.0)
+    zero, one = a == 0.0, a == 1.0
+    ends = zero | one
     # endpoint rows are overwritten below; 0.5 keeps their logs finite meanwhile
-    a_in = np.where(inner, a, 0.5)
+    a_in = np.where(ends, 0.5, a)
     log_b_over_a = np.log(np.sqrt((1.0 - a_in) * (1.0 + a_in))) - np.log(a_in)
     steps = (log_r1[::-1] - 0.5 * (log_n_r + log_r1)) + log_b_over_a[:, None]
     peak = (steps > 0.0).sum(axis=1, keepdims=True)
@@ -133,10 +144,11 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     logs[:, :-1] -= np.cumsum(np.where(r < peak, steps, 0.0)[:, ::-1], axis=1)[:, ::-1]
     raw = np.exp(logs)
     beta = raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
-    beta[a == 0.0] = 0.0
-    beta[a == 0.0, k] = 1.0
-    beta[a == 1.0] = 0.0
-    beta[a == 1.0, 0] = 1.0
+    if ends.any():
+        beta[zero] = 0.0
+        beta[zero, k] = 1.0
+        beta[one] = 0.0
+        beta[one, 0] = 1.0
     return beta
 
 

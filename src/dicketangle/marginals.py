@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeParams, amplitude_rows, check_type
+from .dicke import DickeParams, amplitude_rows, check_real, check_type
 from .errors import InvalidParamsError, NotDensityMatrixError
 from .smallmat import SmallMatrix
 
@@ -43,7 +43,10 @@ class TwoQubitMarginal:
     F: float
 
     def __post_init__(self):
-        check_elements(*np.array([self.A, self.B, self.C, self.D, self.E, self.F])[:, None])
+        elements = [check_real(getattr(self, name), name) for name in "ABCDEF"]
+        for name, value in zip("ABCDEF", elements):
+            object.__setattr__(self, name, value)
+        check_elements(*np.array(elements)[:, None])
 
 
 def check_elements(A, B, C, D, E, F) -> None:
@@ -67,6 +70,7 @@ class SingleQubitMarginal:
     rho: SmallMatrix
 
     def __post_init__(self):
+        check_type(self.rho, SmallMatrix, "rho", NotDensityMatrixError)
         if self.rho.dim != 2:
             raise NotDensityMatrixError("single-qubit marginal must be 2x2")
         e = self.rho.entries

@@ -18,7 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import DickeParams, amplitude_rows, check_a_values, check_n_k, check_type
+from .dicke import (
+    DickeParams,
+    amplitude_rows,
+    check_a_values,
+    check_n_k,
+    check_real,
+    check_type,
+)
 from .errors import (
     InvalidParamsError,
     NoConvergenceError,
@@ -59,6 +66,9 @@ class TangleRecord:
     xi: float
 
     def __post_init__(self):
+        check_type(self.params, DickeParams, "params")
+        for name in ("c1_sq", "c2_sq", "tau", "n2", "xi"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         n = self.params.n_qubits
         for name, value in (("c1_sq", self.c1_sq), ("c2_sq", self.c2_sq), ("n2", self.n2)):
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
@@ -70,7 +80,7 @@ class TangleRecord:
 
 
 class TangleTable(NamedTuple):
-    """The measures of one (N, k) at each overlap a: five arrays of shape (m,)."""
+    """The measures at each row of (N, k, a): five arrays of shape (rows,)."""
 
     c1_sq: np.ndarray
     c2_sq: np.ndarray
@@ -202,29 +212,59 @@ def negativity_two_qubit(m: TwoQubitMarginal) -> float:
     return _negativity(blocks, singlet).item()
 
 
-def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
-    """Concurrence and negativity tangles of (N, k) at every overlap in `a_values`.
+def _checked_pairs(pairs) -> list[tuple[int, int]]:
+    """Validate each (N, k) of a nonempty sequence of pairs with check_n_k; return them as ints."""
+    try:
+        pairs = [(n, k) for n, k in pairs]
+    except (TypeError, ValueError):
+        raise InvalidParamsError("pairs must be a sequence of (n_qubits, degeneracy) pairs") from None
+    if not pairs:
+        raise InvalidParamsError("need at least one (n_qubits, degeneracy) pair")
+    return [check_n_k(n, k) for n, k in pairs]
 
-    Evaluates the amplitudes, the marginal elements A..F and the three
-    measures as array operations over the whole a-grid, with the same checks
-    and typed errors as the scalar pieces: invalid (N, k, a) raise
-    InvalidParamsError, marginals that fail the TwoQubitMarginal checks
+
+def tangle_grid(pairs, a_values) -> TangleTable:
+    """Concurrence and negativity tangles of every (N, k) in `pairs` at every overlap in `a_values`.
+
+    Returns the columns pair-major: rows i*m .. i*m + m - 1, with m = len(a_values),
+    belong to pairs[i]. Each pair's amplitudes and marginal elements A..F are
+    built on their own (their row widths k + 1 differ); the checks and the
+    three measures then run once over the rows of all pairs. Invalid (N, k, a)
+    raise InvalidParamsError, marginals that fail the TwoQubitMarginal checks
     raise InvalidParamsError, a marginal or one-qubit reduction that is not
     positive semidefinite raises NotDensityMatrixError, and a C1, C2 or N2
     above 1 + 1e-10, or NaN, aborts with NumericalInstabilityError where it
-    is computed. One failing a fails the whole call. Row i depends on
-    a_values[i] alone, bit for bit.
+    is computed. One failing row fails the whole call. Every stage works row
+    by row, so a row depends on its (N, k, a) alone, bit for bit.
     """
-    n, k = check_n_k(n_qubits, degeneracy)
+    pairs = _checked_pairs(pairs)
     a = check_a_values(a_values)
-    A, B, C, D, E, F = marginal_elements(n, amplitude_rows(n, k, a))
+    if len(pairs) == 1:
+        # the one-pair view copies nothing and keeps N - 1 a Python int
+        (n, k), = pairs
+        elements = marginal_elements(n, amplitude_rows(n, k, a))
+        n_minus_1 = n - 1
+    else:
+        per_pair = [marginal_elements(n, amplitude_rows(n, k, a)) for n, k in pairs]
+        elements = [np.concatenate(col) for col in zip(*per_pair)]
+        n_minus_1 = np.repeat(np.array([n - 1 for n, _ in pairs], dtype=float), len(a))
+    A, B, C, D, E, F = elements
     check_elements(A, B, C, D, E, F)
     c1_sq = _c1_squared((A + D) * (D + F) - (B + E) * (B + E))
     R, P, singlet = triplet_blocks(A, B, C, D, E, F)
     c2 = _triplet_concurrence(R)
     c2_sq = c2 * c2
     n2 = _negativity(P, singlet)
-    return TangleTable(c1_sq, c2_sq, c1_sq - (n - 1) * c2_sq, n2, c1_sq - (n - 1) * n2 * n2)
+    return TangleTable(c1_sq, c2_sq, c1_sq - n_minus_1 * c2_sq, n2, c1_sq - n_minus_1 * n2 * n2)
+
+
+def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
+    """Concurrence and negativity tangles of (N, k) at every overlap in `a_values`.
+
+    The one-pair view of tangle_grid, with its checks and typed errors.
+    Row i depends on a_values[i] alone, bit for bit.
+    """
+    return tangle_grid([(n_qubits, degeneracy)], a_values)
 
 
 def tangle_record(params: DickeParams) -> TangleRecord:

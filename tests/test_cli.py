@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dicketangle
-from dicketangle import marginals, measures
+from dicketangle import cli, marginals, measures
 from dicketangle.cli import (
     _a_grid,
     main,
@@ -102,13 +102,13 @@ def test_sweep_precision_flag():
     assert row[3] == "0.889"  # c1_sq = 8/9 at three significant digits
 
 
-def _fail_batches(table):
-    """A stand-in for tangle_table that fails every call of more than one row."""
+def _fail_batches(grid):
+    """A stand-in for tangle_grid that fails every call of more than one row."""
 
-    def one_row_only(n, k, a_values):
-        if len(a_values) > 1:
+    def one_row_only(pairs, a_values):
+        if len(pairs) * len(a_values) > 1:
             raise InvalidParamsError("injected failure")
-        return table(n, k, a_values)
+        return grid(pairs, a_values)
 
     return one_row_only
 
@@ -120,14 +120,14 @@ def test_sweep_negative_zero_never_printed(monkeypatch):
     assert rc == 0
     assert [line[:6] for line in text.splitlines()[1:]] == ["3,1,0,", "3,1,0,"]
 
-    def negative_zeros(n, k, a_values):
-        return measures.TangleTable(*[np.full(len(a_values), -0.0)] * 5)
+    def negative_zeros(pairs, a_values):
+        return measures.TangleTable(*[np.full(len(pairs) * len(a_values), -0.0)] * 5)
 
     want = (0, HEADER + "\n" + "3,1,0,0,0,0,0,0\n" * 2, "")
-    monkeypatch.setattr(measures, "tangle_table", negative_zeros)
+    monkeypatch.setattr(measures, "tangle_grid", negative_zeros)
     assert _sweep_text(**cfg) == want
-    # the row-by-row fallback, one tangle_table call per a
-    monkeypatch.setattr(measures, "tangle_table", _fail_batches(negative_zeros))
+    # the row-by-row fallback, one tangle_grid call per row
+    monkeypatch.setattr(measures, "tangle_grid", _fail_batches(negative_zeros))
     assert _sweep_text(**cfg) == want
 
 
@@ -152,8 +152,28 @@ def test_sweep_matches_reference_formatting(precision):
 def test_sweep_fallback_writes_the_batch_bytes(monkeypatch, precision):
     cfg = dict(n_values=(10,), k_values=None, a_steps=11, precision=precision)
     want = _sweep_text(**cfg)
-    monkeypatch.setattr(measures, "tangle_table", _fail_batches(measures.tangle_table))
+    monkeypatch.setattr(measures, "tangle_grid", _fail_batches(measures.tangle_grid))
     assert _sweep_text(**cfg) == want
+
+
+def test_sweep_spanning_several_chunks_matches_per_pair_reference(monkeypatch):
+    # 10,605 rows: more than one chunk, each of whole pairs, made by one tangle_grid call
+    grid = _a_grid(0.0, 1.0, 101)
+    orig = measures.tangle_grid
+    rows = []
+
+    def spy(pairs, a_values):
+        rows.append(len(pairs) * len(a_values))
+        return orig(pairs, a_values)
+
+    monkeypatch.setattr(measures, "tangle_grid", spy)
+    rc, text, err = _sweep_text(n_values=(10, 200), k_values=None, a_steps=101)
+    assert (rc, err) == (0, "")
+    assert sum(rows) == len(text.splitlines()) - 1 > cli._CHUNK_ROWS
+    assert len(rows) > 1 and max(rows) <= cli._CHUNK_ROWS
+    want = _reference_csv(10, grid, 12) + _reference_csv(200, grid, 12).split("\n", 1)[1]
+    # lists, not strings: pytest's diff of two 10k-line strings takes minutes
+    assert text.split("\n") == want.split("\n")
 
 
 def test_sweep_to_file_matches_stdout(tmp_path):
@@ -180,37 +200,58 @@ def test_sweep_empty_grid_fails():
 
 
 def test_sweep_reports_when_every_row_fails(monkeypatch):
-    # the sweep's batches and its row-by-row fallback both run through tangle_table
-    def explode(n, k, a_values):
+    # the sweep's chunks and its row-by-row fallback both run through tangle_grid
+    def explode(pairs, a_values):
         raise InvalidParamsError("injected failure")
 
-    monkeypatch.setattr(measures, "tangle_table", explode)
+    monkeypatch.setattr(measures, "tangle_grid", explode)
     rc, _, err = _sweep_text(n_values=(4,), k_values=(1,), a_steps=3)
     assert rc == 2
     assert "every sweep row failed" in err
 
 
 def test_sweep_failed_batch_loses_only_its_failing_rows(monkeypatch):
-    # a batch error sends the (N, k) row by row through one-row tangle_table calls
-    orig = measures.tangle_table
+    # a chunk error sends every row of the chunk through one-row tangle_grid calls
+    orig = measures.tangle_grid
 
-    def flaky(n, k, a_values):
-        if len(a_values) > 1 or a_values[0] == 0.5:
+    def flaky(pairs, a_values):
+        if len(pairs) > 1 or len(a_values) > 1 or a_values[0] == 0.5:
             raise InvalidParamsError("injected failure")
-        return orig(n, k, a_values)
+        return orig(pairs, a_values)
 
-    monkeypatch.setattr(measures, "tangle_table", flaky)
+    monkeypatch.setattr(measures, "tangle_grid", flaky)
     rc, text, err = _sweep_text(n_values=(4,), k_values=(1,), a_steps=3)
     assert rc == 0
     assert [line.split(",")[2] for line in text.splitlines()[1:]] == ["0", "1"]
     assert err == "warning: skipping row (N=4, k=1, a=0.5): injected failure\n"
 
+    # four pairs in one chunk, of which only the row (5, 2, 0.5) fails, in the chunk and alone
+    cfg = dict(n_values=(4, 5), k_values=None, a_steps=3)
+    monkeypatch.setattr(measures, "tangle_grid", orig)
+    rc, full, err = _sweep_text(**cfg)
+    assert (rc, err, len(full.splitlines())) == (0, "", 1 + 4 * 3)
+    calls = []
+
+    def one_bad_row(pairs, a_values):
+        calls.append(len(pairs) * len(a_values))
+        if (5, 2) in pairs and 0.5 in a_values:
+            raise InvalidParamsError("injected failure")
+        return orig(pairs, a_values)
+
+    monkeypatch.setattr(measures, "tangle_grid", one_bad_row)
+    rc, text, err = _sweep_text(**cfg)
+    assert rc == 0
+    assert calls == [12] + [1] * 12
+    assert text.splitlines() == [line for line in full.splitlines() if line[:8] != "5,2,0.5,"]
+    assert len(text.splitlines()) == len(full.splitlines()) - 1
+    assert err == "warning: skipping row (N=5, k=2, a=0.5): injected failure\n"
+
 
 def test_sweep_writes_no_file_when_every_row_fails(monkeypatch, tmp_path):
-    def explode(n, k, a_values):
+    def explode(pairs, a_values):
         raise InvalidParamsError("injected failure")
 
-    monkeypatch.setattr(measures, "tangle_table", explode)
+    monkeypatch.setattr(measures, "tangle_grid", explode)
     target = tmp_path / "rows.csv"
     rc = run_sweep(
         n_values=(4,), k_values=None, a_steps=3, output_path=str(target), err=io.StringIO()
@@ -418,10 +459,10 @@ def test_main_exit_codes(capsys):
 def test_main_exits_2_when_memory_runs_out(monkeypatch, capsys):
     # exit code 1 means a property was violated, so an oversized grid must not end there;
     # a failed Python allocation raises MemoryError without a message
-    def exhausted(n, k, a_values):
+    def exhausted(pairs, a_values):
         raise MemoryError
 
-    monkeypatch.setattr(measures, "tangle_table", exhausted)
+    monkeypatch.setattr(measures, "tangle_grid", exhausted)
     assert main(["sweep", "--n", "4", "--k", "1", "--a-steps", "3"]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
 

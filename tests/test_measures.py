@@ -24,6 +24,7 @@ from dicketangle.measures import (
     concurrence_two_qubit,
     negativity_two_qubit,
     one_vs_rest,
+    tangle_grid,
     tangle_record,
     tangle_table,
 )
@@ -200,6 +201,36 @@ def test_tangle_table_rows_equal_tangle_record(n, k):
         assert (rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi) == tuple(
             float(col[i]) for col in table
         ), (n, k, a)
+
+
+def test_tangle_grid_rows_equal_each_pairs_table_and_records():
+    # mixed N and k in one call: k = 1, k = N//2, N = 10^6, and both endpoints of a
+    pairs = [(2, 1), (1000, 3), (13, 6), (10**6, 1), (100, 50), (10**6, 3), (5, 2), (64, 1)]
+    grid = [0.0, 1e-300, 0.05, 0.3, 0.5, 0.77, 0.99, 1.0 - 1e-9, 1.0]
+    got = tangle_grid(pairs, grid)
+    assert all(col.shape == (len(pairs) * len(grid),) for col in got)
+    for i, (n, k) in enumerate(pairs):
+        rows = slice(i * len(grid), (i + 1) * len(grid))
+        table = tangle_table(n, k, grid)
+        for name, col, want in zip(got._fields, got, table):
+            assert col[rows].tolist() == want.tolist(), (n, k, name)
+        for j, a in enumerate(grid):
+            rec = tangle_record(DickeParams(n, k, a))
+            want = (rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)
+            assert tuple(col[i * len(grid) + j].item() for col in got) == want, (n, k, a)
+
+
+def test_tangle_grid_validates_its_pairs():
+    for pairs in ([], 5, [4], [(4,)], [(4, 1, 2)], "ab"):
+        with pytest.raises(InvalidParamsError, match="pair"):
+            tangle_grid(pairs, [0.5])
+    # an invalid pair anywhere raises what tangle_table raises for it
+    for n, k, a in ((4, 3, 0.5), (1, 1, 0.5), (4.5, 2, 0.5), (10, 3, 1.5)):
+        with pytest.raises(InvalidParamsError) as one:
+            tangle_table(n, k, [a])
+        with pytest.raises(InvalidParamsError) as many:
+            tangle_grid([(10, 3), (n, k)], [0.25, a])
+        assert str(many.value) == str(one.value)
 
 
 def test_triplet_concurrence_matches_four_by_four_route():

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dicketangle
@@ -48,3 +49,36 @@ def test_wrong_argument_type_raises_typed_error(name, args, expected):
     )
     with pytest.raises(error, match=f"must be a {expected}, got"):
         getattr(dicketangle, name)(*args)
+
+
+_P = dicketangle.DickeParams(4, 2, 0.5)
+
+
+_WRONG_VALUE_TYPES = [
+    ("single-qubit-rho", lambda: dicketangle.SingleQubitMarginal(_P, "x"),
+     dicketangle.NotDensityMatrixError, "rho must be a SmallMatrix, got str"),
+    ("record-params", lambda: dicketangle.TangleRecord("p", 0.1, 0.0, 0.1, 0.0, 0.1),
+     dicketangle.InvalidParamsError, "params must be a DickeParams, got str"),
+    ("two-qubit-str", lambda: dicketangle.TwoQubitMarginal(_P, "1", 0, 0, 0, 0, 0),
+     dicketangle.InvalidParamsError, "A must be a real number, got str"),
+    ("two-qubit-none", lambda: dicketangle.TwoQubitMarginal(_P, None, 0, 0, 0, 0, 0),
+     dicketangle.InvalidParamsError, "A must be a real number, got NoneType"),
+    ("record-str", lambda: dicketangle.TangleRecord(_P, "0.1", 0.0, 0.1, 0.0, 0.1),
+     dicketangle.InvalidParamsError, "c1_sq must be a real number, got str"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,error,message", [case[1:] for case in _WRONG_VALUE_TYPES],
+    ids=[case[0] for case in _WRONG_VALUE_TYPES],
+)
+def test_value_types_raise_typed_errors_for_wrong_field_types(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_value_types_store_their_numbers_as_floats():
+    m = dicketangle.TwoQubitMarginal(_P, 1, 0, np.float64(0.0), 0, 0, 0)
+    assert [type(getattr(m, name)) for name in "ABCDEF"] == [float] * 6
+    rec = dicketangle.TangleRecord(_P, 1, 0, 1, np.int64(0), 1)
+    assert [type(x) for x in (rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)] == [float] * 5
