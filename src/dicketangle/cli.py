@@ -74,34 +74,33 @@ def _chunk_text(pairs: list, grid: list[float], precision: int, err) -> tuple[st
     """The CSV lines of every (N, k) in pairs at every a of grid, and the number of rows that failed.
 
     One tangle_grid call covers the whole chunk, and each pair's rows are
-    filled into that pair's template. If the call fails, every row is re-run
-    as a one-row call, so that only the rows that fail are lost; each of those
-    is reported on err. Every value gets + 0.0, which turns -0.0 into 0.0, so
-    that equal values always render identically.
+    filled into that pair's template. If the call fails, a chunk of several
+    pairs is re-run one pair at a time, and a failing pair one row at a time,
+    so that only the rows that fail are lost; each of those is reported on
+    err. Every value gets + 0.0, which turns -0.0 into 0.0, so that equal
+    values always render identically.
     """
-    m = len(grid)
-    template = ",".join([f"%.{precision}g"] * 6) + "\n"
     try:
         values = np.column_stack((np.tile(grid, len(pairs)), *measures.tangle_grid(pairs, grid)))
-        rows = (values + 0.0).tolist()
-        blocks = [rows[i * m:(i + 1) * m] for i in range(len(pairs))]
-    except DicketangleError:
-        blocks = []
-        for n, k in pairs:
-            kept = []
-            for a in grid:
-                try:
-                    table = measures.tangle_grid([(n, k)], [a])
-                except DicketangleError as exc:
-                    print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=err)
-                else:
-                    kept.extend((np.column_stack(([a], *table)) + 0.0).tolist())
-            blocks.append(kept)
+    except DicketangleError as exc:
+        if len(pairs) > 1:
+            parts = [([pair], grid) for pair in pairs]
+        elif len(grid) > 1:
+            parts = [(pairs, [a]) for a in grid]
+        else:
+            (n, k), (a,) = pairs[0], grid
+            print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=err)
+            return "", 1
+        done = [_chunk_text(part, part_grid, precision, err) for part, part_grid in parts]
+        return "".join(text for text, _ in done), sum(failed for _, failed in done)
+    m = len(grid)
+    rows = (values + 0.0).tolist()
+    template = ",".join([f"%.{precision}g"] * 6) + "\n"
     text = "".join(
-        "".join(map((f"{n},{k}," + template).__mod__, map(tuple, block)))
-        for (n, k), block in zip(pairs, blocks)
+        "".join(map((f"{n},{k}," + template).__mod__, map(tuple, rows[i * m:(i + 1) * m])))
+        for i, (n, k) in enumerate(pairs)
     )
-    return text, len(pairs) * m - sum(map(len, blocks))
+    return text, 0
 
 
 def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path="-",

@@ -44,18 +44,27 @@ def check_real(value, name: str) -> float:
 
 
 def check_type(
-    value, cls: type, name: str, error: type[DicketangleError] = InvalidParamsError
+    value, cls: type | tuple[type, ...], name: str,
+    error: type[DicketangleError] = InvalidParamsError,
 ) -> None:
-    """Raise `error`, naming the expected type, unless `value` is an instance of `cls`."""
+    """Raise `error`, naming the expected types, unless `value` is an instance of `cls`,
+    a type or a tuple of types; the message names type(None) as None."""
     if not isinstance(value, cls):
-        raise error(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        types = cls if isinstance(cls, tuple) else (cls,)
+        expected = " or ".join("None" if c is type(None) else c.__name__ for c in types)
+        raise error(f"{name} must be a {expected}, got {type(value).__name__}")
 
 
 def check_n_k(n, k) -> tuple[int, int]:
-    """Validate (N, k) as integers with N >= 2 and 1 <= k <= N//2; return them as ints."""
+    """Validate (N, k) as integers with 2 <= N <= 2**53 and 1 <= k <= N//2; return them as ints.
+
+    Above 2**53, N - r is no longer exact in float, so the amplitudes would be meaningless.
+    """
     n, k = check_int(n, "n_qubits"), check_int(k, "degeneracy")
     if n < 2:
         raise InvalidParamsError(f"need at least 2 qubits, got {n}")
+    if n > 2**53:
+        raise InvalidParamsError(f"need at most 2**53 = {2**53} qubits, got {n}")
     if not 1 <= k <= n // 2:
         raise InvalidParamsError(f"degeneracy k must satisfy 1 <= k <= N//2 = {n // 2}, got {k}")
     return n, k

@@ -32,9 +32,11 @@ class TwoQubitMarginal:
          [B, D, D, E],
          [B, D, D, E],
          [C, E, E, F]].
+
+    params are those of the state it was traced from, or None if it stands alone.
     """
 
-    params: DickeParams
+    params: DickeParams | None
     A: float
     B: float
     C: float
@@ -43,6 +45,7 @@ class TwoQubitMarginal:
     F: float
 
     def __post_init__(self):
+        check_type(self.params, (DickeParams, type(None)), "params")
         elements = [check_real(getattr(self, name), name) for name in "ABCDEF"]
         for name, value in zip("ABCDEF", elements):
             object.__setattr__(self, name, value)
@@ -64,12 +67,13 @@ def check_elements(A, B, C, D, E, F) -> None:
 
 @dataclass(frozen=True)
 class SingleQubitMarginal:
-    """A one-qubit reduced density matrix."""
+    """A one-qubit reduced density matrix; params as for TwoQubitMarginal."""
 
-    params: DickeParams
+    params: DickeParams | None
     rho: SmallMatrix
 
     def __post_init__(self):
+        check_type(self.params, (DickeParams, type(None)), "params")
         check_type(self.rho, SmallMatrix, "rho", NotDensityMatrixError)
         if self.rho.dim != 2:
             raise NotDensityMatrixError("single-qubit marginal must be 2x2")

@@ -211,7 +211,7 @@ def test_sweep_reports_when_every_row_fails(monkeypatch):
 
 
 def test_sweep_failed_batch_loses_only_its_failing_rows(monkeypatch):
-    # a chunk error sends every row of the chunk through one-row tangle_grid calls
+    # a chunk error re-runs the chunk pair by pair, and a failing pair row by row
     orig = measures.tangle_grid
 
     def flaky(pairs, a_values):
@@ -241,10 +241,60 @@ def test_sweep_failed_batch_loses_only_its_failing_rows(monkeypatch):
     monkeypatch.setattr(measures, "tangle_grid", one_bad_row)
     rc, text, err = _sweep_text(**cfg)
     assert rc == 0
-    assert calls == [12] + [1] * 12
+    assert calls == [12, 3, 3, 3, 3, 1, 1, 1]
     assert text.splitlines() == [line for line in full.splitlines() if line[:8] != "5,2,0.5,"]
     assert len(text.splitlines()) == len(full.splitlines()) - 1
     assert err == "warning: skipping row (N=5, k=2, a=0.5): injected failure\n"
+
+
+def _count_calls(grid, calls, bad_rows=()):
+    """A stand-in for tangle_grid that records each call's (pairs, rows) and fails any
+    call that covers one of bad_rows, given as (N, k, a)."""
+
+    def counted(pairs, a_values):
+        calls.append((len(pairs), len(pairs) * len(a_values)))
+        if any((n, k, a) in bad_rows for n, k in pairs for a in a_values):
+            raise InvalidParamsError("injected failure")
+        return grid(pairs, a_values)
+
+    return counted
+
+
+def test_sweep_failing_rows_in_two_pairs_of_one_chunk(monkeypatch):
+    # seven pairs of three rows in one chunk; the pairs (4, 2) and (6, 2) each lose one row
+    cfg = dict(n_values=(4, 5, 6), k_values=None, a_steps=3)
+    rc, full, err = _sweep_text(**cfg)
+    assert (rc, err, len(full.splitlines())) == (0, "", 1 + 7 * 3)
+    calls = []
+    bad = ((6, 2, 0.0), (4, 2, 1.0))
+    monkeypatch.setattr(measures, "tangle_grid", _count_calls(measures.tangle_grid, calls, bad))
+    rc, text, err = _sweep_text(**cfg)
+    assert rc == 0
+    assert len(calls) == 1 + 7 + 2 * 3
+    assert text.splitlines() == [
+        line for line in full.splitlines() if line[:6] not in ("6,2,0,", "4,2,1,")
+    ]
+    assert err == (
+        "warning: skipping row (N=4, k=2, a=1): injected failure\n"
+        "warning: skipping row (N=6, k=2, a=0): injected failure\n"
+    )
+
+
+def test_sweep_chunk_that_fails_only_as_a_whole_loses_no_row(monkeypatch):
+    cfg = dict(n_values=(4, 5), k_values=None, a_steps=3)
+    _, full, _ = _sweep_text(**cfg)
+    calls = []
+    counted = _count_calls(measures.tangle_grid, calls)
+
+    def several_pairs_fail(pairs, a_values):
+        if len(pairs) > 1:
+            raise InvalidParamsError("injected failure")
+        return counted(pairs, a_values)
+
+    monkeypatch.setattr(measures, "tangle_grid", several_pairs_fail)
+    assert _sweep_text(**cfg) == (0, full, "")
+    # one call per pair, and none of one row
+    assert calls == [(1, 3)] * 4
 
 
 def test_sweep_writes_no_file_when_every_row_fails(monkeypatch, tmp_path):
@@ -454,6 +504,14 @@ def test_main_exit_codes(capsys):
 
     assert main(["oracle", "--n-max", "3", "--tol", "nan"]) == 2
     assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_main_exits_2_for_n_that_float_cannot_hold(capsys):
+    # exit code 1 means a property was violated; an N past 2**53 is a usage error
+    assert main(["sweep", "--n", str(10**400), "--k", "1", "--a-steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need at most 2**53 = 9007199254740992 qubits, got 1000")
 
 
 def test_main_exits_2_when_memory_runs_out(monkeypatch, capsys):

@@ -92,6 +92,10 @@ def test_cg_matches_integer_formula(n):
 def test_params_validation():
     DickeParams(2, 1, 0.0)
     DickeParams(100, 50, 1.0)
+    # N - r is exact in float up to N = 2**53, and not above it
+    assert amplitudes(DickeParams(2**53, 2, 0.5))[0] > 0.0
+    with pytest.raises(InvalidParamsError, match=r"at most 2\*\*53 = 9007199254740992 qubits"):
+        DickeParams(2**53 + 1, 1, 0.5)
     with pytest.raises(InvalidParamsError):
         DickeParams(1, 1, 0.5)
     with pytest.raises(InvalidParamsError):

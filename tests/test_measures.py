@@ -274,6 +274,9 @@ def test_small_concurrence_keeps_relative_accuracy():
         (4, 2, -0.1),
         (4, 2, math.nan),
         (4.5, 2, 0.5),
+        # above 2**53, N - r is not exact in float
+        pytest.param(2**53 + 1, 1, 0.5, id="n-2**53+1"),
+        pytest.param(10**400, 1, 0.5, id="n-10**400"),
         (None, 3, 0.4),
         (math.inf, 3, 0.4),
         (math.nan, 3, 0.4),

@@ -65,6 +65,11 @@ _WRONG_VALUE_TYPES = [
      dicketangle.InvalidParamsError, "A must be a real number, got NoneType"),
     ("record-str", lambda: dicketangle.TangleRecord(_P, "0.1", 0.0, 0.1, 0.0, 0.1),
      dicketangle.InvalidParamsError, "c1_sq must be a real number, got str"),
+    ("two-qubit-params", lambda: dicketangle.TwoQubitMarginal("p", 1.0, 0, 0, 0, 0, 0),
+     dicketangle.InvalidParamsError, "params must be a DickeParams or None, got str"),
+    ("single-qubit-params",
+     lambda: dicketangle.SingleQubitMarginal("p", dicketangle.SmallMatrix(2, (1.0, 0.0, 0.0, 0.0))),
+     dicketangle.InvalidParamsError, "params must be a DickeParams or None, got str"),
 ]
 
 
@@ -82,3 +87,10 @@ def test_value_types_store_their_numbers_as_floats():
     assert [type(getattr(m, name)) for name in "ABCDEF"] == [float] * 6
     rec = dicketangle.TangleRecord(_P, 1, 0, 1, np.int64(0), 1)
     assert [type(x) for x in (rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)] == [float] * 5
+
+
+def test_marginal_types_accept_params_of_none():
+    # a marginal built from a dense state alone belongs to no DickeParams
+    assert dicketangle.TwoQubitMarginal(None, 1.0, 0, 0, 0, 0, 0).params is None
+    rho = dicketangle.SmallMatrix(2, (1.0, 0.0, 0.0, 0.0))
+    assert dicketangle.SingleQubitMarginal(None, rho).params is None
