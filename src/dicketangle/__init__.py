@@ -17,7 +17,6 @@ from .errors import (
     NumericalInstabilityError,
     OutOfRangeError,
     WrongDimensionError,
-    ZeroStateError,
 )
 from .marginals import (
     SingleQubitMarginal,
@@ -46,7 +45,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CapExceededError",
@@ -66,7 +65,6 @@ __all__ = [
     "TangleTable",
     "TwoQubitMarginal",
     "WrongDimensionError",
-    "ZeroStateError",
     "amplitudes",
     "concurrence_two_qubit",
     "expand_state",

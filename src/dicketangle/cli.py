@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from . import marginals, measures, oracle
-from .dicke import DickeParams, amplitude_rows, check_a_values, check_int, check_n_k
+from .dicke import DickeParams, amplitude_rows, check_a_values, check_int, check_n_k, int_text
 from .errors import CapExceededError, DicketangleError, InvalidParamsError
 from .oracle import Spinor
 
@@ -43,7 +43,7 @@ _BELL = np.array([[1, 0, 0, 0], [0, _R, _R, 0], [0, 0, 0, 1], [0, _R, -_R, 0]], 
 def _int_at_least(value, low: int, name: str) -> int:
     value = check_int(value, name)
     if value < low:
-        raise InvalidParamsError(f"{name} must be >= {low}, got {value}")
+        raise InvalidParamsError(f"{name} must be >= {low}, got {int_text(value)}")
     return value
 
 
@@ -133,7 +133,7 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
     for n in ns:
         for k in range(1, n // 2 + 1) if k_values is None else k_values:
             if not 1 <= k <= n // 2:
-                print(f"warning: skipping invalid pair N={n}, k={k}", file=err)
+                print(f"warning: skipping invalid pair N={n}, k={int_text(k)}", file=err)
                 continue
             pairs.append((n, k))
     if not pairs:
@@ -345,7 +345,9 @@ def run_oracle(n_max: int, a_steps: int, tol: float, out=None) -> int:
     out = out if out is not None else sys.stdout
     n_max = _int_at_least(n_max, 2, "n_max")
     if n_max > _ORACLE_N_MAX:
-        raise CapExceededError(f"oracle command is capped at n_max <= {_ORACLE_N_MAX}, got {n_max}")
+        raise CapExceededError(
+            f"oracle command is capped at n_max <= {_ORACLE_N_MAX}, got {int_text(n_max)}"
+        )
     grid = _a_grid(0.0, 1.0, a_steps)
     tol = _check_tol(tol)
     worst = (-1.0, "")

@@ -34,6 +34,15 @@ def check_int(value, name: str, error: type[DicketangleError] = InvalidParamsErr
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def int_text(value: int) -> str:
+    """An int for an error message: its digits, or its bit length when str() refuses
+    an int of that many digits (sys.get_int_max_str_digits)."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
 def check_real(value, name: str) -> float:
     """`value` as a float if it is a real number, as 0.5, 1 and np.float64(0.5) are;
     else raise InvalidParamsError. Strings and None are not real numbers."""
@@ -62,11 +71,13 @@ def check_n_k(n, k) -> tuple[int, int]:
     """
     n, k = check_int(n, "n_qubits"), check_int(k, "degeneracy")
     if n < 2:
-        raise InvalidParamsError(f"need at least 2 qubits, got {n}")
+        raise InvalidParamsError(f"need at least 2 qubits, got {int_text(n)}")
     if n > 2**53:
-        raise InvalidParamsError(f"need at most 2**53 = {2**53} qubits, got {n}")
+        raise InvalidParamsError(f"need at most 2**53 = {2**53} qubits, got {int_text(n)}")
     if not 1 <= k <= n // 2:
-        raise InvalidParamsError(f"degeneracy k must satisfy 1 <= k <= N//2 = {n // 2}, got {k}")
+        raise InvalidParamsError(
+            f"degeneracy k must satisfy 1 <= k <= N//2 = {n // 2}, got {int_text(k)}"
+        )
     return n, k
 
 
@@ -141,24 +152,17 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     r = np.arange(k, dtype=float)
     # log(r + 1) for r = 0..k-1, reversed, is log(k - r)
     log_r1, log_n_r = np.log(np.array([r + 1.0, n - r]))
-    zero, one = a == 0.0, a == 1.0
-    ends = zero | one
-    # endpoint rows are overwritten below; 0.5 keeps their logs finite meanwhile
-    a_in = np.where(ends, 0.5, a)
-    log_b_over_a = np.log(np.sqrt((1.0 - a_in) * (1.0 + a_in))) - np.log(a_in)
+    # log(b/a) is +inf at a = 0 and -inf at a = 1: every step then has that sign, so
+    # peak is k or 0, the other logs are -inf, and exp gives the one-hot row exactly
+    with np.errstate(divide="ignore"):
+        log_b_over_a = np.log(np.sqrt((1.0 - a) * (1.0 + a))) - np.log(a)
     steps = (log_r1[::-1] - 0.5 * (log_n_r + log_r1)) + log_b_over_a[:, None]
     peak = (steps > 0.0).sum(axis=1, keepdims=True)
     logs = np.zeros((len(a), k + 1))
     logs[:, 1:] = np.cumsum(np.where(r >= peak, steps, 0.0), axis=1)
     logs[:, :-1] -= np.cumsum(np.where(r < peak, steps, 0.0)[:, ::-1], axis=1)[:, ::-1]
     raw = np.exp(logs)
-    beta = raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
-    if ends.any():
-        beta[zero] = 0.0
-        beta[zero, k] = 1.0
-        beta[one] = 0.0
-        beta[one, 0] = 1.0
-    return beta
+    return raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
 
 
 def amplitudes(params: DickeParams) -> tuple[float, ...]:

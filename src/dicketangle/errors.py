@@ -35,7 +35,3 @@ class NotDensityMatrixError(DicketangleError, ValueError):
 
 class NumericalInstabilityError(DicketangleError, ArithmeticError):
     """A computed quantity left its mathematically guaranteed range by more than tolerance."""
-
-
-class ZeroStateError(DicketangleError, ArithmeticError):
-    """A state vector underflowed to numerically zero norm before normalization."""

@@ -16,13 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dicke import DickeParams, amplitudes, check_int, check_type
+from .dicke import DickeParams, amplitudes, check_int, check_type, int_text
 from .errors import (
     CapExceededError,
     InvalidParamsError,
     OutOfRangeError,
     WrongDimensionError,
-    ZeroStateError,
 )
 from .smallmat import SmallMatrix
 
@@ -30,7 +29,6 @@ from .smallmat import SmallMatrix
 DEFAULT_CAP = 14
 
 _REAL_TOL = 1e-12
-_NORM_UNDERFLOW = 1e-13
 
 
 @dataclass(frozen=True)
@@ -64,13 +62,16 @@ class FullState:
     def __post_init__(self):
         n = check_int(self.n_qubits, "n_qubits")
         if n < 1:
-            raise InvalidParamsError(f"need at least one qubit, got {n}")
+            raise InvalidParamsError(f"need at least one qubit, got {int_text(n)}")
         try:
             amp = np.asarray(self.amplitudes, dtype=complex)
         except (TypeError, ValueError) as exc:
             raise InvalidParamsError("state amplitudes must be numbers") from exc
-        if amp.shape != (2**n,):
-            raise InvalidParamsError(f"expected {2**n} amplitudes, got shape {amp.shape}")
+        # no array has 2**63 entries, so a larger n fails without forming 2**n
+        if amp.shape != (2 ** min(n, 63),):
+            raise InvalidParamsError(
+                f"expected 2**{int_text(n)} amplitudes, got shape {amp.shape}"
+            )
         norm = float(np.linalg.norm(amp))
         if not abs(norm - 1.0) <= _REAL_TOL:
             raise InvalidParamsError(f"state must have unit norm, got {norm!r}")
@@ -81,7 +82,7 @@ class FullState:
 
 def _check_cap(n: int) -> None:
     if n > DEFAULT_CAP:
-        raise CapExceededError(f"N = {n} exceeds the dense-state cap {DEFAULT_CAP}")
+        raise CapExceededError(f"N = {int_text(n)} exceeds the dense-state cap {DEFAULT_CAP}")
 
 
 @lru_cache(maxsize=None)
@@ -113,15 +114,19 @@ def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) ->
         g(w) = sum_t binom(w, t) binom(N-w, k-t)
                * eps1.c0^(N-w-k+t) * eps1.c1^(w-t) * eps2.c0^(k-t) * eps2.c1^t.
 
-    Identical spinors are fine (the sum degenerates to a product state);
-    ZeroState is raised only if the pre-normalization norm underflows.
+    Identical spinors are fine (the sum degenerates to a product state). The
+    norm cannot underflow: g is binom(N, k) times the symmetrized product, so
+    ||g||^2 = binom(N, k) sum_t binom(k, t) binom(N-k, t) |<eps1|eps2>|^(2t)
+    >= binom(N, k) >= 2 for unit spinors and 1 <= k <= N-1.
     """
     n = check_int(n_qubits, "n_qubits", OutOfRangeError)
     k = check_int(k, "copy count k", OutOfRangeError)
     if n < 2:
-        raise OutOfRangeError(f"need at least two qubits, got {n}")
+        raise OutOfRangeError(f"need at least two qubits, got {int_text(n)}")
     if not 1 <= k <= n - 1:
-        raise OutOfRangeError(f"copy count k must satisfy 1 <= k <= {n - 1}, got {k}")
+        raise OutOfRangeError(
+            f"copy count k must satisfy 1 <= k <= {int_text(n - 1)}, got {int_text(k)}"
+        )
     _check_cap(n)
     check_type(eps1, Spinor, "eps1")
     check_type(eps2, Spinor, "eps2")
@@ -139,20 +144,17 @@ def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) ->
             )
         g[w] = acc
     amp = g[_hamming_weights(n)]
-    norm = float(np.linalg.norm(amp))
-    if norm < _NORM_UNDERFLOW:
-        raise ZeroStateError(f"symmetrized state norm underflowed: {norm!r}")
-    return FullState(n, amp / norm)
+    return FullState(n, amp / np.linalg.norm(amp))
 
 
 def _partial_trace(psi: FullState, keep: tuple[int, ...]) -> np.ndarray:
     n = psi.n_qubits
     keep = tuple(check_int(q, "qubit index", OutOfRangeError) for q in keep)
-    if len(set(keep)) != len(keep):
-        raise OutOfRangeError(f"kept qubits must be distinct, got {keep}")
     for q in keep:
         if not 0 <= q < n:
-            raise OutOfRangeError(f"qubit index {q} outside 0..{n - 1}")
+            raise OutOfRangeError(f"qubit index {int_text(q)} outside 0..{n - 1}")
+    if len(set(keep)) != len(keep):
+        raise OutOfRangeError(f"kept qubits must be distinct, got {keep}")
     tensor = psi.amplitudes.reshape((2,) * n)
     moved = np.moveaxis(tensor, keep, range(len(keep)))
     m = moved.reshape(2 ** len(keep), -1)

@@ -191,6 +191,10 @@ def test_sweep_skips_invalid_pairs_with_warning():
     assert rc == 0
     assert "skipping invalid pair N=3, k=2" in err
     assert len(text.splitlines()) == 1 + 3  # only N=4 survives
+    rc, text, err = _sweep_text(n_values=(4,), k_values=(1, 10**5000), a_steps=3)
+    assert rc == 0
+    assert err == "warning: skipping invalid pair N=4, k=<16610-bit integer>\n"
+    assert len(text.splitlines()) == 1 + 3
 
 
 def test_sweep_empty_grid_fails():
@@ -318,6 +322,8 @@ def test_sweep_config_validation():
         dict(n_values=(4,), k_values=None, a_steps=1),
         dict(n_values=(4,), k_values=(1,), a_steps=3.5),
         dict(n_values=(4,), k_values=(1,), precision=2.5),
+        dict(n_values=(4,), k_values=(1,), precision=-(10**5000)),
+        dict(n_values=(4,), k_values=(1,), a_steps=-(10**5000)),
         dict(n_values=(4,), k_values=("x",)),
         dict(n_values=(4.5,), k_values=(1,)),
         dict(n_values=(4,), k_values=(1,), a_min=-0.1),
@@ -417,7 +423,7 @@ def test_oracle_rejects_bad_tolerance():
 
 
 def test_oracle_rejects_bad_arguments():
-    for n_max, a_steps in ((1, 3), (3, 1), (3, 3.5), (2.5, 3)):
+    for n_max, a_steps in ((1, 3), (3, 1), (3, 3.5), (2.5, 3), (-(10**5000), 3), (3, -(10**5000))):
         with pytest.raises(InvalidParamsError):
             run_oracle(n_max, a_steps, 1e-9)
     for tol in (None, "x"):
@@ -488,6 +494,8 @@ def test_oracle_detects_perturbed_triplet_blocks(monkeypatch, index, name):
 def test_oracle_enforces_cap():
     with pytest.raises(CapExceededError):
         run_oracle(13, 3, 1e-10)
+    with pytest.raises(CapExceededError, match="got <16610-bit integer>"):
+        run_oracle(10**5000, 3, 1e-10)
 
 
 def test_main_exit_codes(capsys):

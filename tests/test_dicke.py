@@ -96,6 +96,11 @@ def test_params_validation():
     assert amplitudes(DickeParams(2**53, 2, 0.5))[0] > 0.0
     with pytest.raises(InvalidParamsError, match=r"at most 2\*\*53 = 9007199254740992 qubits"):
         DickeParams(2**53 + 1, 1, 0.5)
+    # an int of more than 4300 digits is named by its bit length, which str() needs no limit for
+    with pytest.raises(InvalidParamsError, match="got <16610-bit integer>"):
+        DickeParams(10**5000, 1, 0.5)
+    with pytest.raises(InvalidParamsError, match="got -<16610-bit integer>"):
+        DickeParams(10, -(10**5000), 0.5)
     with pytest.raises(InvalidParamsError):
         DickeParams(1, 1, 0.5)
     with pytest.raises(InvalidParamsError):
@@ -174,7 +179,8 @@ def test_amplitudes_monotone_weight_shift():
 
 
 @pytest.mark.parametrize(
-    "n,k", [(2, 1), (9, 4), (100, 50), (1000, 3), (2000, 500), (10**6, 3)]
+    "n,k",
+    [(2, 1), (9, 4), (100, 50), (1000, 3), (2000, 500), (10**6, 3), (2**53, 1), (2**53, 7)],
 )
 def test_amplitude_rows_match_scalar_amplitudes(n, k):
     grid = [0.0, 1e-300, 0.05, 0.37, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0]
@@ -183,8 +189,13 @@ def test_amplitude_rows_match_scalar_amplitudes(n, k):
     for a, row in zip(grid, rows):
         want = amplitudes(DickeParams(n, k, a))
         assert np.allclose(row, want, rtol=1e-12, atol=1e-15), (n, k, a)
+    # the endpoints take the general recursion, with log(b/a) = +-inf
     assert rows[0].tolist() == [0.0] * k + [1.0]
     assert rows[-1].tolist() == [1.0] + [0.0] * k
+    assert not np.signbit(rows).any()
+    ends = [1.0, 0.0, 1.0]
+    one_by_one = np.stack([amplitude_rows(n, k, [a])[0] for a in ends])
+    assert amplitude_rows(n, k, ends).tobytes() == one_by_one.tobytes()
 
 
 def _amplitude_squares(n, k, a):

@@ -225,7 +225,10 @@ def test_tangle_grid_validates_its_pairs():
         with pytest.raises(InvalidParamsError, match="pair"):
             tangle_grid(pairs, [0.5])
     # an invalid pair anywhere raises what tangle_table raises for it
-    for n, k, a in ((4, 3, 0.5), (1, 1, 0.5), (4.5, 2, 0.5), (10, 3, 1.5)):
+    for n, k, a in (
+        (4, 3, 0.5), (1, 1, 0.5), (4.5, 2, 0.5), (10, 3, 1.5),
+        (10**5000, 1, 0.5), (10, 10**5000, 0.5),
+    ):
         with pytest.raises(InvalidParamsError) as one:
             tangle_table(n, k, [a])
         with pytest.raises(InvalidParamsError) as many:
@@ -277,6 +280,10 @@ def test_small_concurrence_keeps_relative_accuracy():
         # above 2**53, N - r is not exact in float
         pytest.param(2**53 + 1, 1, 0.5, id="n-2**53+1"),
         pytest.param(10**400, 1, 0.5, id="n-10**400"),
+        # more digits than str() converts: the message gives the bit length
+        pytest.param(10**5000, 1, 0.5, id="n-10**5000"),
+        pytest.param(-(10**5000), 1, 0.5, id="n--10**5000"),
+        pytest.param(10, 10**5000, 0.5, id="k-10**5000"),
         (None, 3, 0.4),
         (math.inf, 3, 0.4),
         (math.nan, 3, 0.4),

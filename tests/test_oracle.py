@@ -67,6 +67,10 @@ def test_full_state_validation():
         FullState(1, np.array([math.nan, 0.0]))
     with pytest.raises(InvalidParamsError):
         FullState(1, ["a", 0])
+    with pytest.raises(InvalidParamsError, match=r"expected 2\*\*20000 amplitudes"):
+        FullState(20000, [1.0])
+    with pytest.raises(InvalidParamsError, match="-<16610-bit integer>"):
+        FullState(-(10**5000), [1.0])
     assert FullState(2.0, np.array([1.0, 0.0, 0.0, 0.0])).n_qubits == 2
     state = FullState(1, np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
@@ -163,6 +167,10 @@ def test_symmetrize_range_checks():
         symmetrize_two_spinors(4, 1.5, UP, DOWN)
     with pytest.raises(CapExceededError):
         symmetrize_two_spinors(15, 1, UP, DOWN)
+    with pytest.raises(CapExceededError, match="<16610-bit integer>"):
+        symmetrize_two_spinors(10**5000, 1, UP, DOWN)
+    with pytest.raises(OutOfRangeError, match="<16610-bit integer>"):
+        symmetrize_two_spinors(10**5000, 0, UP, DOWN)
 
 
 def test_partial_trace_of_w_state():
@@ -215,6 +223,10 @@ def test_partial_trace_index_checks():
         partial_trace_to_two(psi, (0, 3))
     with pytest.raises(OutOfRangeError):
         partial_trace_to_one(psi, -1)
+    with pytest.raises(OutOfRangeError, match="<16610-bit integer>"):
+        partial_trace_to_one(psi, 10**5000)
+    with pytest.raises(OutOfRangeError, match="<16610-bit integer>"):
+        partial_trace_to_two(psi, (10**5000, 10**5000))
     with pytest.raises(OutOfRangeError):
         partial_trace_to_one(psi, 1.5)
     with pytest.raises(OutOfRangeError):
