@@ -31,6 +31,7 @@ _SPOT_N = (50, 100)
 _SPOT_K_MAX = 5
 
 _ORACLE_N_MAX = 12
+_CHECK_N_MAX = 900
 
 # a sweep chunk holds whole (N, k) pairs, at most this many rows unless one pair has more
 _CHUNK_ROWS = 2**13
@@ -65,9 +66,9 @@ def _check_tol(tol: float) -> float:
     try:
         if np.isfinite(float(tol)) and float(tol) >= 0.0:
             return float(tol)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol}")
+    raise InvalidParamsError(f"tol must be a finite number >= 0, got {int_text(tol)}")
 
 
 def _chunk_text(pairs: list, grid: list[float], precision: int, err) -> tuple[str, int]:
@@ -164,36 +165,6 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
     return 0
 
 
-class _PropertyReport:
-    """Collects worst offenders per named property and prints PASS/FAIL lines."""
-
-    def __init__(self):
-        self.worst = {}
-
-    def observe(self, name: str, margins, where):
-        """Keep the first minimum of `margins` (negative = violation), located by `where(i)`.
-
-        It replaces the stored worst only if strictly smaller, so the tightest
-        point observed first is the one reported.
-        """
-        i = int(np.argmin(margins))
-        margin = float(margins[i])
-        cur = self.worst.get(name)
-        if cur is None or margin < cur[0]:
-            self.worst[name] = (margin, where(i))
-
-    def render(self, stream) -> int:
-        bad = 0
-        for name in sorted(self.worst):
-            margin, where = self.worst[name]
-            if margin < 0.0:
-                bad += 1
-                print(f"FAIL {name}: violated by {-margin:.3e} at {where}", file=stream)
-            else:
-                print(f"PASS {name}: margin {margin:.3e} (tightest at {where})", file=stream)
-        return 0 if bad == 0 else 1
-
-
 def _check_pairs(n_max: int):
     pairs = [(n, k) for n in range(3, n_max + 1) for k in range(1, n // 2 + 1)]
     for n in _SPOT_N:
@@ -202,68 +173,81 @@ def _check_pairs(n_max: int):
     return pairs
 
 
+def _span(lo, hi, spec: str = "") -> str:
+    """lo, or lo->hi where the two differ, each formatted by spec."""
+    return format(lo, spec) if lo == hi else f"{lo:{spec}}->{hi:{spec}}"
+
+
+def _properties(tau, xi, n, k, grid, tol):
+    """Yield each property's name and (rows, a) margins (negative = violated), one at a time,
+    with the pairs lo, hi and the overlaps a_lo, a_hi that its rows and columns compare."""
+    rows = np.arange(len(tau))
+    each = rows, rows, grid, grid
+    yield "monogamy-tau", tau + tol, *each
+    yield "monogamy-xi", xi + tol, *each
+    yield "ordering-xi-ge-tau", xi - tau + tol, *each
+    w = rows[k == 1]
+    yield "w-class-saturation", tol - np.abs(tau[w]), w, w, grid, grid
+    # the grid ends at exactly 1.0, and no other point equals 1.0
+    yield "vanishing-at-a-1", tol - np.abs(tau[:, -1:]), rows, rows, grid[-1:], grid[-1:]
+    many = rows[k >= 2]
+    yield "a-monotonicity", tau[many, :-1] - tau[many, 1:] + tol, many, many, grid[:-1], grid[1:]
+    yield "endpoint-max-at-a-0", tau[:, :1] - tau + tol, *each
+    # neighbouring k are consecutive rows with equal N
+    lo = rows[:-1][n[:-1] == n[1:]]
+    yield "k-ordering", tau[lo + 1, :-1] - tau[lo, :-1] + tol, lo, lo + 1, grid[:-1], grid[:-1]
+    by_k = np.lexsort((n, k))
+    lo, hi = by_k[:-1], by_k[1:]
+    # neighbouring N are consecutive rows in the order of k, then N, with equal k; tau
+    # genuinely rises when leaving the half-filled point (e.g. tau(4,2,0) = 2/3 <
+    # tau(5,2,0) ~ 0.7028), so the decay-with-N property starts at N = 2k + 1
+    keep = (k[lo] == k[hi]) & (n[lo] != 2 * k[lo])
+    yield "n-decay", tau[lo[keep]] - tau[hi[keep]] + tol, lo[keep], hi[keep], grid, grid
+
+
 def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
     """Verify the measures-module properties over a dense grid plus spot checks.
 
-    Each property is an array expression over the tangle_table columns of
-    one (N, k), or of neighbouring k or N; a failing call raises its
-    DicketangleError. Returns 1 if a property is violated by more than tol.
+    tau and xi come from one tangle_grid call per chunk of pairs, as in
+    run_sweep, and each property is one array expression over them; a failing
+    call raises its DicketangleError. Returns 1 if a property is violated by
+    more than tol. n_max is capped at 900, which takes about a minute with
+    the default grid.
     """
     out = out if out is not None else sys.stdout
     n_max = _int_at_least(n_max, 3, "n_max")
+    if n_max > _CHECK_N_MAX:
+        raise CapExceededError(
+            f"check command is capped at n_max <= {_CHECK_N_MAX}, got {int_text(n_max)}"
+        )
     grid = _a_grid(0.0, 1.0, a_steps)
     tol = _check_tol(tol)
-    taus = {}
-    report = _PropertyReport()
+    pairs = _check_pairs(n_max)
+    m = len(grid)
+    tau, xi = np.empty((len(pairs), m)), np.empty((len(pairs), m))
+    per_chunk = max(1, _CHUNK_ROWS // m)
+    for start in range(0, len(pairs), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        table = measures.tangle_grid(pairs[chunk], grid)
+        tau[chunk], xi[chunk] = table.tau.reshape(-1, m), table.xi.reshape(-1, m)
 
-    for n, k in _check_pairs(n_max):
-        table = measures.tangle_table(n, k, grid)
-        tau, xi = table.tau, table.xi
-        taus[(n, k)] = tau
-
-        def at(i):
-            return f"(N={n}, k={k}, a={grid[i]:.6g})"
-
-        report.observe("monogamy-tau", tau + tol, at)
-        report.observe("monogamy-xi", xi + tol, at)
-        report.observe("ordering-xi-ge-tau", xi - tau + tol, at)
-        if k == 1:
-            report.observe("w-class-saturation", tol - np.abs(tau), at)
-        # the grid ends at exactly 1.0, and no other point equals 1.0
-        report.observe("vanishing-at-a-1", tol - np.abs(tau[-1:]), lambda _: at(-1))
-        if k >= 2:
-            report.observe(
-                "a-monotonicity",
-                tau[:-1] - tau[1:] + tol,
-                lambda i: f"(N={n}, k={k}, a={grid[i]:.6g}->{grid[i + 1]:.6g})",
-            )
-        report.observe("endpoint-max-at-a-0", tau[0] - tau + tol, at)
-
-    by_n = sorted({n for n, _ in taus})
-    for n in by_n:
-        ks = sorted(k for m, k in taus if m == n)
-        for k1, k2 in zip(ks, ks[1:]):
-            report.observe(
-                "k-ordering",
-                taus[(n, k2)][:-1] - taus[(n, k1)][:-1] + tol,
-                lambda i: f"(N={n}, k={k1}->{k2}, a={grid[i]:.6g})",
-            )
-    by_k = sorted({k for _, k in taus})
-    for k in by_k:
-        ns = sorted(n for n, m in taus if m == k)
-        for n1, n2 in zip(ns, ns[1:]):
-            if n1 == 2 * k:
-                # tau genuinely rises when leaving the half-filled point
-                # (e.g. tau(4,2,0) = 2/3 < tau(5,2,0) ~ 0.7028), so the
-                # decay-with-N property starts at N = 2k + 1
-                continue
-            report.observe(
-                "n-decay",
-                taus[(n1, k)] - taus[(n2, k)] + tol,
-                lambda i: f"(N={n1}->{n2}, k={k}, a={grid[i]:.6g})",
-            )
-
-    return report.render(out)
+    n, k = np.array(pairs).T
+    lines = {}
+    for name, margins, lo, hi, a_lo, a_hi in _properties(tau, xi, n, k, grid, tol):
+        # the first smallest entry in the order (pair, then a) is the first tightest point
+        r, c = np.unravel_index(np.argmin(margins), margins.shape)
+        margin = float(margins[r, c])
+        where = (
+            f"(N={_span(n[lo[r]], n[hi[r]])}, k={_span(k[lo[r]], k[hi[r]])}, "
+            f"a={_span(a_lo[c], a_hi[c], '.6g')})"
+        )
+        if margin < 0.0:
+            lines[name] = f"FAIL {name}: violated by {-margin:.3e} at {where}"
+        else:
+            lines[name] = f"PASS {name}: margin {margin:.3e} (tightest at {where})"
+        del margins  # only one property's margins exist at a time
+    print("\n".join(lines[name] for name in sorted(lines)), file=out)
+    return 1 if any(line.startswith("FAIL") for line in lines.values()) else 0
 
 
 def _worst(devs: dict, name: str, diff) -> None:

@@ -48,7 +48,10 @@ def check_real(value, name: str) -> float:
     else raise InvalidParamsError. Strings and None are not real numbers."""
     # float and int first: they cover float, np.float64, int and bool without the slower ABC check
     if isinstance(value, (float, int, numbers.Real)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise InvalidParamsError(f"{name} must lie within float range") from exc
     raise InvalidParamsError(f"{name} must be a real number, got {type(value).__name__}")
 
 
@@ -94,6 +97,10 @@ def check_a_values(a_values) -> np.ndarray:
             a = a.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidParamsError("non-orthogonality a must be a real number") from exc
+    except OverflowError as exc:
+        raise InvalidParamsError(
+            "non-orthogonality a must lie in [0, 1], got a number past float range"
+        ) from exc
     if odd:
         got = "None" if odd[0] is None else "complex input"
         raise InvalidParamsError(f"non-orthogonality a must be a real number, got {got}")

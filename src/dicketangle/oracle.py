@@ -45,6 +45,8 @@ class Spinor:
             raise InvalidParamsError(
                 f"spinor components must be numbers, got {self.c0!r} and {self.c1!r}"
             ) from exc
+        except OverflowError as exc:
+            raise InvalidParamsError("spinor components must lie within float range") from exc
         norm = abs(c0) ** 2 + abs(c1) ** 2
         if not abs(norm - 1.0) <= 1e-14:
             raise InvalidParamsError(f"spinor must have unit norm, got |c0|^2+|c1|^2 = {norm!r}")
@@ -67,6 +69,8 @@ class FullState:
             amp = np.asarray(self.amplitudes, dtype=complex)
         except (TypeError, ValueError) as exc:
             raise InvalidParamsError("state amplitudes must be numbers") from exc
+        except OverflowError as exc:
+            raise InvalidParamsError("state amplitudes must lie within float range") from exc
         # no array has 2**63 entries, so a larger n fails without forming 2**n
         if amp.shape != (2 ** min(n, 63),):
             raise InvalidParamsError(

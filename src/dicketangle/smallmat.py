@@ -42,6 +42,8 @@ class SmallMatrix:
             entries = tuple(map(float, entries))
         except (TypeError, ValueError) as exc:
             raise NonFiniteError(f"matrix entries must be real numbers, got {entries!r}") from exc
+        except OverflowError as exc:
+            raise NonFiniteError("matrix entries must lie within float range") from exc
         if not all(map(math.isfinite, entries)):
             raise NonFiniteError("matrix entries must be finite")
         object.__setattr__(self, "dim", dim)

@@ -328,6 +328,7 @@ def test_sweep_config_validation():
         dict(n_values=(4.5,), k_values=(1,)),
         dict(n_values=(4,), k_values=(1,), a_min=-0.1),
         dict(n_values=(4,), k_values=(1,), a_max=1.5),
+        dict(n_values=(4,), k_values=(1,), a_max=10**400),
         dict(n_values=(4,), k_values=(1,), a_max=None),
         dict(n_values=(4,), k_values=(1,), a_min="x"),
         dict(n_values=(4,), k_values=(1,), a_min=(0.1, 0.2)),
@@ -357,8 +358,11 @@ def test_check_passes_on_honest_code():
     assert any(line.startswith("PASS n-decay") for line in lines)
 
 
-def test_check_output_is_frozen():
-    # margins and locations of the default check, tie rule included (first tightest point wins)
+@pytest.mark.parametrize("chunk_rows", [2**13, 64])
+def test_check_output_is_frozen(monkeypatch, chunk_rows):
+    # margins and locations of the default check, tie rule included (first tightest point wins);
+    # with 64-row chunks, pairs and their neighbours fall into different engine calls
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     out = io.StringIO()
     assert run_check(12, 11, 1e-9, out=out) == 0
     assert out.getvalue().splitlines() == [
@@ -386,18 +390,37 @@ def test_check_detects_broken_concurrence(monkeypatch):
     assert any(line.startswith("FAIL monogamy-tau") for line in out.getvalue().splitlines())
 
 
+@pytest.mark.parametrize("chunk_rows", [2**13, 64])
+def test_check_compares_neighbouring_k_and_n(monkeypatch, chunk_rows):
+    # raising tau of (7, 2) alone breaks the ordering against its neighbours k = 3 and N = 6
+    orig = measures.tangle_grid
+
+    def bumped(pairs, a_values):
+        table = orig(pairs, a_values)
+        rows = np.repeat([tuple(pair) == (7, 2) for pair in pairs], len(a_values))
+        return table._replace(tau=table.tau + 1e-3 * rows)
+
+    monkeypatch.setattr(measures, "tangle_grid", bumped)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    out = io.StringIO()
+    assert run_check(12, 11, 1e-9, out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert any(line.startswith("FAIL k-ordering:") and "(N=7, k=2->3, a=" in line for line in lines)
+    assert any(line.startswith("FAIL n-decay:") and "(N=6->7, k=2, a=" in line for line in lines)
+
+
 def test_check_stops_with_exit_2_on_a_numerical_abort(monkeypatch, capsys):
-    def explode(n, k, a_values):
+    def explode(pairs, a_values):
         raise NumericalInstabilityError("injected abort")
 
-    monkeypatch.setattr(measures, "tangle_table", explode)
+    monkeypatch.setattr(measures, "tangle_grid", explode)
     assert main(["check", "--n-max", "4", "--a-steps", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: injected abort\n"
 
 
-BAD_TOLS = [math.nan, math.inf, -1.0, None, "x", 1j]
+BAD_TOLS = [math.nan, math.inf, -1.0, None, "x", 1j, 10**400, 10**5000]
 
 
 def test_check_rejects_bad_arguments():
@@ -496,6 +519,16 @@ def test_oracle_enforces_cap():
         run_oracle(13, 3, 1e-10)
     with pytest.raises(CapExceededError, match="got <16610-bit integer>"):
         run_oracle(10**5000, 3, 1e-10)
+
+
+def test_check_enforces_cap(capsys):
+    cap = cli._CHECK_N_MAX
+    with pytest.raises(CapExceededError):
+        run_check(cap + 1, 3, 1e-9)
+    with pytest.raises(CapExceededError, match="got <16610-bit integer>"):
+        run_check(10**5000, 3, 1e-9)
+    assert main(["check", "--n-max", str(cap + 1)]) == 2
+    assert f"capped at n_max <= {cap}" in capsys.readouterr().err
 
 
 def test_main_exit_codes(capsys):

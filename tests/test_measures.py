@@ -292,6 +292,7 @@ def test_small_concurrence_keeps_relative_accuracy():
         (10, 3, None),
         (10, 3, np.complex128(0.3 + 0.5j)),
         (10, 3, 0.3 + 0j),
+        pytest.param(10, 3, 10**400, id="a-10**400"),
     ],
 )
 def test_out_of_range_input_raises_the_same_error_through_both_apis(n, k, a):

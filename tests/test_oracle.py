@@ -47,7 +47,8 @@ def _overlap_spinor(a):
 def test_spinor_validation_and_angles():
     with pytest.raises(InvalidParamsError):
         Spinor(1.0, 1.0)
-    for c0, c1 in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), ("x", 0), (None, 1)):
+    for c0, c1 in ((math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), ("x", 0), (None, 1),
+                   (10**400, 0)):
         with pytest.raises(InvalidParamsError):
             Spinor(c0, c1)
     # the Bloch-sphere spinor cos(pi/4)|0> + e^{0.7i} sin(pi/4)|1>
@@ -67,6 +68,8 @@ def test_full_state_validation():
         FullState(1, np.array([math.nan, 0.0]))
     with pytest.raises(InvalidParamsError):
         FullState(1, ["a", 0])
+    with pytest.raises(InvalidParamsError):
+        FullState(1, [10**400, 0])
     with pytest.raises(InvalidParamsError, match=r"expected 2\*\*20000 amplitudes"):
         FullState(20000, [1.0])
     with pytest.raises(InvalidParamsError, match="-<16610-bit integer>"):

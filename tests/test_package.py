@@ -67,6 +67,11 @@ _WRONG_VALUE_TYPES = [
      dicketangle.InvalidParamsError, "c1_sq must be a real number, got str"),
     ("two-qubit-params", lambda: dicketangle.TwoQubitMarginal("p", 1.0, 0, 0, 0, 0, 0),
      dicketangle.InvalidParamsError, "params must be a DickeParams or None, got str"),
+    ("record-past-float-range", lambda: dicketangle.TangleRecord(_P, 10**400, 0, 0, 0, 0),
+     dicketangle.InvalidParamsError, "c1_sq must lie within float range"),
+    ("two-qubit-past-float-range",
+     lambda: dicketangle.TwoQubitMarginal(_P, 10**400, 0, 0, 0, 0, 0),
+     dicketangle.InvalidParamsError, "A must lie within float range"),
     ("single-qubit-params",
      lambda: dicketangle.SingleQubitMarginal("p", dicketangle.SmallMatrix(2, (1.0, 0.0, 0.0, 0.0))),
      dicketangle.InvalidParamsError, "params must be a DickeParams or None, got str"),

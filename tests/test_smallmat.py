@@ -44,6 +44,8 @@ def test_small_matrix_rejects_non_finite():
         SmallMatrix(2, [None] * 4)
     with pytest.raises(NonFiniteError):
         SmallMatrix(2, (1.0, 0.0, 0.0, 1j))
+    with pytest.raises(NonFiniteError):
+        SmallMatrix(2, (10**400, 0, 0, 0))
 
 
 def test_entry_and_rows_round_trip():
