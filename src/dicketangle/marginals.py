@@ -114,9 +114,10 @@ def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]
     r = np.arange(beta.shape[1], dtype=float)
     n_r = n - r
     # the numerators are integers, exact in float below 2^53, so c_-1 at r = 0, 1
-    # and c_+1 at r = N - 1 are exact zeros
+    # and c_+1 at r = N - 1 are exact zeros (c_-1 at r = 0 is -0.0, which enters
+    # only squared)
     cp, c0, cm = np.sqrt(
-        np.array([n_r * (n_r - 1.0), 2.0 * r * n_r, r * np.maximum(r - 1.0, 0.0)])
+        np.array([n_r * (n_r - 1.0), 2.0 * r * n_r, r * (r - 1.0)])
         / float(n * (n - 1))
     )
     sq = beta * beta

@@ -47,11 +47,9 @@ _RANGE_TOL = 1e-10
 # eigvalsh reads one triangle only, so asymmetry beyond this (relative) is an error
 _SYM_TOL = 1e-12
 
-# sigma_y x sigma_y is real: -1 on the outer antidiagonal, +1 on the inner one.
-_Y4 = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
-# Its restriction to the triplet basis {|00>, |psi+>, |11>}; R @ Y3 reverses
-# the columns of R and negates the outer two.
-_Y3_COLUMN_SIGNS = np.array([-1.0, 1.0, -1.0])
+# column signs of M @ Y, by width, for Y = sigma_y x sigma_y and its restriction Y3 to
+# the triplet basis {|00>, |psi+>, |11>}
+_FLIP_SIGNS = {3: np.array([-1.0, 1.0, -1.0]), 4: np.array([-1.0, 1.0, 1.0, -1.0])}
 
 
 @dataclass(frozen=True)
@@ -133,17 +131,10 @@ def _check_psd(low: np.ndarray) -> None:
         raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {_first(low, bad)!r}")
 
 
-def _check_density_matrix(rho: SmallMatrix) -> None:
-    arr = rho.to_array()
-    trace = float(np.trace(arr))
-    if abs(trace - 1.0) > _RANGE_TOL:
-        raise NotDensityMatrixError(f"trace must be 1, got {trace!r}")
-    skew = float(np.max(np.abs(arr - arr.T)))
-    if skew > _SYM_TOL * np.max(np.abs(arr)):
-        raise NotDensityMatrixError(
-            f"matrix is not symmetric: an entry differs from its transpose by {skew!r}"
-        )
-    _check_psd(_eig(np.linalg.eigvalsh, arr)[:1])
+def _spin_flip(mats: np.ndarray) -> np.ndarray:
+    """M @ Y for each matrix M (Y or Y3 by its width); both are real signed permutations
+    (-1 on the outer antidiagonal), so this reverses M's columns and negates the outer two."""
+    return mats[..., ::-1] * _FLIP_SIGNS[mats.shape[-1]]
 
 
 def concurrence_two_qubit(rho: SmallMatrix) -> float:
@@ -158,14 +149,23 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
     check_type(rho, SmallMatrix, "rho", WrongDimensionError)
     if rho.dim != 4:
         raise WrongDimensionError(f"concurrence needs a 4x4 matrix, got dim {rho.dim}")
-    _check_density_matrix(rho)
-    return float(_wootters(_eig(np.linalg.eigvals, rho.to_array() @ _Y4)))
+    arr = rho.to_array()
+    trace = float(np.trace(arr))
+    if abs(trace - 1.0) > _RANGE_TOL:
+        raise NotDensityMatrixError(f"trace must be 1, got {trace!r}")
+    skew = float(np.max(np.abs(arr - arr.T)))
+    if skew > _SYM_TOL * np.max(np.abs(arr)):
+        raise NotDensityMatrixError(
+            f"matrix is not symmetric: an entry differs from its transpose by {skew!r}"
+        )
+    _check_psd(_eig(np.linalg.eigvalsh, arr)[:1])
+    return float(_wootters(_eig(np.linalg.eigvals, _spin_flip(arr))))
 
 
 def _triplet_concurrence(blocks: np.ndarray) -> np.ndarray:
     """Concurrence of each triplet block R: the PSD check, then eig(R Y3)."""
     _check_psd(_eig(np.linalg.eigvalsh, blocks)[:, 0])
-    return _wootters(_eig(np.linalg.eigvals, blocks[:, :, ::-1] * _Y3_COLUMN_SIGNS))
+    return _wootters(_eig(np.linalg.eigvals, _spin_flip(blocks)))
 
 
 def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import dicketangle
-from dicketangle import cli, marginals, measures
+from dicketangle import cli, marginals, measures, oracle
 from dicketangle.cli import (
     _a_grid,
     main,
@@ -325,6 +326,7 @@ def test_sweep_config_validation():
         dict(n_values=(4,), k_values=(1,), precision=-(10**5000)),
         dict(n_values=(4,), k_values=(1,), a_steps=-(10**5000)),
         dict(n_values=(4,), k_values=("x",)),
+        dict(n_values=(4,), k_values=()),
         dict(n_values=(4.5,), k_values=(1,)),
         dict(n_values=(4,), k_values=(1,), a_min=-0.1),
         dict(n_values=(4,), k_values=(1,), a_max=1.5),
@@ -514,6 +516,20 @@ def test_oracle_detects_perturbed_triplet_blocks(monkeypatch, index, name):
     assert verdict.startswith("FAIL")
 
 
+def test_oracle_traces_each_qubit_pair_once_per_point(monkeypatch):
+    traced = []
+    orig = oracle.partial_trace_to_two
+
+    def spy(psi, qubits=(0, 1)):
+        traced.append(tuple(qubits))
+        return orig(psi, qubits)
+
+    monkeypatch.setattr(oracle, "partial_trace_to_two", spy)
+    devs = cli.oracle_deviations(5, 2, [0.0, 0.5, 1.0])
+    assert traced == list(combinations(range(5), 2)) * 3
+    assert max(devs.values()) < 1e-12
+
+
 def test_oracle_enforces_cap():
     with pytest.raises(CapExceededError):
         run_oracle(13, 3, 1e-10)
@@ -545,6 +561,14 @@ def test_main_exit_codes(capsys):
 
     assert main(["oracle", "--n-max", "3", "--tol", "nan"]) == 2
     assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_main_reads_k_all_as_every_k(capsys):
+    assert main(["sweep", "--n", "6,7", "--a-steps", "3"]) == 0
+    want = capsys.readouterr()
+    for k in ("all", " ALL "):
+        assert main(["sweep", "--n", "6,7", "--k", k, "--a-steps", "3"]) == 0
+        assert capsys.readouterr() == want
 
 
 def test_main_exits_2_for_n_that_float_cannot_hold(capsys):

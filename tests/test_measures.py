@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicketangle import measures
+from dicketangle import measures, oracle
 from dicketangle.dicke import DickeParams
 from dicketangle.errors import (
     InvalidParamsError,
+    NoConvergenceError,
     NotDensityMatrixError,
     NumericalInstabilityError,
     WrongDimensionError,
@@ -70,6 +71,30 @@ def test_concurrence_matches_corner_closed_form():
             m = two_qubit_marginal(DickeParams(n, k, 0.0))
             got = concurrence_two_qubit(marginal_matrix(m))
             assert got == pytest.approx(_corner_only_concurrence(m), abs=1e-12), (n, k)
+
+
+def test_concurrence_of_dense_marginals_equals_the_matrix_product_route():
+    # every (N, k) with N <= 12 at 21 values of a: the column flip must give
+    # the bits of eig(rho @ (sigma_y x sigma_y))
+    y4 = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            for a in [i / 20 for i in range(21)]:
+                rho = oracle.partial_trace_to_two(oracle.expand_state(DickeParams(n, k, a)))
+                want = measures._wootters(np.linalg.eigvals(rho.to_array() @ y4))
+                assert concurrence_two_qubit(rho) == float(want), (n, k, a)
+
+
+def test_eigensolver_failure_raises_no_convergence(monkeypatch):
+    def no_convergence(mats):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    rho = marginal_matrix(two_qubit_marginal(DickeParams(5, 2, 0.3)))
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        tangle_record(DickeParams(5, 2, 0.3))
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        concurrence_two_qubit(rho)
 
 
 def test_concurrence_input_checks():
@@ -187,6 +212,8 @@ def test_tangle_record_validation():
         TangleRecord(p, c1_sq=0.5, c2_sq=0.1, tau=0.5, n2=0.1, xi=0.48)
     with pytest.raises(InvalidParamsError):
         TangleRecord(p, c1_sq=1.5, c2_sq=0.0, tau=1.5, n2=0.0, xi=1.5)
+    with pytest.raises(InvalidParamsError, match="xi is inconsistent with c1_sq and n2"):
+        TangleRecord(p, c1_sq=0.5, c2_sq=0.1, tau=0.3, n2=0.2, xi=0.5)
     TangleRecord(p, c1_sq=0.5, c2_sq=0.1, tau=0.3, n2=0.2, xi=0.42)
 
 

@@ -160,6 +160,8 @@ def test_symmetrize_phase_is_local():
 
 
 def test_symmetrize_range_checks():
+    with pytest.raises(OutOfRangeError, match="need at least two qubits, got 1"):
+        symmetrize_two_spinors(1, 1, UP, DOWN)
     with pytest.raises(OutOfRangeError):
         symmetrize_two_spinors(4, 0, UP, DOWN)
     with pytest.raises(OutOfRangeError):
