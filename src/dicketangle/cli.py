@@ -13,6 +13,7 @@ Diagnostics go to stderr; stdout (or --out) carries the report or CSV only.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import ExitStack
 from itertools import combinations
@@ -32,6 +33,9 @@ _SPOT_K_MAX = 5
 
 _ORACLE_N_MAX = 12
 _CHECK_N_MAX = 900
+_CHECK_A_STEPS = 11
+# the rows of n_max = 900 at the default a-grid: about a minute of check
+_CHECK_ROWS_MAX = (_CHECK_N_MAX**2 // 4 - 1) * _CHECK_A_STEPS
 
 # a sweep chunk holds whole (N, k) pairs, at most this many rows unless one pair has more
 _CHUNK_ROWS = 2**13
@@ -72,13 +76,13 @@ def _check_tol(tol: float) -> float:
 
 
 def _validated(command: str, n_max, low: int, cap: int, a_steps, tol):
-    """check's and oracle's arguments: n_max in low..cap, the a-grid over [0, 1] and tol."""
+    """check's and oracle's arguments: n_max in low..cap, a_steps >= 2 and tol."""
     n_max = _int_at_least(n_max, low, "n_max")
     if n_max > cap:
         raise CapExceededError(
             f"{command} command is capped at n_max <= {cap}, got {int_text(n_max)}"
         )
-    return n_max, _a_grid(0.0, 1.0, a_steps), _check_tol(tol)
+    return n_max, _int_at_least(a_steps, 2, "a_steps"), _check_tol(tol)
 
 
 def _chunk_text(pairs: list, grid: list[float], precision: int, err) -> tuple[str, int]:
@@ -183,6 +187,11 @@ def _check_pairs(n_max: int):
     return pairs
 
 
+def _check_pair_count(n_max: int) -> int:
+    """len(_check_pairs(n_max)) without building it: sum_{n=2}^{M} floor(n/2) is floor(M^2/4)."""
+    return n_max**2 // 4 - 1 + sum(min(_SPOT_K_MAX, n // 2) for n in _SPOT_N if n > n_max)
+
+
 def _span(lo, hi, spec: str = "") -> str:
     """lo, or lo->hi where the two differ, each formatted by spec."""
     return format(lo, spec) if lo == hi else f"{lo:{spec}}->{hi:{spec}}"
@@ -221,12 +230,17 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
     tau and xi come from one tangle_grid call per chunk of pairs, as in
     run_sweep, and each property is one array expression over them; a failing
     call raises its DicketangleError. Returns 1 if a property is violated by
-    more than tol. n_max is capped at 900, which takes about a minute with
-    the default grid.
+    more than tol. n_max is capped at 900, and the rows (pairs times a_steps)
+    at the 2,227,489 that n_max = 900 has with the default grid (about a minute).
     """
     out = out if out is not None else sys.stdout
-    n_max, grid, tol = _validated("check", n_max, 3, _CHECK_N_MAX, a_steps, tol)
-    pairs = _check_pairs(n_max)
+    n_max, a_steps, tol = _validated("check", n_max, 3, _CHECK_N_MAX, a_steps, tol)
+    rows = _check_pair_count(n_max) * a_steps
+    if rows > _CHECK_ROWS_MAX:
+        raise CapExceededError(
+            f"check command is capped at {_CHECK_ROWS_MAX} (pair, a) rows, got {int_text(rows)}"
+        )
+    grid, pairs = _a_grid(0.0, 1.0, a_steps), _check_pairs(n_max)
     m = len(grid)
     tau, xi = np.empty((len(pairs), m)), np.empty((len(pairs), m))
     per_chunk = max(1, _CHUNK_ROWS // m)
@@ -262,7 +276,9 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     """Largest deviation over `grid` between the closed forms and the dense oracle, for one (N, k).
 
     Keys, in report order:
-        state              expand_state against symmetrize_two_spinors
+        state              expand_state against symmetrize_two_spinors, and each row of
+                           amplitude_rows against the dense state's Dicke-basis
+                           amplitudes sqrt(binom(N, r)) psi[2^r - 1], r = 0..k
         marginal           the dense two-qubit marginal rho2 against marginal_matrix, and
                            T rho2 T^T against the R of triplet_blocks
         partial-transpose  T S T^T, s^T S s and T S s of the axis-swapped dense marginal S
@@ -282,19 +298,24 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     """
     table = measures.tangle_table(n, k, grid)
     engine = np.stack([np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)], axis=1)
-    elements = marginals.marginal_elements(n, amplitude_rows(n, k, grid))
+    beta = amplitude_rows(n, k, grid)
+    elements = marginals.marginal_elements(n, beta)
     rows = zip(*(col.tolist() for col in elements))
+    # the bitstring 0..01..1 of weight r, and the norm sqrt(binom(N, r)) of its Dicke state
+    dicke_index = (1 << np.arange(k + 1)) - 1
+    dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])
     eps1 = Spinor(1.0, 0.0)
     devs = dict.fromkeys(
         ("state", "marginal", "partial-transpose", "pair-choice", "rho1", "measures"), 0.0
     )
-    for a, engine_row, row, R, P, singlet in zip(
-        grid, engine, rows, *marginals.triplet_blocks(*elements)
+    for a, engine_row, beta_row, row, R, P, singlet in zip(
+        grid, engine, beta, rows, *marginals.triplet_blocks(*elements)
     ):
         params = DickeParams(n, k, a)
         psi = oracle.expand_state(params)
         sym = oracle.symmetrize_two_spinors(n, k, eps1, Spinor(a, params.b))
         _worst(devs, "state", psi.amplitudes - sym.amplitudes)
+        _worst(devs, "state", dicke_norm * psi.amplitudes[dicke_index] - beta_row)
 
         traces = [oracle.partial_trace_to_two(psi, pair) for pair in combinations(range(n), 2)]
         brute = traces[0]
@@ -331,7 +352,8 @@ def run_oracle(n_max: int, a_steps: int, tol: float, out=None) -> int:
     every qubit pair of a 2^N state.
     """
     out = out if out is not None else sys.stdout
-    n_max, grid, tol = _validated("oracle", n_max, 2, _ORACLE_N_MAX, a_steps, tol)
+    n_max, a_steps, tol = _validated("oracle", n_max, 2, _ORACLE_N_MAX, a_steps, tol)
+    grid = _a_grid(0.0, 1.0, a_steps)
     worst = (-1.0, "")
     for n in range(2, n_max + 1):
         for k in range(1, n // 2 + 1):
@@ -387,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="verify monogamy/ordering/monotonicity properties")
     check.add_argument("--n-max", type=int, default=12,
                        help="dense grid covers N = 3..n_max (default 12)")
-    check.add_argument("--a-steps", type=int, default=11)
+    check.add_argument("--a-steps", type=int, default=_CHECK_A_STEPS)
     check.add_argument("--tol", type=float, default=1e-9)
 
     orc = sub.add_parser("oracle", help="cross-validate closed forms against the dense oracle")

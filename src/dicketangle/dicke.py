@@ -148,11 +148,21 @@ class DickeParams:
 def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     """Canonical amplitudes beta_0..beta_k at each overlap a, as an (m, k+1) array.
 
-    Row i is the amplitude vector of (N, k, a_values[i]), evaluated as in
-    amplitudes() with array operations. The endpoints are exact one-hot
-    rows: a = 0 gives the Dicke state (beta_k = 1), a = 1 the product state
-    (beta_0 = 1). The arguments are assumed valid (check_n_k,
-    check_a_values).
+    Row i is the amplitude vector of (N, k, a_values[i]). Up to normalization,
+
+        beta_r  ~  sqrt(N! (N-r)! / r!) * a^(k-r) * b^r / ((N-k)! (k-r)!),
+
+    so successive amplitudes have the ratio
+
+        beta_{r+1} / beta_r = (k - r) (b / a) / sqrt((N - r)(r + 1)),
+
+    which decreases with r. The logs of these ratios are summed outward from
+    the largest amplitude, so every partial sum that matters stays small:
+    log-factorials of N in the thousands would carry absolute errors near
+    1e-12 into every amplitude. Each row is then renormalized to unit
+    Euclidean norm. The endpoints are exact one-hot rows: a = 0 gives the
+    Dicke state (beta_k = 1), a = 1 the product state (beta_0 = 1). The
+    arguments are assumed valid (check_n_k, check_a_values).
     """
     n, k = n_qubits, degeneracy
     a = np.asarray(a_values, dtype=float)
@@ -175,38 +185,7 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
 def amplitudes(params: DickeParams) -> tuple[float, ...]:
     """Canonical amplitudes (beta_0, ..., beta_k) for the given (N, k, a).
 
-    Up to normalization,
-
-        beta_r  ~  sqrt(N! (N-r)! / r!) * a^(k-r) * b^r / ((N-k)! (k-r)!),
-
-    so successive amplitudes have the ratio
-
-        beta_{r+1} / beta_r = (k - r) (b / a) / sqrt((N - r)(r + 1)),
-
-    which decreases with r. The logs of these ratios are summed outward from
-    the largest amplitude, so every partial sum that matters stays small:
-    log-factorials of N in the thousands would carry absolute errors near
-    1e-12 into every amplitude. The vector is then renormalized to unit
-    Euclidean norm. The endpoints degenerate exactly: a = 0 leaves only
-    beta_k (the Dicke state itself), a = 1 only beta_0 (a product state).
+    The one-row view of amplitude_rows; DickeParams has already checked (N, k, a).
     """
     check_type(params, DickeParams, "params")
-    n, k, a, b = params.n_qubits, params.degeneracy, params.a, params.b
-    if a == 0.0:
-        return (0.0,) * k + (1.0,)
-    if a == 1.0:
-        return (1.0,) + (0.0,) * k
-    log_b_over_a = math.log(b) - math.log(a)
-    steps = [
-        (math.log(k - r) - 0.5 * (math.log(n - r) + math.log(r + 1))) + log_b_over_a
-        for r in range(k)
-    ]
-    peak = sum(step > 0.0 for step in steps)
-    logs = [0.0] * (k + 1)
-    for r in range(peak + 1, k + 1):
-        logs[r] = logs[r - 1] + steps[r - 1]
-    for r in range(peak - 1, -1, -1):
-        logs[r] = logs[r + 1] - steps[r]
-    raw = [math.exp(x) for x in logs]
-    norm = math.sqrt(math.fsum(x * x for x in raw))
-    return tuple(x / norm for x in raw)
+    return tuple(amplitude_rows(params.n_qubits, params.degeneracy, [params.a])[0].tolist())

@@ -183,19 +183,14 @@ def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
 
 
 def _c1_squared(det: np.ndarray) -> np.ndarray:
-    """C1^2 = 4 det rho_1 for each det: one PSD abort, one range abort, one clamp into [0, 1]."""
+    """C1^2 = 4 det rho_1 for each det: one PSD abort, then a clamp into [0, 1]. Both callers
+    pass the finite det of a unit-trace marginal (to 1e-12), so 4 det <= (1 + 1e-12)^2 (AM-GM)."""
     bad = det < -_RANGE_TOL
     if bad.any():
         raise NotDensityMatrixError(
             f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
         )
-    c1_sq = 4.0 * np.maximum(det, 0.0)
-    bad = ~(c1_sq <= (1.0 + _RANGE_TOL) ** 2)
-    if bad.any():
-        raise NumericalInstabilityError(
-            f"one-vs-rest measure left [0, 1]: {math.sqrt(_first(c1_sq, bad))!r}"
-        )
-    return np.minimum(c1_sq, 1.0)
+    return np.minimum(4.0 * np.maximum(det, 0.0), 1.0)
 
 
 def one_vs_rest(rho1: SingleQubitMarginal) -> float:
@@ -232,9 +227,9 @@ def tangle_grid(pairs, a_values) -> TangleTable:
     three measures then run once over the rows of all pairs. Invalid (N, k, a)
     raise InvalidParamsError, marginals that fail the TwoQubitMarginal checks
     raise InvalidParamsError, a marginal or one-qubit reduction that is not
-    positive semidefinite raises NotDensityMatrixError, and a C1, C2 or N2
-    above 1 + 1e-10, or NaN, aborts with NumericalInstabilityError where it
-    is computed. One failing row fails the whole call. Every stage works row
+    positive semidefinite raises NotDensityMatrixError, and a C2 or N2 above
+    1 + 1e-10, or NaN, aborts with NumericalInstabilityError where it is
+    computed. One failing row fails the whole call. Every stage works row
     by row, so a row depends on its (N, k, a) alone, bit for bit.
     """
     pairs = _checked_pairs(pairs)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dicke import DickeParams, amplitudes, check_int, check_type, int_text
+from .dicke import DickeParams, check_int, check_type, int_text
 from .errors import (
     CapExceededError,
     InvalidParamsError,
@@ -97,14 +97,16 @@ def _hamming_weights(n: int) -> np.ndarray:
 
 
 def expand_state(params: DickeParams) -> FullState:
-    """The canonical state sum_r beta_r |N/2, N/2 - r> as a dense vector."""
+    """The canonical state as a dense vector: the symmetrized product of N-k copies of |0> and
+    k copies of a|0> + b|1>, whose bitstrings of weight r carry binom(N-r, k-r) a^(k-r) b^r
+    before normalisation (the k - r copies of a|0> + b|1> on 0-bits take a)."""
     check_type(params, DickeParams, "params")
-    n, k = params.n_qubits, params.degeneracy
+    n, k, a, b = params.n_qubits, params.degeneracy, params.a, params.b
     _check_cap(n)
-    beta = amplitudes(params)
+    c = [math.comb(n - r, k - r) * a ** (k - r) * b**r for r in range(k + 1)]
+    norm = math.sqrt(math.fsum(math.comb(n, r) * x * x for r, x in enumerate(c)))
     coeff = np.zeros(n + 1, dtype=complex)
-    for r in range(k + 1):
-        coeff[r] = beta[r] / math.sqrt(math.comb(n, r))
+    coeff[: k + 1] = [x / norm for x in c]
     return FullState(n, coeff[_hamming_weights(n)])
 
 

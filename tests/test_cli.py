@@ -530,6 +530,19 @@ def test_oracle_traces_each_qubit_pair_once_per_point(monkeypatch):
     assert max(devs.values()) < 1e-12
 
 
+def test_oracle_holds_the_engine_amplitudes_against_the_dense_state(monkeypatch):
+    # expand_state shares no formula with amplitude_rows, so a fault in the rows shows in state=
+    orig = cli.amplitude_rows
+
+    def perturbed(n, k, a_values):
+        # still unit rows, so the marginal checks downstream pass
+        rows = orig(n, k, a_values) + 1e-6
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    monkeypatch.setattr(cli, "amplitude_rows", perturbed)
+    assert cli.oracle_deviations(6, 3, [0.0, 0.3, 0.7, 1.0])["state"] > 1e-10
+
+
 def test_oracle_enforces_cap():
     with pytest.raises(CapExceededError):
         run_oracle(13, 3, 1e-10)
@@ -545,6 +558,25 @@ def test_check_enforces_cap(capsys):
         run_check(10**5000, 3, 1e-9)
     assert main(["check", "--n-max", str(cap + 1)]) == 2
     assert f"capped at n_max <= {cap}" in capsys.readouterr().err
+
+
+def test_check_caps_its_row_count_before_building_anything(monkeypatch, capsys):
+    for n_max in range(3, 130):
+        assert cli._check_pair_count(n_max) == len(cli._check_pairs(n_max)), n_max
+    # (300**2 // 4 - 1) * 101 rows, above the (900**2 // 4 - 1) * 11 of the largest default run
+    assert cli._CHECK_ROWS_MAX == 2_227_489 == cli._check_pair_count(900) * 11
+    with pytest.raises(CapExceededError, match=r"capped at 2227489 \(pair, a\) rows, got 2272399"):
+        run_check(300, 101, 1e-9)
+    assert main(["check", "--n-max", "300", "--a-steps", "101"]) == 2
+    assert "capped at 2227489 (pair, a) rows" in capsys.readouterr().err
+
+    def unreachable(*args):
+        raise AssertionError("built before the row cap was checked")
+
+    monkeypatch.setattr(cli, "_a_grid", unreachable)
+    monkeypatch.setattr(cli, "_check_pairs", unreachable)
+    with pytest.raises(CapExceededError):
+        run_check(12, 10**12, 1e-9)
 
 
 def test_main_exit_codes(capsys):
