@@ -85,6 +85,12 @@ def _validated(command: str, n_max, low: int, cap: int, a_steps, tol):
     return n_max, _int_at_least(a_steps, 2, "a_steps"), _check_tol(tol)
 
 
+def _chunks(n_pairs: int, m: int):
+    """The slices of a list of n_pairs pairs, m rows each, that one engine call each covers."""
+    per_chunk = max(1, _CHUNK_ROWS // m)
+    return (slice(start, start + per_chunk) for start in range(0, n_pairs, per_chunk))
+
+
 def _chunk_text(pairs: list, grid: list[float], precision: int, err) -> tuple[str, int]:
     """The CSV lines of every (N, k) in pairs at every a of grid, and the number of rows that failed.
 
@@ -122,17 +128,22 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
               precision=12, out=None, err=None) -> int:
     """Write the CSV of an (N, k, a) grid, one chunk of (N, k) pairs at a time; returns the exit code.
 
-    n_values are the N (integers >= 2) and k_values the k (integers), or None
-    for 1..N//2 at each N; a pair with k outside 1..N//2 is skipped with a
-    warning. The a-grid has a_steps >= 2 evenly spaced points from a_min to
-    a_max, with 0 <= a_min <= a_max <= 1. Rows go to output_path, or to out
-    (default stdout) if it is "-", with `precision` (>= 1) significant
-    digits; warnings go to err (default stderr). An invalid argument raises
-    InvalidParamsError. Nothing is written, and no output file is created,
-    until the first row has been computed, so a sweep in which every row
-    fails writes nothing.
+    n_values are the N (an iterable of integers >= 2) and k_values the k (an
+    iterable of integers), or None for 1..N//2 at each N; a pair with k outside
+    1..N//2 is skipped with a warning. The a-grid has a_steps >= 2 evenly
+    spaced points from a_min to a_max, with 0 <= a_min <= a_max <= 1. Rows go
+    to output_path, or to out (default stdout) if it is "-", with `precision`
+    (>= 1) significant digits; warnings go to err (default stderr). An invalid
+    argument raises InvalidParamsError. Nothing is written, and no output file
+    is created, until the first row has been computed, so a sweep in which
+    every row fails writes nothing.
     """
     err = err if err is not None else sys.stderr
+    try:
+        n_values = tuple(n_values)
+        k_values = None if k_values is None else tuple(k_values)
+    except TypeError:
+        raise InvalidParamsError("n_values and k_values must be iterables of integers") from None
     if not n_values:
         raise InvalidParamsError("need at least one N value")
     # k = 1 is valid at every N >= 2, so this checks N alone
@@ -156,11 +167,10 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
         return 2
 
     failures = 0
-    per_chunk = max(1, _CHUNK_ROWS // len(grid))
     with ExitStack() as stack:
         stream = None
-        for start in range(0, len(pairs), per_chunk):
-            text, failed = _chunk_text(pairs[start:start + per_chunk], grid, precision, err)
+        for chunk in _chunks(len(pairs), len(grid)):
+            text, failed = _chunk_text(pairs[chunk], grid, precision, err)
             failures += failed
             if not text:
                 continue
@@ -243,9 +253,7 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
     grid, pairs = _a_grid(0.0, 1.0, a_steps), _check_pairs(n_max)
     m = len(grid)
     tau, xi = np.empty((len(pairs), m)), np.empty((len(pairs), m))
-    per_chunk = max(1, _CHUNK_ROWS // m)
-    for start in range(0, len(pairs), per_chunk):
-        chunk = slice(start, start + per_chunk)
+    for chunk in _chunks(len(pairs), m):
         table = measures.tangle_grid(pairs[chunk], grid)
         tau[chunk], xi[chunk] = table.tau.reshape(-1, m), table.xi.reshape(-1, m)
 

@@ -34,6 +34,8 @@ class TwoQubitMarginal:
          [C, E, E, F]].
 
     params are those of the state it was traced from, or None if it stands alone.
+    The elements must be finite, with A, D, F nonnegative and unit trace
+    A + 2D + F to within 1e-12; otherwise InvalidParamsError is raised.
     """
 
     params: DickeParams | None
@@ -49,20 +51,14 @@ class TwoQubitMarginal:
         elements = [check_real(getattr(self, name), name) for name in "ABCDEF"]
         for name, value in zip("ABCDEF", elements):
             object.__setattr__(self, name, value)
-        check_elements(*np.array(elements)[:, None])
-
-
-def check_elements(A, B, C, D, E, F) -> None:
-    """Raise InvalidParamsError unless every set of A..F is finite, with A, D, F
-    nonnegative and unit trace A + 2D + F to within 1e-12."""
-    if not all(np.isfinite(x).all() for x in (A, B, C, D, E, F)):
-        raise InvalidParamsError("marginal elements must be finite")
-    if (A < 0.0).any() or (D < 0.0).any() or (F < 0.0).any():
-        raise InvalidParamsError("diagonal elements A, D, F must be nonnegative")
-    trace = A + 2.0 * D + F
-    bad = np.abs(trace - 1.0) > 1e-12
-    if bad.any():
-        raise InvalidParamsError(f"marginal must have unit trace, got {float(trace[bad][0])!r}")
+        if not all(map(math.isfinite, elements)):
+            raise InvalidParamsError("marginal elements must be finite")
+        A, _, _, D, _, F = elements
+        if A < 0.0 or D < 0.0 or F < 0.0:
+            raise InvalidParamsError("diagonal elements A, D, F must be nonnegative")
+        trace = A + 2.0 * D + F
+        if abs(trace - 1.0) > 1e-12:
+            raise InvalidParamsError(f"marginal must have unit trace, got {trace!r}")
 
 
 @dataclass(frozen=True)

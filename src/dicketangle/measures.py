@@ -36,7 +36,6 @@ from .errors import (
 from .marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
-    check_elements,
     marginal_elements,
     triplet_blocks,
 )
@@ -124,13 +123,6 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
     return np.minimum(value, 1.0)
 
 
-def _check_psd(low: np.ndarray) -> None:
-    """Raise NotDensityMatrixError if a smallest eigenvalue in `low` is below -1e-10."""
-    bad = low < -_RANGE_TOL
-    if bad.any():
-        raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {_first(low, bad)!r}")
-
-
 def _spin_flip(mats: np.ndarray) -> np.ndarray:
     """M @ Y for each matrix M (Y or Y3 by its width); both are real signed permutations
     (-1 on the outer antidiagonal), so this reverses M's columns and negates the outer two."""
@@ -158,13 +150,14 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
         raise NotDensityMatrixError(
             f"matrix is not symmetric: an entry differs from its transpose by {skew!r}"
         )
-    _check_psd(_eig(np.linalg.eigvalsh, arr)[:1])
+    low = _eig(np.linalg.eigvalsh, arr)[0].item()
+    if low < -_RANGE_TOL:
+        raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {low!r}")
     return float(_wootters(_eig(np.linalg.eigvals, _spin_flip(arr))))
 
 
 def _triplet_concurrence(blocks: np.ndarray) -> np.ndarray:
-    """Concurrence of each triplet block R: the PSD check, then eig(R Y3)."""
-    _check_psd(_eig(np.linalg.eigvalsh, blocks)[:, 0])
+    """Concurrence of each triplet block R, from the eigenvalues of R Y3."""
     return _wootters(_eig(np.linalg.eigvals, _spin_flip(blocks)))
 
 
@@ -183,8 +176,9 @@ def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
 
 
 def _c1_squared(det: np.ndarray) -> np.ndarray:
-    """C1^2 = 4 det rho_1 for each det: one PSD abort, then a clamp into [0, 1]. Both callers
-    pass the finite det of a unit-trace marginal (to 1e-12), so 4 det <= (1 + 1e-12)^2 (AM-GM)."""
+    """C1^2 = 4 det rho_1 for each det: one PSD abort, then a clamp into [0, 1]. Each rho_1
+    is a partial trace of a normalised state (tangle_grid) or a SingleQubitMarginal, so its
+    trace is 1 to within 1e-12 and 4 det <= (1 + 1e-12)^2 (AM-GM)."""
     bad = det < -_RANGE_TOL
     if bad.any():
         raise NotDensityMatrixError(
@@ -223,14 +217,15 @@ def tangle_grid(pairs, a_values) -> TangleTable:
 
     Returns the columns pair-major: rows i*m .. i*m + m - 1, with m = len(a_values),
     belong to pairs[i]. Each pair's amplitudes and marginal elements A..F are
-    built on their own (their row widths k + 1 differ); the checks and the
-    three measures then run once over the rows of all pairs. Invalid (N, k, a)
-    raise InvalidParamsError, marginals that fail the TwoQubitMarginal checks
-    raise InvalidParamsError, a marginal or one-qubit reduction that is not
-    positive semidefinite raises NotDensityMatrixError, and a C2 or N2 above
-    1 + 1e-10, or NaN, aborts with NumericalInstabilityError where it is
-    computed. One failing row fails the whole call. Every stage works row
-    by row, so a row depends on its (N, k, a) alone, bit for bit.
+    built on their own (their row widths k + 1 differ); the three measures
+    then run once over the rows of all pairs. Invalid (N, k, a) raise
+    InvalidParamsError. The marginals built are not re-checked: as partial
+    traces of a normalised state they have unit trace, and R and rho_1 are
+    Gram matrices (test_built_marginals_are_finite_unit_trace_and_psd). A
+    det rho_1 below -1e-10 raises NotDensityMatrixError, and a C2 or N2 above
+    1 + 1e-10, or NaN, NumericalInstabilityError. One failing row fails the
+    whole call. Every stage works row by row, so a row depends on its
+    (N, k, a) alone, bit for bit.
     """
     pairs = _checked_pairs(pairs)
     a = check_a_values(a_values)
@@ -244,7 +239,6 @@ def tangle_grid(pairs, a_values) -> TangleTable:
         elements = [np.concatenate(col) for col in zip(*per_pair)]
         n_minus_1 = np.repeat(np.array([n - 1 for n, _ in pairs], dtype=float), len(a))
     A, B, C, D, E, F = elements
-    check_elements(A, B, C, D, E, F)
     c1_sq = _c1_squared((A + D) * (D + F) - (B + E) * (B + E))
     R, P, singlet = triplet_blocks(A, B, C, D, E, F)
     c2 = _triplet_concurrence(R)

@@ -334,10 +334,22 @@ def test_sweep_config_validation():
         dict(n_values=(4,), k_values=(1,), a_max=None),
         dict(n_values=(4,), k_values=(1,), a_min="x"),
         dict(n_values=(4,), k_values=(1,), a_min=(0.1, 0.2)),
+        dict(n_values=4, k_values=None),
+        dict(n_values=(4,), k_values=1),
+        dict(n_values=np.array([]), k_values=None),
     ]
     for kwargs in bad:
         with pytest.raises(InvalidParamsError):
             _sweep_text(**kwargs)
+
+
+def test_sweep_accepts_any_iterable_of_n_and_k():
+    want = _sweep_text(n_values=(4, 6), k_values=None, a_steps=3)
+    assert want[0] == 0
+    for n in (np.array([4, 6]), [6, 4], range(4, 7, 2), iter((4, 6))):
+        assert _sweep_text(n_values=n, k_values=None, a_steps=3) == want
+    want = _sweep_text(n_values=(4, 6), k_values=(1, 2), a_steps=3)
+    assert _sweep_text(n_values=np.array([4, 6]), k_values=np.array([2, 1]), a_steps=3) == want
 
 
 def test_sweep_accepts_integral_n_of_any_type():

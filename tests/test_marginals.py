@@ -198,3 +198,27 @@ def test_marginal_elements_match_scalar_marginal(n, k):
         assert np.allclose(row, _reference_elements(n, k, a), rtol=1e-12, atol=1e-15), (n, k, a)
         m = two_qubit_marginal(DickeParams(n, k, a))
         assert [m.A, m.B, m.C, m.D, m.E, m.F] == row, (n, k, a)
+
+
+_INVARIANT_N = (*range(2, 13), 50, 100, 1000, 5000, 10**6, 10**9, 2**53)
+# the 201-point grid of the README sweep's a, plus the extremes of float range
+_INVARIANT_A = [
+    *np.linspace(0.0, 1.0, 201),
+    5e-324, 1e-300, 1e-200, 1e-100, 1e-16, 1e-8, 1.0 - 1e-8, 1.0 - 1e-15, 1.0 - 2.0**-53,
+]
+
+
+def test_built_marginals_are_finite_unit_trace_and_psd():
+    """tangle_grid does not re-check the marginals it builds: each is the partial trace of a
+    normalised state, so A..F are finite, A, D, F >= 0, A + 2D + F = 1, and the triplet block
+    R and rho_1 are positive semidefinite, up to rounding. This holds those invariants."""
+    assert len(_INVARIANT_A) == 210
+    for n in _INVARIANT_N:
+        for k in sorted({k for k in (1, 2, 3, n // 4, n // 2) if 1 <= k <= min(n // 2, 3000)}):
+            A, B, C, D, E, F = elements = marginal_elements(n, amplitude_rows(n, k, _INVARIANT_A))
+            assert all(np.isfinite(x).all() for x in elements), (n, k)
+            assert min(A.min(), D.min(), F.min()) >= 0.0, (n, k)
+            assert np.abs(A + 2.0 * D + F - 1.0).max() <= 1e-13, (n, k)
+            R = triplet_blocks(*elements)[0]
+            assert np.linalg.eigvalsh(R)[:, 0].min() >= -1e-13, (n, k)
+            assert ((A + D) * (D + F) - (B + E) ** 2).min() >= -1e-13, (n, k)
