@@ -91,14 +91,14 @@ def _chunks(n_pairs: int, m: int):
     return (slice(start, start + per_chunk) for start in range(0, n_pairs, per_chunk))
 
 
-def _chunk_text(pairs: list, grid: list[float], precision: int, err) -> tuple[str, int]:
+def _chunk_text(pairs: list, grid: list[float], precision: int) -> tuple[str, int]:
     """The CSV lines of every (N, k) in pairs at every a of grid, and the number of rows that failed.
 
     One tangle_grid call covers the whole chunk, and each pair's rows are
     filled into that pair's template. If the call fails, a chunk of several
     pairs is re-run one pair at a time, and a failing pair one row at a time,
     so that only the rows that fail are lost; each of those is reported on
-    err. Every value gets + 0.0, which turns -0.0 into 0.0, so that equal
+    stderr. Every value gets + 0.0, which turns -0.0 into 0.0, so that equal
     values always render identically.
     """
     try:
@@ -110,9 +110,9 @@ def _chunk_text(pairs: list, grid: list[float], precision: int, err) -> tuple[st
             parts = [(pairs, [a]) for a in grid]
         else:
             (n, k), (a,) = pairs[0], grid
-            print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=err)
+            print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=sys.stderr)
             return "", 1
-        done = [_chunk_text(part, part_grid, precision, err) for part, part_grid in parts]
+        done = [_chunk_text(part, part_grid, precision) for part, part_grid in parts]
         return "".join(text for text, _ in done), sum(failed for _, failed in done)
     m = len(grid)
     rows = (values + 0.0).tolist()
@@ -125,20 +125,20 @@ def _chunk_text(pairs: list, grid: list[float], precision: int, err) -> tuple[st
 
 
 def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path="-",
-              precision=12, out=None, err=None) -> int:
+              precision=12) -> int:
     """Write the CSV of an (N, k, a) grid, one chunk of (N, k) pairs at a time; returns the exit code.
 
     n_values are the N (an iterable of integers >= 2) and k_values the k (an
     iterable of integers), or None for 1..N//2 at each N; a pair with k outside
     1..N//2 is skipped with a warning. The a-grid has a_steps >= 2 evenly
     spaced points from a_min to a_max, with 0 <= a_min <= a_max <= 1. Rows go
-    to output_path, or to out (default stdout) if it is "-", with `precision`
-    (>= 1) significant digits; warnings go to err (default stderr). An invalid
-    argument raises InvalidParamsError. Nothing is written, and no output file
-    is created, until the first row has been computed, so a sweep in which
-    every row fails writes nothing.
+    to output_path, or to sys.stdout if it is "-", with `precision` (>= 1)
+    significant digits; warnings go to sys.stderr. Both streams are looked up
+    when written to, so contextlib.redirect_stdout and redirect_stderr capture
+    them. An invalid argument raises InvalidParamsError. Nothing is written,
+    and no output file is created, until the first row has been computed, so
+    a sweep in which every row fails writes nothing.
     """
-    err = err if err is not None else sys.stderr
     try:
         n_values = tuple(n_values)
         k_values = None if k_values is None else tuple(k_values)
@@ -159,24 +159,24 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
     for n in ns:
         for k in range(1, n // 2 + 1) if k_values is None else k_values:
             if not 1 <= k <= n // 2:
-                print(f"warning: skipping invalid pair N={n}, k={int_text(k)}", file=err)
+                print(f"warning: skipping invalid pair N={n}, k={int_text(k)}", file=sys.stderr)
                 continue
             pairs.append((n, k))
     if not pairs:
-        print("error: sweep grid is empty after filtering", file=err)
+        print("error: sweep grid is empty after filtering", file=sys.stderr)
         return 2
 
     failures = 0
     with ExitStack() as stack:
         stream = None
         for chunk in _chunks(len(pairs), len(grid)):
-            text, failed = _chunk_text(pairs[chunk], grid, precision, err)
+            text, failed = _chunk_text(pairs[chunk], grid, precision)
             failures += failed
             if not text:
                 continue
             if stream is None:
                 if output_path == "-":
-                    stream = out if out is not None else sys.stdout
+                    stream = sys.stdout
                 else:
                     stream = stack.enter_context(
                         open(output_path, "w", encoding="utf-8", newline="\n")
@@ -184,7 +184,7 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
                 stream.write(_COLUMNS + "\n")
             stream.write(text)
     if failures == len(pairs) * len(grid):
-        print("error: every sweep row failed", file=err)
+        print("error: every sweep row failed", file=sys.stderr)
         return 2
     return 0
 
@@ -234,7 +234,7 @@ def _properties(tau, xi, n, k, grid, tol):
     yield "n-decay", tau[lo[keep]] - tau[hi[keep]] + tol, lo[keep], hi[keep], grid, grid
 
 
-def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
+def run_check(n_max: int, a_steps: int, tol: float) -> int:
     """Verify the measures-module properties over a dense grid plus spot checks.
 
     tau and xi come from one tangle_grid call per chunk of pairs, as in
@@ -243,7 +243,6 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
     more than tol. n_max is capped at 900, and the rows (pairs times a_steps)
     at the 2,227,489 that n_max = 900 has with the default grid (about a minute).
     """
-    out = out if out is not None else sys.stdout
     n_max, a_steps, tol = _validated("check", n_max, 3, _CHECK_N_MAX, a_steps, tol)
     rows = _check_pair_count(n_max) * a_steps
     if rows > _CHECK_ROWS_MAX:
@@ -272,7 +271,7 @@ def run_check(n_max: int, a_steps: int, tol: float, out=None) -> int:
         else:
             lines[name] = f"PASS {name}: margin {margin:.3e} (tightest at {where})"
         del margins  # only one property's margins exist at a time
-    print("\n".join(lines[name] for name in sorted(lines)), file=out)
+    print("\n".join(lines[name] for name in sorted(lines)))
     return 1 if any(line.startswith("FAIL") for line in lines.values()) else 0
 
 
@@ -351,7 +350,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     return devs
 
 
-def run_oracle(n_max: int, a_steps: int, tol: float, out=None) -> int:
+def run_oracle(n_max: int, a_steps: int, tol: float) -> int:
     """Cross-validate the closed forms and the engine against the dense oracle.
 
     Prints one line of oracle_deviations per (N, k) with N = 2..n_max, then
@@ -359,26 +358,22 @@ def run_oracle(n_max: int, a_steps: int, tol: float, out=None) -> int:
     exceeds tol. n_max is capped at 12, since the pair-choice check traces
     every qubit pair of a 2^N state.
     """
-    out = out if out is not None else sys.stdout
     n_max, a_steps, tol = _validated("oracle", n_max, 2, _ORACLE_N_MAX, a_steps, tol)
     grid = _a_grid(0.0, 1.0, a_steps)
     worst = (-1.0, "")
     for n in range(2, n_max + 1):
         for k in range(1, n // 2 + 1):
             devs = oracle_deviations(n, k, grid)
-            print(
-                f"N={n} k={k}: " + " ".join(f"{name}={dev:.3e}" for name, dev in devs.items()),
-                file=out,
-            )
+            print(f"N={n} k={k}:", *(f"{name}={dev:.3e}" for name, dev in devs.items()))
             for name, dev in devs.items():
                 if dev > worst[0]:
                     worst = (dev, f"{name} at N={n}, k={k}")
-    print(f"max deviation: {worst[0]:.3e} ({worst[1]})", file=out)
+    print(f"max deviation: {worst[0]:.3e} ({worst[1]})")
     # some deviation exceeds tol exactly when the largest does; a NaN one does neither
     if worst[0] > tol:
-        print(f"FAIL: max deviation exceeds tol={tol:g}", file=out)
+        print(f"FAIL: max deviation exceeds tol={tol:g}")
         return 1
-    print(f"PASS: all deviations below tol={tol:g}", file=out)
+    print(f"PASS: all deviations below tol={tol:g}")
     return 0
 
 

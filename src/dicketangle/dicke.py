@@ -55,6 +55,19 @@ def check_real(value, name: str) -> float:
     raise InvalidParamsError(f"{name} must be a real number, got {type(value).__name__}")
 
 
+def check_numbers(
+    values, name: str, dtype: type = float, error: type[DicketangleError] = InvalidParamsError,
+) -> np.ndarray:
+    """`values` as np.asarray(values, dtype=dtype); raise `error` if they are not numbers,
+    or if one lies past float range, as the int 10**400 does."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError as exc:
+        raise error(f"{name} must lie within float range") from exc
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must be numbers") from exc
+
+
 def check_type(
     value, cls: type | tuple[type, ...], name: str,
     error: type[DicketangleError] = InvalidParamsError,

@@ -203,10 +203,14 @@ def negativity_two_qubit(m: TwoQubitMarginal) -> float:
 
 def _checked_pairs(pairs) -> list[tuple[int, int]]:
     """Validate each (N, k) of a nonempty sequence of pairs with check_n_k; return them as ints."""
+    message = "pairs must be a sequence of (n_qubits, degeneracy) pairs"
+    # a set has no pairs[i] for the pair-major rows to follow
+    if isinstance(pairs, (set, frozenset)):
+        raise InvalidParamsError(message)
     try:
         pairs = [(n, k) for n, k in pairs]
     except (TypeError, ValueError):
-        raise InvalidParamsError("pairs must be a sequence of (n_qubits, degeneracy) pairs") from None
+        raise InvalidParamsError(message) from None
     if not pairs:
         raise InvalidParamsError("need at least one (n_qubits, degeneracy) pair")
     return [check_n_k(n, k) for n, k in pairs]

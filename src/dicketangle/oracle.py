@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dicke import DickeParams, check_int, check_type, int_text
+from .dicke import DickeParams, check_int, check_numbers, check_type, int_text
 from .errors import (
     CapExceededError,
     InvalidParamsError,
@@ -39,14 +39,10 @@ class Spinor:
     c1: complex
 
     def __post_init__(self):
-        try:
-            c0, c1 = complex(self.c0), complex(self.c1)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParamsError(
-                f"spinor components must be numbers, got {self.c0!r} and {self.c1!r}"
-            ) from exc
-        except OverflowError as exc:
-            raise InvalidParamsError("spinor components must lie within float range") from exc
+        c = check_numbers((self.c0, self.c1), "spinor components", complex)
+        if c.shape != (2,):
+            raise InvalidParamsError(f"spinor components must be two numbers, got shape {c.shape}")
+        c0, c1 = c.tolist()
         norm = abs(c0) ** 2 + abs(c1) ** 2
         if not abs(norm - 1.0) <= 1e-14:
             raise InvalidParamsError(f"spinor must have unit norm, got |c0|^2+|c1|^2 = {norm!r}")
@@ -65,12 +61,7 @@ class FullState:
         n = check_int(self.n_qubits, "n_qubits")
         if n < 1:
             raise InvalidParamsError(f"need at least one qubit, got {int_text(n)}")
-        try:
-            amp = np.asarray(self.amplitudes, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParamsError("state amplitudes must be numbers") from exc
-        except OverflowError as exc:
-            raise InvalidParamsError("state amplitudes must lie within float range") from exc
+        amp = check_numbers(self.amplitudes, "state amplitudes", complex)
         # no array has 2**63 entries, so a larger n fails without forming 2**n
         if amp.shape != (2 ** min(n, 63),):
             raise InvalidParamsError(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +30,8 @@ HEADER = "N,k,a,c1_sq,c2_sq,tau,n2,xi"
 
 def _sweep_text(**kwargs):
     out, err = io.StringIO(), io.StringIO()
-    rc = run_sweep(**kwargs, out=out, err=err)
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run_sweep(**kwargs)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -180,9 +182,8 @@ def test_sweep_spanning_several_chunks_matches_per_pair_reference(monkeypatch):
 def test_sweep_to_file_matches_stdout(tmp_path):
     target = tmp_path / "rows.csv"
     _, text, _ = _sweep_text(n_values=(4,), k_values=None, a_steps=5)
-    rc = run_sweep(
-        n_values=(4,), k_values=None, a_steps=5, output_path=str(target), err=io.StringIO()
-    )
+    with redirect_stderr(io.StringIO()):
+        rc = run_sweep(n_values=(4,), k_values=None, a_steps=5, output_path=str(target))
     assert rc == 0
     assert target.read_bytes() == text.encode()
 
@@ -308,9 +309,8 @@ def test_sweep_writes_no_file_when_every_row_fails(monkeypatch, tmp_path):
 
     monkeypatch.setattr(measures, "tangle_grid", explode)
     target = tmp_path / "rows.csv"
-    rc = run_sweep(
-        n_values=(4,), k_values=None, a_steps=3, output_path=str(target), err=io.StringIO()
-    )
+    with redirect_stderr(io.StringIO()):
+        rc = run_sweep(n_values=(4,), k_values=None, a_steps=3, output_path=str(target))
     assert rc == 2
     assert not target.exists()
 
@@ -364,7 +364,8 @@ def test_sweep_accepts_integral_n_of_any_type():
 
 def test_check_passes_on_honest_code():
     out = io.StringIO()
-    rc = run_check(5, 3, 1e-9, out=out)
+    with redirect_stdout(out):
+        rc = run_check(5, 3, 1e-9)
     lines = out.getvalue().splitlines()
     assert rc == 0
     assert lines, "expected one line per property"
@@ -378,7 +379,8 @@ def test_check_output_is_frozen(monkeypatch, chunk_rows):
     # with 64-row chunks, pairs and their neighbours fall into different engine calls
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     out = io.StringIO()
-    assert run_check(12, 11, 1e-9, out=out) == 0
+    with redirect_stdout(out):
+        assert run_check(12, 11, 1e-9) == 0
     assert out.getvalue().splitlines() == [
         "PASS a-monotonicity: margin 4.932e-09 (tightest at (N=100, k=2, a=0.9->1))",
         "PASS endpoint-max-at-a-0: margin 1.000e-09 (tightest at (N=6, k=1, a=0.1))",
@@ -399,7 +401,8 @@ def test_check_detects_broken_concurrence(monkeypatch):
         measures, "_triplet_concurrence", lambda blocks: np.minimum(1.0, 3.0 * orig(blocks))
     )
     out = io.StringIO()
-    rc = run_check(5, 3, 1e-9, out=out)
+    with redirect_stdout(out):
+        rc = run_check(5, 3, 1e-9)
     assert rc == 1
     assert any(line.startswith("FAIL monogamy-tau") for line in out.getvalue().splitlines())
 
@@ -417,7 +420,8 @@ def test_check_compares_neighbouring_k_and_n(monkeypatch, chunk_rows):
     monkeypatch.setattr(measures, "tangle_grid", bumped)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     out = io.StringIO()
-    assert run_check(12, 11, 1e-9, out=out) == 1
+    with redirect_stdout(out):
+        assert run_check(12, 11, 1e-9) == 1
     lines = out.getvalue().splitlines()
     assert any(line.startswith("FAIL k-ordering:") and "(N=7, k=2->3, a=" in line for line in lines)
     assert any(line.startswith("FAIL n-decay:") and "(N=6->7, k=2, a=" in line for line in lines)
@@ -446,7 +450,8 @@ def test_check_rejects_bad_arguments():
         run_check(5, 3.5, 1e-9)
     with pytest.raises(InvalidParamsError):
         run_check(3.5, 3, 1e-9)
-    assert run_check(5, 3, "1e-9", out=io.StringIO()) == 0
+    with redirect_stdout(io.StringIO()):
+        assert run_check(5, 3, "1e-9") == 0
     # a nan margin is never negative, so a nan tol would pass every property
     for tol in BAD_TOLS:
         with pytest.raises(InvalidParamsError, match="tol"):
@@ -470,7 +475,8 @@ def test_oracle_rejects_bad_arguments():
 
 def test_oracle_passes_and_reports_deviations():
     out = io.StringIO()
-    rc = run_oracle(4, 3, 1e-9, out=out)
+    with redirect_stdout(out):
+        rc = run_oracle(4, 3, 1e-9)
     lines = out.getvalue().splitlines()
     assert rc == 0
     assert lines[0].startswith("N=2 k=1:")
@@ -480,7 +486,8 @@ def test_oracle_passes_and_reports_deviations():
 
 def test_oracle_fails_on_impossible_tolerance():
     out = io.StringIO()
-    rc = run_oracle(6, 5, 1e-18, out=out)
+    with redirect_stdout(out):
+        rc = run_oracle(6, 5, 1e-18)
     assert rc == 1
     assert out.getvalue().splitlines()[-1].startswith("FAIL")
 
@@ -492,7 +499,8 @@ def test_oracle_detects_broken_concurrence(monkeypatch):
         measures, "_triplet_concurrence", lambda blocks: np.minimum(1.0, 3.0 * orig(blocks))
     )
     out = io.StringIO()
-    rc = run_oracle(6, 5, 1e-10, out=out)
+    with redirect_stdout(out):
+        rc = run_oracle(6, 5, 1e-10)
     assert rc == 1
     assert out.getvalue().splitlines()[-1].startswith("FAIL")
 
@@ -504,7 +512,8 @@ def test_oracle_detects_broken_negativity(monkeypatch):
         measures, "_negativity", lambda *elems: np.minimum(1.0, 3.0 * orig(*elems))
     )
     out = io.StringIO()
-    rc = run_oracle(6, 5, 1e-10, out=out)
+    with redirect_stdout(out):
+        rc = run_oracle(6, 5, 1e-10)
     assert rc == 1
     assert out.getvalue().splitlines()[-1].startswith("FAIL")
 
@@ -522,7 +531,8 @@ def test_oracle_detects_perturbed_triplet_blocks(monkeypatch, index, name):
     monkeypatch.setattr(marginals, "triplet_blocks", perturbed)
     monkeypatch.setattr(measures, "triplet_blocks", perturbed)
     out = io.StringIO()
-    assert run_oracle(6, 5, 1e-10, out=out) == 1
+    with redirect_stdout(out):
+        assert run_oracle(6, 5, 1e-10) == 1
     *pair_lines, _, verdict = out.getvalue().splitlines()
     assert max(float(line.split(f" {name}=")[1].split()[0]) for line in pair_lines) > 1e-10
     assert verdict.startswith("FAIL")

@@ -148,7 +148,7 @@ def test_single_qubit_marginal_validation():
     with pytest.raises(NotDensityMatrixError):
         SingleQubitMarginal(p, SmallMatrix(2, (1.4, 0.0, 0.0, -0.4)))
     with pytest.raises(NotDensityMatrixError):
-        SingleQubitMarginal(p, SmallMatrix(3, (0.0,) * 9))
+        SingleQubitMarginal(p, SmallMatrix(4, (0.0,) * 16))
 
 
 def _reference_elements(n, k, a):

@@ -248,9 +248,14 @@ def test_tangle_grid_rows_equal_each_pairs_table_and_records():
 
 
 def test_tangle_grid_validates_its_pairs():
-    for pairs in ([], 5, [4], [(4,)], [(4, 1, 2)], "ab"):
+    # a set has no pairs[i] for the pair-major rows to follow
+    for pairs in ([], 5, [4], [(4,)], [(4, 1, 2)], "ab", {(10, 3), (4, 1), (7, 2)},
+                  frozenset({(4, 1)})):
         with pytest.raises(InvalidParamsError, match="pair"):
             tangle_grid(pairs, [0.5])
+    expected = tangle_grid([(10, 3), (4, 1)], [0.5])
+    for pairs in (((10, 3), (4, 1)), np.array([[10, 3], [4, 1]]), (p for p in [(10, 3), (4, 1)])):
+        assert all(map(np.array_equal, tangle_grid(pairs, [0.5]), expected))
     # an invalid pair anywhere raises what tangle_table raises for it
     for n, k, a in (
         (4, 3, 0.5), (1, 1, 0.5), (4.5, 2, 0.5), (10, 3, 1.5),
@@ -286,6 +291,20 @@ def test_tiny_tau_keeps_its_sign_at_large_n():
     rec = tangle_record(DickeParams(1000, 3, 0.99))
     assert rec.tau > 0.0
     assert rec.tau == pytest.approx(1.1977510583890642e-15, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4])
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_large_n_tangles_follow_their_leading_term(n, k):
+    # with t = (1 - a^2)/a^2, tau -> 8k^2(k-1)t^3/N^4 and xi -> 8k^2(k+1)t^3/N^4, so an even
+    # spread of the two spinors (larger k) carries more residual entanglement; the next term
+    # is O(k(1 + t)/N) relative. Above N ~ 1e5 the C1^2 cancellation outgrows this bound.
+    for a, tau, xi in zip((0.5, 0.9), *tangle_table(n, k, [0.5, 0.9])[2::2]):
+        t = (1.0 - a) * (1.0 + a) / (a * a)
+        rel = (6 * k + 16 * k * t) / n
+        assert xi == pytest.approx(8 * k * k * (k + 1) * t**3 / n**4, rel=rel, abs=0.0)
+        if k >= 2:
+            assert tau == pytest.approx(8 * k * k * (k - 1) * t**3 / n**4, rel=rel, abs=0.0)
 
 
 def test_small_concurrence_keeps_relative_accuracy():

@@ -57,6 +57,13 @@ def test_spinor_validation_and_angles():
     assert s.c1 == pytest.approx(np.exp(0.7j) / math.sqrt(2), abs=1e-15)
 
 
+def test_spinor_components_must_be_single_numbers():
+    pairs = ((np.array([1.0, 0.0]), np.array([0.0, 1.0])), ([1.0], [0.0]), (np.array([1.0]), 0))
+    for c0, c1 in pairs:
+        with pytest.raises(InvalidParamsError, match="spinor components"):
+            Spinor(c0, c1)
+
+
 def test_full_state_validation():
     with pytest.raises(InvalidParamsError):
         FullState(2, np.ones(4))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dicketangle.errors import NonFiniteError, WrongDimensionError
+from dicketangle.errors import DicketangleError, NonFiniteError, WrongDimensionError
 from dicketangle.smallmat import SmallMatrix
 
 # the a=0, N=4, k=2 partial transpose; its spectrum is (1/2, 1/3, 1/3, -1/6)
@@ -27,6 +27,12 @@ def test_small_matrix_rejects_bad_dim():
         SmallMatrix(2, 5)
     with pytest.raises(WrongDimensionError):
         SmallMatrix(1.5, (1.0,))
+    # only 2x2 and 4x4 matrices exist in the package
+    with pytest.raises(WrongDimensionError):
+        SmallMatrix(3, range(9))
+    # a set has no row-major order to store its entries in
+    with pytest.raises(DicketangleError):
+        SmallMatrix(2, {0.5, 0.25, 0.125, 0.0625})
     # an integral dim is stored as an int, so to_array() can reshape by it
     m = SmallMatrix(2.0, (1.0, 0.0, 0.0, 1.0))
     assert type(m.dim) is int
