@@ -21,7 +21,9 @@ from itertools import combinations
 import numpy as np
 
 from . import marginals, measures, oracle
-from .dicke import DickeParams, amplitude_rows, check_a_values, check_int, check_n_k, int_text
+from .dicke import (
+    DickeParams, amplitude_rows, check_a_values, check_int, check_n_k, check_numbers, int_text,
+)
 from .errors import CapExceededError, DicketangleError, InvalidParamsError
 from .oracle import Spinor
 
@@ -65,16 +67,6 @@ def _a_grid(a_min: float, a_max: float, a_steps: int) -> list[float]:
     return grid
 
 
-def _check_tol(tol: float) -> float:
-    # a nan tol makes every margin nan, and nan < 0 is false, so it would pass everything
-    try:
-        if np.isfinite(float(tol)) and float(tol) >= 0.0:
-            return float(tol)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidParamsError(f"tol must be a finite number >= 0, got {int_text(tol)}")
-
-
 def _validated(command: str, n_max, low: int, cap: int, a_steps, tol):
     """check's and oracle's arguments: n_max in low..cap, a_steps >= 2 and tol."""
     n_max = _int_at_least(n_max, low, "n_max")
@@ -82,7 +74,12 @@ def _validated(command: str, n_max, low: int, cap: int, a_steps, tol):
         raise CapExceededError(
             f"{command} command is capped at n_max <= {cap}, got {int_text(n_max)}"
         )
-    return n_max, _int_at_least(a_steps, 2, "a_steps"), _check_tol(tol)
+    a_steps = _int_at_least(a_steps, 2, "a_steps")
+    value = check_numbers(tol, "tol")
+    # a nan tol makes every margin nan, and nan < 0 is false, so it would pass everything
+    if not (value.ndim == 0 and np.isfinite(value) and value >= 0.0):
+        raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol}")
+    return n_max, a_steps, value.item()
 
 
 def _chunks(n_pairs: int, m: int):

@@ -43,29 +43,40 @@ def int_text(value: int) -> str:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
-def check_real(value, name: str) -> float:
-    """`value` as a float if it is a real number, as 0.5, 1 and np.float64(0.5) are;
-    else raise InvalidParamsError. Strings and None are not real numbers."""
-    # float and int first: they cover float, np.float64, int and bool without the slower ABC check
-    if isinstance(value, (float, int, numbers.Real)):
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise InvalidParamsError(f"{name} must lie within float range") from exc
-    raise InvalidParamsError(f"{name} must be a real number, got {type(value).__name__}")
+# how a refused dtype kind is named; other refused kinds are named by their dtype
+_KIND_NAMES = {"U": "str", "S": "bytes", "c": "complex"}
 
 
 def check_numbers(
     values, name: str, dtype: type = float, error: type[DicketangleError] = InvalidParamsError,
 ) -> np.ndarray:
-    """`values` as np.asarray(values, dtype=dtype); raise `error` if they are not numbers,
-    or if one lies past float range, as the int 10**400 does."""
+    """`values`, a number or an array or nested sequence of numbers, as a new array of
+    `dtype` (float or complex): the one rule for every number that enters the package.
+
+    A str, bytes or None, also inside a list or an array, raises `error`, and so does a
+    complex number where dtype is float; Decimal and Fraction are numbers. An int past
+    float range, as 10**400 is, raises error("<name> must lie within float range"). The
+    decision reads dtype.kind, and scans object arrays only; callers check shape and finiteness.
+    """
+    real = dtype is float
     try:
-        return np.asarray(values, dtype=dtype)
+        arr = np.asarray(values)
+        kind = arr.dtype.kind
+        if kind == "O":
+            # None, Decimal, Fraction and ints past 64 bits make an object array
+            odd = [x for x in arr.flat if not isinstance(x, numbers.Number)
+                   or real and isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real)]
+            got = ("None" if odd[0] is None else type(odd[0]).__name__) if odd else None
+        else:
+            numeric = "biuf" if real else "biufc"
+            got = None if kind in numeric else _KIND_NAMES.get(kind, str(arr.dtype))
+        if got is None:
+            return arr.astype(dtype)
     except OverflowError as exc:
         raise error(f"{name} must lie within float range") from exc
-    except (TypeError, ValueError) as exc:
-        raise error(f"{name} must be numbers") from exc
+    except (TypeError, ValueError):
+        got = "a ragged sequence or an unconvertible value"
+    raise error(f"{name} must be {'a real number' if real else 'a number'}, got {got}")
 
 
 def check_type(
@@ -98,25 +109,8 @@ def check_n_k(n, k) -> tuple[int, int]:
 
 
 def check_a_values(a_values) -> np.ndarray:
-    """Validate overlaps a (a number or a 1-D sequence) as finite values in [0, 1].
-
-    Returns them as a 1-D float array.
-    """
-    try:
-        a = np.asarray(a_values)
-        # a float cast keeps only the real part of complex input and turns None into nan
-        odd = [x for x in a.flat if x is None or np.iscomplexobj(x)] if a.dtype.kind in "cO" else []
-        if not odd:
-            a = a.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParamsError("non-orthogonality a must be a real number") from exc
-    except OverflowError as exc:
-        raise InvalidParamsError(
-            "non-orthogonality a must lie in [0, 1], got a number past float range"
-        ) from exc
-    if odd:
-        got = "None" if odd[0] is None else "complex input"
-        raise InvalidParamsError(f"non-orthogonality a must be a real number, got {got}")
+    """Overlaps a (a number or a 1-D sequence) as a 1-D float array, each finite and in [0, 1]."""
+    a = check_numbers(a_values, "non-orthogonality a")
     if a.ndim > 1:
         raise InvalidParamsError(
             f"non-orthogonality a must be a number or a 1-D sequence, got shape {a.shape}"
@@ -139,11 +133,12 @@ class DickeParams:
 
     def __post_init__(self):
         n, k = check_n_k(self.n_qubits, self.degeneracy)
-        if np.ndim(self.non_orthogonality) != 0:
+        a = check_numbers(self.non_orthogonality, "non-orthogonality a")
+        if a.ndim:
             raise InvalidParamsError(
-                f"non-orthogonality a must be a single number, got {self.non_orthogonality!r}"
+                f"non-orthogonality a must be a single number, got shape {a.shape}"
             )
-        a = float(check_a_values(self.non_orthogonality)[0])
+        a = check_a_values(a).item()
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "degeneracy", k)
         object.__setattr__(self, "non_orthogonality", a)

@@ -358,8 +358,9 @@ def test_sweep_accepts_integral_n_of_any_type():
     for n in (np.int64(4), 4.0):
         assert _sweep_text(n_values=(n,), k_values=None, a_steps=3) == want
         assert _sweep_text(n_values=(n,), k_values=(1, 2.0), a_steps=3) == want
-    # numeric strings for the endpoints, as DickeParams accepts them for a
-    assert _sweep_text(n_values=(4,), k_values=None, a_min="0", a_max="1", a_steps=3) == want
+    # numeric strings for the endpoints are refused, as DickeParams refuses them for a
+    with pytest.raises(InvalidParamsError, match="must be a real number, got str"):
+        _sweep_text(n_values=(4,), k_values=None, a_min="0", a_max="1", a_steps=3)
 
 
 def test_check_passes_on_honest_code():
@@ -450,8 +451,8 @@ def test_check_rejects_bad_arguments():
         run_check(5, 3.5, 1e-9)
     with pytest.raises(InvalidParamsError):
         run_check(3.5, 3, 1e-9)
-    with redirect_stdout(io.StringIO()):
-        assert run_check(5, 3, "1e-9") == 0
+    with pytest.raises(InvalidParamsError, match="tol must be a real number, got str"):
+        run_check(5, 3, "1e-9")
     # a nan margin is never negative, so a nan tol would pass every property
     for tol in BAD_TOLS:
         with pytest.raises(InvalidParamsError, match="tol"):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dicketangle import measures, oracle
-from dicketangle.dicke import DickeParams
+from dicketangle.cli import _a_grid
+from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import (
     InvalidParamsError,
     NoConvergenceError,
@@ -16,8 +17,10 @@ from dicketangle.errors import (
 from dicketangle.marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
+    marginal_elements,
     marginal_matrix,
     single_qubit_marginal,
+    triplet_blocks,
     two_qubit_marginal,
 )
 from dicketangle.measures import (
@@ -390,3 +393,27 @@ def test_psd_abort_reads_the_same_through_both_routes():
         concurrence_two_qubit(SmallMatrix(4, tuple(np.diag([1.2, -0.2, 0.0, 0.0]).ravel())))
     assert "np.float64(" not in str(four.value)
     assert str(four.value) == "matrix is not PSD, smallest eigenvalue -0.2"
+
+
+def test_concurrence_cubic_meets_the_negativity_block_on_the_readme_grid():
+    """C2 reads the eigenvalues mu of R Y3, the roots of p(mu) = mu^3 - e1 mu^2 + e2 mu - e3
+    with e1 = 2(D - C), e2 = C^2 - AF - 4CD + 4BE and e3 = -2(ADF - AE^2 - B^2 F + 2BCE - C^2 D);
+    N2 reads the eigenvalues of the partial-transpose block P. Symbolically p(e1/2) = det P.
+    This holds both on every engine row of the README sweep (N = 10, 100, every k, 101 a)."""
+    grid = _a_grid(0.0, 1.0, 101)
+    pairs = [(n, k) for n in (10, 100) for k in range(1, n // 2 + 1)]
+    columns = zip(*(marginal_elements(n, amplitude_rows(n, k, grid)) for n, k in pairs))
+    A, B, C, D, E, F = elements = [np.concatenate(col) for col in columns]
+    assert len(A) == 5555
+    e1 = 2.0 * (D - C)
+    e2 = C * C - A * F - 4.0 * C * D + 4.0 * B * E
+    e3 = -2.0 * (A * D * F - A * E * E - B * B * F + 2.0 * B * C * E - C * C * D)
+    R, P, _ = triplet_blocks(*elements)
+    mu = measures._eig(np.linalg.eigvals, measures._spin_flip(R))
+    m0, m1, m2 = mu[:, 0], mu[:, 1], mu[:, 2]
+    assert np.abs(m0 + m1 + m2 - e1).max() <= 1e-14
+    assert np.abs(m0 * m1 + m0 * m2 + m1 * m2 - e2).max() <= 1e-14
+    assert np.abs(m0 * m1 * m2 - e3).max() <= 1e-14
+    h = 0.5 * e1
+    det_p = measures._eig(np.linalg.eigvalsh, P).prod(axis=1)
+    assert np.abs(((h - e1) * h + e2) * h - e3 - det_p).max() <= 1e-14

@@ -87,6 +87,13 @@ def test_full_state_validation():
         state.amplitudes[0] = 1.0
 
 
+def test_full_state_freezes_its_own_copy_not_the_callers_array():
+    amplitudes = np.array([0.6, 0.8], dtype=complex)
+    state = FullState(1, amplitudes)
+    amplitudes[0] = 1.0
+    assert state.amplitudes.tolist() == [0.6, 0.8]
+
+
 def test_expand_state_at_a_0_is_the_dicke_state():
     w = expand_state(DickeParams(3, 1, 0.0)).amplitudes
     assert np.allclose(w, W3.amplitudes, atol=1e-15, rtol=0.0)

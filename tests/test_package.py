@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dicketangle
+from dicketangle import cli
 
 
 def test_public_names_resolve():
@@ -62,7 +63,7 @@ _WRONG_VALUE_TYPES = [
     ("two-qubit-str", lambda: dicketangle.TwoQubitMarginal(_P, "1", 0, 0, 0, 0, 0),
      dicketangle.InvalidParamsError, "A must be a real number, got str"),
     ("two-qubit-none", lambda: dicketangle.TwoQubitMarginal(_P, None, 0, 0, 0, 0, 0),
-     dicketangle.InvalidParamsError, "A must be a real number, got NoneType"),
+     dicketangle.InvalidParamsError, "A must be a real number, got None$"),
     ("record-str", lambda: dicketangle.TangleRecord(_P, "0.1", 0.0, 0.1, 0.0, 0.1),
      dicketangle.InvalidParamsError, "c1_sq must be a real number, got str"),
     ("two-qubit-params", lambda: dicketangle.TwoQubitMarginal("p", 1.0, 0, 0, 0, 0, 0),
@@ -99,3 +100,53 @@ def test_marginal_types_accept_params_of_none():
     assert dicketangle.TwoQubitMarginal(None, 1.0, 0, 0, 0, 0, 0).params is None
     rho = dicketangle.SmallMatrix(2, (1.0, 0.0, 0.0, 0.0))
     assert dicketangle.SingleQubitMarginal(None, rho).params is None
+
+
+# every entry point that takes numbers from outside: how it takes a value, the error it
+# raises, and whether it wants real numbers (the others take complex ones)
+_NUMBER_ENTRY_POINTS = {
+    "DickeParams-a": (lambda v: dicketangle.DickeParams(4, 2, v), "InvalidParamsError", True),
+    "tangle_table-a_values": (
+        lambda v: dicketangle.tangle_table(4, 2, v), "InvalidParamsError", True
+    ),
+    "tangle_grid-a_values": (
+        lambda v: dicketangle.tangle_grid([(4, 2)], v), "InvalidParamsError", True
+    ),
+    "run_sweep-a_min": (lambda v: cli.run_sweep((4,), (1,), a_min=v), "InvalidParamsError", True),
+    "run_sweep-a_max": (lambda v: cli.run_sweep((4,), (1,), a_max=v), "InvalidParamsError", True),
+    "run_check-tol": (lambda v: cli.run_check(4, 3, v), "InvalidParamsError", True),
+    "run_oracle-tol": (lambda v: cli.run_oracle(3, 3, v), "InvalidParamsError", True),
+    "TwoQubitMarginal-A": (
+        lambda v: dicketangle.TwoQubitMarginal(None, v, 0, 0, 0, 0, 0), "InvalidParamsError", True
+    ),
+    "TangleRecord-c1_sq": (
+        lambda v: dicketangle.TangleRecord(_P, v, 0, 0, 0, 0), "InvalidParamsError", True
+    ),
+    "SmallMatrix-entries": (lambda v: dicketangle.SmallMatrix(2, v), "NonFiniteError", True),
+    "Spinor-c0": (lambda v: dicketangle.Spinor(v, 0.0), "InvalidParamsError", False),
+    "FullState-amplitudes": (lambda v: dicketangle.FullState(1, v), "InvalidParamsError", False),
+}
+_BAD_NUMBERS = {
+    "str": ("0.5", False),
+    "bytes": (b"0.5", False),
+    "np.str_": (np.str_("0.5"), False),
+    "None": (None, False),
+    "list-with-str": ([0.5, "0.5"], False),
+    "10**400": (10**400, False),
+    "complex-array": (np.array([1, 0, 0, 1j]), True),
+}
+_BAD_NUMBER_CASES = [
+    pytest.param(call, getattr(dicketangle, error), value, id=f"{entry}-{bad}")
+    for entry, (call, error, wants_real) in _NUMBER_ENTRY_POINTS.items()
+    for bad, (value, only_where_real) in _BAD_NUMBERS.items()
+    if wants_real or not only_where_real
+]
+
+
+@pytest.mark.parametrize("call,error,value", _BAD_NUMBER_CASES)
+def test_every_entry_point_refuses_what_is_not_a_number_by_one_rule(call, error, value):
+    # dicke.check_numbers decides for all of them, so they cannot drift apart
+    with pytest.raises(dicketangle.DicketangleError) as refused:
+        call(value)
+    assert refused.type is error
+    assert refused.match(r"must (be a (real )?number, got |lie within float range)")

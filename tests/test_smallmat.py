@@ -54,6 +54,12 @@ def test_small_matrix_rejects_non_finite():
         SmallMatrix(2, (10**400, 0, 0, 0))
 
 
+def test_small_matrix_rejects_a_complex_array_as_it_does_a_complex_tuple():
+    # the imaginary part is refused, not dropped
+    with pytest.raises(NonFiniteError, match="got complex"):
+        SmallMatrix(2, np.array([1, 0, 0, 1j]))
+
+
 def test_entry_and_rows_round_trip():
     m = SmallMatrix(2, np.array([1, 2, 3, 4]))
     assert m.entries == (1.0, 2.0, 3.0, 4.0)
