@@ -45,7 +45,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "CapExceededError",

@@ -16,13 +16,13 @@ import argparse
 import math
 import sys
 from contextlib import ExitStack
-from itertools import combinations
 
 import numpy as np
 
 from . import marginals, measures, oracle
 from .dicke import (
-    DickeParams, amplitude_rows, check_a_values, check_int, check_n_k, check_numbers, int_text,
+    DickeParams, amplitude_rows, check_a_values, check_int, check_n_k, check_number, check_numbers,
+    int_text,
 )
 from .errors import CapExceededError, DicketangleError, InvalidParamsError
 from .oracle import Spinor
@@ -57,7 +57,9 @@ def _int_at_least(value, low: int, name: str) -> int:
 def _a_grid(a_min: float, a_max: float, a_steps: int) -> list[float]:
     """a_steps evenly spaced overlaps from a_min to a_max, both included."""
     a_steps = _int_at_least(a_steps, 2, "a_steps")
-    a_min, a_max = check_a_values([a_min, a_max]).tolist()
+    a_min, a_max = check_a_values(
+        [check_number(a_min, "a_min"), check_number(a_max, "a_max")]
+    ).tolist()
     if not a_min <= a_max:
         raise InvalidParamsError(f"need a_min <= a_max, got [{a_min}, {a_max}]")
     # the last point can round past a_max or short of it, so it is a_max itself,
@@ -287,8 +289,9 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
                            T rho2 T^T against the R of triplet_blocks
         partial-transpose  T S T^T, s^T S s and T S s of the axis-swapped dense marginal S
                            against the P and D - C of triplet_blocks and against 0
-        pair-choice        the dense marginal of every qubit pair (each traced once per
-                           point) against that of (0, 1)
+        pair-choice        the dense state against itself with each pair of neighbouring
+                           qubits exchanged; these exchanges generate every permutation,
+                           so every qubit pair then has the marginal of (0, 1)
         rho1               the dense one-qubit marginal against single_qubit_marginal
                            and against the dense two-qubit marginal traced over qubit 2
         measures           C2, N2 and C1 of one tangle_table call (the numbers sweep
@@ -321,8 +324,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         _worst(devs, "state", psi.amplitudes - sym.amplitudes)
         _worst(devs, "state", dicke_norm * psi.amplitudes[dicke_index] - beta_row)
 
-        traces = [oracle.partial_trace_to_two(psi, pair) for pair in combinations(range(n), 2)]
-        brute = traces[0]
+        brute = oracle.partial_trace_to_two(psi)
         rho2 = brute.to_array()
         marg = marginals.TwoQubitMarginal(params, *row)
         _worst(devs, "marginal", rho2 - marginals.marginal_matrix(marg).to_array())
@@ -331,7 +333,8 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         rotated = _BELL @ swapped @ _BELL.T
         _worst(devs, "partial-transpose", rotated[:3, :3] - P)
         _worst(devs, "partial-transpose", rotated[3] - [0.0, 0.0, 0.0, singlet])
-        _worst(devs, "pair-choice", np.subtract([t.entries for t in traces], brute.entries))
+        tensor = psi.amplitudes.reshape((2,) * n)
+        _worst(devs, "pair-choice", [tensor - tensor.swapaxes(q, q + 1) for q in range(n - 1)])
 
         rho1 = oracle.partial_trace_to_one(psi)
         dense1 = rho1.to_array()
@@ -352,8 +355,7 @@ def run_oracle(n_max: int, a_steps: int, tol: float) -> int:
 
     Prints one line of oracle_deviations per (N, k) with N = 2..n_max, then
     the largest deviation and PASS or FAIL; returns 1 if any deviation
-    exceeds tol. n_max is capped at 12, since the pair-choice check traces
-    every qubit pair of a 2^N state.
+    exceeds tol. n_max is capped at 12, since each point expands a 2^N state.
     """
     n_max, a_steps, tol = _validated("oracle", n_max, 2, _ORACLE_N_MAX, a_steps, tol)
     grid = _a_grid(0.0, 1.0, a_steps)

@@ -79,6 +79,14 @@ def check_numbers(
     raise error(f"{name} must be {'a real number' if real else 'a number'}, got {got}")
 
 
+def check_number(value, name: str) -> float:
+    """`value` as a Python float, by check_numbers' rule, if it is a single number."""
+    arr = check_numbers(value, name)
+    if arr.ndim:
+        raise InvalidParamsError(f"{name} must be a single number, got shape {arr.shape}")
+    return arr.item()
+
+
 def check_type(
     value, cls: type | tuple[type, ...], name: str,
     error: type[DicketangleError] = InvalidParamsError,
@@ -133,12 +141,7 @@ class DickeParams:
 
     def __post_init__(self):
         n, k = check_n_k(self.n_qubits, self.degeneracy)
-        a = check_numbers(self.non_orthogonality, "non-orthogonality a")
-        if a.ndim:
-            raise InvalidParamsError(
-                f"non-orthogonality a must be a single number, got shape {a.shape}"
-            )
-        a = check_a_values(a).item()
+        a = check_a_values(check_number(self.non_orthogonality, "non-orthogonality a")).item()
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "degeneracy", k)
         object.__setattr__(self, "non_orthogonality", a)

@@ -18,7 +18,7 @@ class NoConvergenceError(DicketangleError, ArithmeticError):
 
 
 class OutOfRangeError(DicketangleError, ValueError):
-    """An index argument lies outside its admissible range."""
+    """symmetrize_two_spinors got a qubit count or copy count k outside its admissible range."""
 
 
 class InvalidParamsError(DicketangleError, ValueError):

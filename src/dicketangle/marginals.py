@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeParams, amplitude_rows, check_numbers, check_type
+from .dicke import DickeParams, amplitude_rows, check_number, check_type
 from .errors import InvalidParamsError, NotDensityMatrixError
 from .smallmat import SmallMatrix
 
@@ -49,10 +49,7 @@ class TwoQubitMarginal:
     def __post_init__(self):
         check_type(self.params, (DickeParams, type(None)), "params")
         for name in "ABCDEF":
-            value = check_numbers(getattr(self, name), name)
-            if value.ndim:
-                raise InvalidParamsError(f"{name} must be a single number, got shape {value.shape}")
-            object.__setattr__(self, name, value.item())
+            object.__setattr__(self, name, check_number(getattr(self, name), name))
         elements = [getattr(self, name) for name in "ABCDEF"]
         if not all(map(math.isfinite, elements)):
             raise InvalidParamsError("marginal elements must be finite")

@@ -23,7 +23,7 @@ from .dicke import (
     amplitude_rows,
     check_a_values,
     check_n_k,
-    check_numbers,
+    check_number,
     check_type,
 )
 from .errors import (
@@ -65,10 +65,7 @@ class TangleRecord:
     def __post_init__(self):
         check_type(self.params, DickeParams, "params")
         for name in ("c1_sq", "c2_sq", "tau", "n2", "xi"):
-            value = check_numbers(getattr(self, name), name)
-            if value.ndim:
-                raise InvalidParamsError(f"{name} must be a single number, got shape {value.shape}")
-            object.__setattr__(self, name, value.item())
+            object.__setattr__(self, name, check_number(getattr(self, name), name))
         n = self.params.n_qubits
         for name, value in (("c1_sq", self.c1_sq), ("c2_sq", self.c2_sq), ("n2", self.n2)):
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):

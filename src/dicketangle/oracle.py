@@ -144,26 +144,16 @@ def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) ->
     return FullState(n, amp / np.linalg.norm(amp))
 
 
-def _partial_trace(psi: FullState, keep: tuple[int, ...]) -> np.ndarray:
-    n = psi.n_qubits
-    keep = tuple(check_int(q, "qubit index", OutOfRangeError) for q in keep)
-    for q in keep:
-        if not 0 <= q < n:
-            raise OutOfRangeError(f"qubit index {int_text(q)} outside 0..{n - 1}")
-    if len(set(keep)) != len(keep):
-        raise OutOfRangeError(f"kept qubits must be distinct, got {keep}")
-    tensor = psi.amplitudes.reshape((2,) * n)
-    moved = np.moveaxis(tensor, keep, range(len(keep)))
-    m = moved.reshape(2 ** len(keep), -1)
-    return m @ m.conj().T
+def _reduced(psi: FullState, dim: int) -> SmallMatrix:
+    """The reduced density matrix of the leading qubits (dim = 2 or 4), as a SmallMatrix.
 
-
-def _as_real_small_matrix(rho: np.ndarray, dim: int) -> SmallMatrix:
-    """The real part of a reduced density matrix, as a validated SmallMatrix.
-
-    The states under study have real amplitudes, so an imaginary part above
-    1e-12 means a complex state was passed and raises InvalidParamsError.
+    Qubit 1 is the most significant bit, so the kept qubits lead the index and
+    the traced-out tail is the second axis of a (dim, -1) reshape. The states
+    under study have real amplitudes, so an imaginary part above 1e-12 means
+    a complex state was passed and raises InvalidParamsError.
     """
+    m = psi.amplitudes.reshape(dim, -1)
+    rho = m @ m.conj().T
     residue = float(np.max(np.abs(rho.imag)))
     if residue > _REAL_TOL:
         raise InvalidParamsError(
@@ -173,23 +163,20 @@ def _as_real_small_matrix(rho: np.ndarray, dim: int) -> SmallMatrix:
     return SmallMatrix(dim, rho.real.ravel())
 
 
-def partial_trace_to_two(psi: FullState, qubits: tuple[int, int] = (0, 1)) -> SmallMatrix:
-    """Exact two-qubit reduced density matrix rho_{(x1 x2),(y1 y2)} = sum_z psi(x1 x2 z) psi*(y1 y2 z).
+def partial_trace_to_two(psi: FullState) -> SmallMatrix:
+    """Exact reduced density matrix of qubits 1 and 2,
+    rho_{(x1 x2),(y1 y2)} = sum_z psi(x1 x2 z) psi*(y1 y2 z).
 
-    `qubits` selects which pair (0-based) is kept; exchange symmetry of the
-    states under study makes the choice irrelevant, which the test suite
-    checks rather than assumes.
+    Every pair of a symmetric state has this marginal; for another pair of a
+    general state, permute the axes of psi.amplitudes.reshape((2,) * n) first.
     """
     check_type(psi, FullState, "psi")
     if psi.n_qubits < 2:
         raise WrongDimensionError("need at least 2 qubits to keep a pair")
-    keep = tuple(qubits) if np.iterable(qubits) else ()
-    if len(keep) != 2:
-        raise OutOfRangeError(f"need exactly two qubit indices, got {qubits!r}")
-    return _as_real_small_matrix(_partial_trace(psi, keep), 4)
+    return _reduced(psi, 4)
 
 
-def partial_trace_to_one(psi: FullState, qubit: int = 0) -> SmallMatrix:
-    """Exact single-qubit reduced density matrix of the chosen qubit."""
+def partial_trace_to_one(psi: FullState) -> SmallMatrix:
+    """Exact reduced density matrix of qubit 1."""
     check_type(psi, FullState, "psi")
-    return _as_real_small_matrix(_partial_trace(psi, (qubit,)), 2)
+    return _reduced(psi, 2)

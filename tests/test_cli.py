@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -363,6 +362,25 @@ def test_sweep_accepts_integral_n_of_any_type():
         _sweep_text(n_values=(4,), k_values=None, a_min="0", a_max="1", a_steps=3)
 
 
+@pytest.mark.parametrize(
+    "endpoint,value,message",
+    [
+        ("a_min", [0.5, "0.5"], "a_min must be a real number, got str"),
+        ("a_min", [0.2], r"a_min must be a single number, got shape \(1,\)"),
+        ("a_max", (0.1, 0.2), r"a_max must be a single number, got shape \(2,\)"),
+        ("a_max", "1", "a_max must be a real number, got str"),
+        ("a_max", 10**400, "a_max must lie within float range"),
+        # a number outside [0, 1] is refused by check_a_values, which names every a alike
+        ("a_max", float("nan"), r"non-orthogonality a must lie in \[0, 1\], got nan"),
+        ("a_min", -0.1, r"non-orthogonality a must lie in \[0, 1\], got -0.1"),
+    ],
+    ids=["list-with-str", "one-number-list", "pair", "str", "10**400", "nan", "negative"],
+)
+def test_sweep_names_the_endpoint_it_refuses(endpoint, value, message):
+    with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+        _sweep_text(n_values=(4,), k_values=(1,), **{endpoint: value})
+
+
 def test_check_passes_on_honest_code():
     out = io.StringIO()
     with redirect_stdout(out):
@@ -539,18 +557,19 @@ def test_oracle_detects_perturbed_triplet_blocks(monkeypatch, index, name):
     assert verdict.startswith("FAIL")
 
 
-def test_oracle_traces_each_qubit_pair_once_per_point(monkeypatch):
-    traced = []
-    orig = oracle.partial_trace_to_two
+def test_oracle_pair_choice_catches_a_state_that_is_not_exchange_symmetric(monkeypatch):
+    grid = [0.0, 0.5, 1.0]
+    assert cli.oracle_deviations(5, 2, grid)["pair-choice"] == 0.0
+    orig = oracle.expand_state
 
-    def spy(psi, qubits=(0, 1)):
-        traced.append(tuple(qubits))
-        return orig(psi, qubits)
+    def broken(params):
+        # |0...01> and |0...10> get different amplitudes: qubits N-1 and N no longer exchange
+        amp = orig(params).amplitudes.copy()
+        amp[0b01] += 0.1
+        return oracle.FullState(params.n_qubits, amp / np.linalg.norm(amp))
 
-    monkeypatch.setattr(oracle, "partial_trace_to_two", spy)
-    devs = cli.oracle_deviations(5, 2, [0.0, 0.5, 1.0])
-    assert traced == list(combinations(range(5), 2)) * 3
-    assert max(devs.values()) < 1e-12
+    monkeypatch.setattr(oracle, "expand_state", broken)
+    assert cli.oracle_deviations(5, 2, grid)["pair-choice"] > 1e-3
 
 
 def test_oracle_holds_the_engine_amplitudes_against_the_dense_state(monkeypatch):
