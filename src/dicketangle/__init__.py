@@ -11,12 +11,8 @@ from .errors import (
     CapExceededError,
     DicketangleError,
     InvalidParamsError,
-    NoConvergenceError,
-    NonFiniteError,
     NotDensityMatrixError,
     NumericalInstabilityError,
-    OutOfRangeError,
-    WrongDimensionError,
 )
 from .marginals import (
     SingleQubitMarginal,
@@ -45,7 +41,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "CapExceededError",
@@ -53,18 +49,14 @@ __all__ = [
     "DicketangleError",
     "FullState",
     "InvalidParamsError",
-    "NoConvergenceError",
-    "NonFiniteError",
     "NotDensityMatrixError",
     "NumericalInstabilityError",
-    "OutOfRangeError",
     "SingleQubitMarginal",
     "SmallMatrix",
     "Spinor",
     "TangleRecord",
     "TangleTable",
     "TwoQubitMarginal",
-    "WrongDimensionError",
     "amplitudes",
     "concurrence_two_qubit",
     "expand_state",

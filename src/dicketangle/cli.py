@@ -21,8 +21,7 @@ import numpy as np
 
 from . import marginals, measures, oracle
 from .dicke import (
-    DickeParams, amplitude_rows, check_a_values, check_int, check_n_k, check_number, check_numbers,
-    int_text,
+    DickeParams, amplitude_rows, check_a_values, check_int, check_n_k, check_number, int_text,
 )
 from .errors import CapExceededError, DicketangleError, InvalidParamsError
 from .oracle import Spinor
@@ -77,11 +76,11 @@ def _validated(command: str, n_max, low: int, cap: int, a_steps, tol):
             f"{command} command is capped at n_max <= {cap}, got {int_text(n_max)}"
         )
     a_steps = _int_at_least(a_steps, 2, "a_steps")
-    value = check_numbers(tol, "tol")
+    value = check_number(tol, "tol")
     # a nan tol makes every margin nan, and nan < 0 is false, so it would pass everything
-    if not (value.ndim == 0 and np.isfinite(value) and value >= 0.0):
+    if not (math.isfinite(value) and value >= 0.0):
         raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol}")
-    return n_max, a_steps, value.item()
+    return n_max, a_steps, value
 
 
 def _chunks(n_pairs: int, m: int):

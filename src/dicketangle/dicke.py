@@ -21,17 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DicketangleError, InvalidParamsError
+from .errors import InvalidParamsError
 
 
-def check_int(value, name: str, error: type[DicketangleError] = InvalidParamsError) -> int:
-    """`value` as an int if it is integral, as 4, 4.0 and np.int64(4) are; else raise `error`."""
+def check_int(value, name: str) -> int:
+    """`value` as an int if it is integral, as 4, 4.0 and np.int64(4) are; else raise
+    InvalidParamsError."""
     try:
         if value == int(value):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise error(f"{name} must be an integer, got {value!r}")
+    raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
 
 
 def int_text(value: int) -> str:
@@ -47,15 +48,13 @@ def int_text(value: int) -> str:
 _KIND_NAMES = {"U": "str", "S": "bytes", "c": "complex"}
 
 
-def check_numbers(
-    values, name: str, dtype: type = float, error: type[DicketangleError] = InvalidParamsError,
-) -> np.ndarray:
+def check_numbers(values, name: str, dtype: type = float) -> np.ndarray:
     """`values`, a number or an array or nested sequence of numbers, as a new array of
     `dtype` (float or complex): the one rule for every number that enters the package.
 
-    A str, bytes or None, also inside a list or an array, raises `error`, and so does a
-    complex number where dtype is float; Decimal and Fraction are numbers. An int past
-    float range, as 10**400 is, raises error("<name> must lie within float range"). The
+    A str, bytes or None, also inside a list or an array, raises InvalidParamsError, and
+    so does a complex number where dtype is float; Decimal and Fraction are numbers. An int
+    past float range, as 10**400 is, raises it with "<name> must lie within float range". The
     decision reads dtype.kind, and scans object arrays only; callers check shape and finiteness.
     """
     real = dtype is float
@@ -73,10 +72,12 @@ def check_numbers(
         if got is None:
             return arr.astype(dtype)
     except OverflowError as exc:
-        raise error(f"{name} must lie within float range") from exc
+        raise InvalidParamsError(f"{name} must lie within float range") from exc
     except (TypeError, ValueError):
         got = "a ragged sequence or an unconvertible value"
-    raise error(f"{name} must be {'a real number' if real else 'a number'}, got {got}")
+    raise InvalidParamsError(
+        f"{name} must be {'a real number' if real else 'a number'}, got {got}"
+    )
 
 
 def check_number(value, name: str) -> float:
@@ -87,16 +88,13 @@ def check_number(value, name: str) -> float:
     return arr.item()
 
 
-def check_type(
-    value, cls: type | tuple[type, ...], name: str,
-    error: type[DicketangleError] = InvalidParamsError,
-) -> None:
-    """Raise `error`, naming the expected types, unless `value` is an instance of `cls`,
-    a type or a tuple of types; the message names type(None) as None."""
+def check_type(value, cls: type | tuple[type, ...], name: str) -> None:
+    """Raise InvalidParamsError, naming the expected types, unless `value` is an instance
+    of `cls`, a type or a tuple of types; the message names type(None) as None."""
     if not isinstance(value, cls):
         types = cls if isinstance(cls, tuple) else (cls,)
         expected = " or ".join("None" if c is type(None) else c.__name__ for c in types)
-        raise error(f"{name} must be a {expected}, got {type(value).__name__}")
+        raise InvalidParamsError(f"{name} must be a {expected}, got {type(value).__name__}")
 
 
 def check_n_k(n, k) -> tuple[int, int]:

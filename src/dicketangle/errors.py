@@ -1,37 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per kind of mistake."""
 
 
 class DicketangleError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonFiniteError(DicketangleError, ValueError):
-    """A matrix or vector entry is NaN or infinite."""
-
-
-class WrongDimensionError(DicketangleError, ValueError):
-    """A matrix has the wrong dimension for the requested operation."""
-
-
-class NoConvergenceError(DicketangleError, ArithmeticError):
-    """A LAPACK eigensolver failed to converge."""
-
-
-class OutOfRangeError(DicketangleError, ValueError):
-    """symmetrize_two_spinors got a qubit count or copy count k outside its admissible range."""
-
-
 class InvalidParamsError(DicketangleError, ValueError):
-    """State parameters (N, k, a) or derived quantities violate their constraints."""
+    """A value from outside has the wrong type, is not a number or not finite, or has the
+    wrong shape or range: (N, k, a), a matrix's dim or entries, a spinor, a state, a tol."""
 
 
 class CapExceededError(DicketangleError, ValueError):
-    """A requested qubit count exceeds the dense-state cap or the oracle command's n_max cap."""
+    """A request is past a cap: the dense-state cap of 14 qubits, or the check and oracle
+    commands' n_max cap and the check command's row cap."""
 
 
 class NotDensityMatrixError(DicketangleError, ValueError):
-    """A matrix fails the density-matrix checks (trace one, positive semidefinite)."""
+    """A matrix or marginal of the right shape fails the density-matrix checks
+    (trace one, symmetric, positive semidefinite)."""
 
 
 class NumericalInstabilityError(DicketangleError, ArithmeticError):
-    """A computed quantity left its mathematically guaranteed range by more than tolerance."""
+    """A LAPACK eigensolver failed, or a computed quantity left its mathematically
+    guaranteed range by more than tolerance."""

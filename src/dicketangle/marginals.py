@@ -15,11 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import DickeParams, amplitude_rows, check_number, check_type
-from .errors import InvalidParamsError, NotDensityMatrixError
+from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
 from .smallmat import SmallMatrix
 
 _SQRT1_2 = math.sqrt(0.5)
 _SQRT2 = math.sqrt(2.0)
+
+
+def _eig(solver, mats: np.ndarray) -> np.ndarray:
+    """solver(mats), a numpy eigensolver, with a LAPACK failure raised as a typed error."""
+    try:
+        return solver(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalInstabilityError(f"eigensolver failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -34,8 +42,10 @@ class TwoQubitMarginal:
          [C, E, E, F]].
 
     params are those of the state it was traced from, or None if it stands alone.
-    The elements must be finite, with A, D, F nonnegative and unit trace
-    A + 2D + F to within 1e-12; otherwise InvalidParamsError is raised.
+    An element that is not finite raises InvalidParamsError. The matrix must be
+    a density matrix: A, D, F nonnegative, unit trace A + 2D + F to within 1e-12,
+    and the triplet block R of triplet_blocks (which holds its spectrum) positive
+    semidefinite to within 1e-10; otherwise NotDensityMatrixError is raised.
     """
 
     params: DickeParams | None
@@ -55,10 +65,16 @@ class TwoQubitMarginal:
             raise InvalidParamsError("marginal elements must be finite")
         A, _, _, D, _, F = elements
         if A < 0.0 or D < 0.0 or F < 0.0:
-            raise InvalidParamsError("diagonal elements A, D, F must be nonnegative")
+            raise NotDensityMatrixError("diagonal elements A, D, F must be nonnegative")
         trace = A + 2.0 * D + F
         if abs(trace - 1.0) > 1e-12:
-            raise InvalidParamsError(f"marginal must have unit trace, got {trace!r}")
+            raise NotDensityMatrixError(f"marginal must have unit trace, got {trace!r}")
+        R, _, _ = triplet_blocks(*elements)
+        low = _eig(np.linalg.eigvalsh, R[0])[0].item()
+        if low < -1e-10:
+            raise NotDensityMatrixError(
+                f"marginal must be positive semidefinite, got smallest eigenvalue {low!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,9 +86,9 @@ class SingleQubitMarginal:
 
     def __post_init__(self):
         check_type(self.params, (DickeParams, type(None)), "params")
-        check_type(self.rho, SmallMatrix, "rho", NotDensityMatrixError)
+        check_type(self.rho, SmallMatrix, "rho")
         if self.rho.dim != 2:
-            raise NotDensityMatrixError("single-qubit marginal must be 2x2")
+            raise InvalidParamsError("single-qubit marginal must be 2x2")
         e = self.rho.entries
         if abs(e[1] - e[2]) > 1e-12:
             raise NotDensityMatrixError("single-qubit marginal must be symmetric")
@@ -150,7 +166,8 @@ def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:
 def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R = T rho T^T, P = T rho^T_B T^T (shape (m, 3, 3)) and s^T rho^T_B s = D - C (shape (m,)).
 
-    T has rows |00>, |psi+>, |11> and s is the singlet; A..F have shape (m,).
+    T has rows |00>, |psi+>, |11> and s is the singlet; A..F have shape (m,),
+    or are floats for m = 1 (then s^T rho^T_B s is a float).
     rho has no singlet weight, so R holds its spectrum apart from one exact
     zero. The qubit swap commutes with the partial transpose, so T rho^T_B s
     is 0, and P and D - C hold the whole spectrum of rho^T_B.

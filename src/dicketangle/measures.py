@@ -26,16 +26,11 @@ from .dicke import (
     check_number,
     check_type,
 )
-from .errors import (
-    InvalidParamsError,
-    NoConvergenceError,
-    NotDensityMatrixError,
-    NumericalInstabilityError,
-    WrongDimensionError,
-)
+from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
 from .marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
+    _eig,
     marginal_elements,
     triplet_blocks,
 )
@@ -86,13 +81,6 @@ class TangleTable(NamedTuple):
     xi: np.ndarray
 
 
-def _eig(solver, mats: np.ndarray) -> np.ndarray:
-    try:
-        return solver(mats)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
-
-
 def _first(values: np.ndarray, bad: np.ndarray):
     return values[bad].reshape(-1)[0].item()
 
@@ -134,13 +122,14 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
 
     Returns max(0, l1 - l2 - l3 - l4), where l1 >= ... >= l4 are the moduli
     of the eigenvalues of rho (sigma_y x sigma_y); these are the square roots
-    of the eigenvalues of rho rho~ (see _wootters). rho must have unit trace
-    and be positive semidefinite, to within 1e-10, and symmetric to within
-    1e-12 of its largest entry; otherwise NotDensityMatrixError is raised.
+    of the eigenvalues of rho rho~ (see _wootters). A rho that is not a 4x4
+    SmallMatrix raises InvalidParamsError. rho must have unit trace and be
+    positive semidefinite, to within 1e-10, and symmetric to within 1e-12 of
+    its largest entry; otherwise NotDensityMatrixError is raised.
     """
-    check_type(rho, SmallMatrix, "rho", WrongDimensionError)
+    check_type(rho, SmallMatrix, "rho")
     if rho.dim != 4:
-        raise WrongDimensionError(f"concurrence needs a 4x4 matrix, got dim {rho.dim}")
+        raise InvalidParamsError(f"concurrence needs a 4x4 matrix, got dim {rho.dim}")
     arr = rho.to_array()
     trace = float(np.trace(arr))
     if abs(trace - 1.0) > _RANGE_TOL:

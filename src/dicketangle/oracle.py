@@ -17,12 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dicke import DickeParams, check_int, check_numbers, check_type, int_text
-from .errors import (
-    CapExceededError,
-    InvalidParamsError,
-    OutOfRangeError,
-    WrongDimensionError,
-)
+from .errors import CapExceededError, InvalidParamsError
 from .smallmat import SmallMatrix
 
 # Dense vectors above this qubit count are refused (2^14 amplitudes).
@@ -116,12 +111,12 @@ def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) ->
     ||g||^2 = binom(N, k) sum_t binom(k, t) binom(N-k, t) |<eps1|eps2>|^(2t)
     >= binom(N, k) >= 2 for unit spinors and 1 <= k <= N-1.
     """
-    n = check_int(n_qubits, "n_qubits", OutOfRangeError)
-    k = check_int(k, "copy count k", OutOfRangeError)
+    n = check_int(n_qubits, "n_qubits")
+    k = check_int(k, "copy count k")
     if n < 2:
-        raise OutOfRangeError(f"need at least two qubits, got {int_text(n)}")
+        raise InvalidParamsError(f"need at least two qubits, got {int_text(n)}")
     if not 1 <= k <= n - 1:
-        raise OutOfRangeError(
+        raise InvalidParamsError(
             f"copy count k must satisfy 1 <= k <= {int_text(n - 1)}, got {int_text(k)}"
         )
     _check_cap(n)
@@ -172,7 +167,7 @@ def partial_trace_to_two(psi: FullState) -> SmallMatrix:
     """
     check_type(psi, FullState, "psi")
     if psi.n_qubits < 2:
-        raise WrongDimensionError("need at least 2 qubits to keep a pair")
+        raise InvalidParamsError("need at least 2 qubits to keep a pair")
     return _reduced(psi, 4)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import check_int, check_numbers
-from .errors import NonFiniteError, WrongDimensionError
+from .errors import InvalidParamsError
 
 _ALLOWED_DIMS = (2, 4)
 
@@ -28,14 +28,14 @@ class SmallMatrix:
     entries: tuple[float, ...]
 
     def __post_init__(self):
-        dim = check_int(self.dim, "dim", WrongDimensionError)
+        dim = check_int(self.dim, "dim")
         if dim not in _ALLOWED_DIMS:
-            raise WrongDimensionError(f"dim must be one of {_ALLOWED_DIMS}, got {dim}")
-        entries = check_numbers(self.entries, "matrix entries", float, NonFiniteError)
+            raise InvalidParamsError(f"dim must be one of {_ALLOWED_DIMS}, got {dim}")
+        entries = check_numbers(self.entries, "matrix entries")
         if entries.shape != (dim * dim,):
-            raise WrongDimensionError(f"need {dim * dim} entries, got shape {entries.shape}")
+            raise InvalidParamsError(f"need {dim * dim} entries, got shape {entries.shape}")
         if not np.isfinite(entries).all():
-            raise NonFiniteError("matrix entries must be finite")
+            raise InvalidParamsError("matrix entries must be finite")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", tuple(entries.tolist()))
 

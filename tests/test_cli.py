@@ -471,6 +471,8 @@ def test_check_rejects_bad_arguments():
         run_check(3.5, 3, 1e-9)
     with pytest.raises(InvalidParamsError, match="tol must be a real number, got str"):
         run_check(5, 3, "1e-9")
+    with pytest.raises(InvalidParamsError, match=r"tol must be a single number, got shape \(2,\)"):
+        run_check(4, 3, [1e-9, 1e-9])
     # a nan margin is never negative, so a nan tol would pass every property
     for tol in BAD_TOLS:
         with pytest.raises(InvalidParamsError, match="tol"):

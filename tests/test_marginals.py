@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dicketangle.dicke import DickeParams, amplitude_rows
-from dicketangle.errors import InvalidParamsError, NotDensityMatrixError
+from dicketangle.errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
 from dicketangle.marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
@@ -15,6 +15,7 @@ from dicketangle.marginals import (
     triplet_blocks,
     two_qubit_marginal,
 )
+from dicketangle.measures import concurrence_two_qubit
 from dicketangle.smallmat import SmallMatrix
 
 from test_dicke import _amplitude_squares, _cg_squares
@@ -131,12 +132,31 @@ def test_single_qubit_consistent_with_tracing_the_matrix():
 
 def test_two_qubit_marginal_validation():
     p = DickeParams(4, 2, 0.5)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(NotDensityMatrixError):
         TwoQubitMarginal(p, 0.4, 0.0, 0.0, 0.2, 0.0, 0.3)  # trace 1.1
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(NotDensityMatrixError):
         TwoQubitMarginal(p, -0.2, 0.0, 0.0, 0.5, 0.0, 0.2)
     with pytest.raises(InvalidParamsError):
         TwoQubitMarginal(p, math.nan, 0.0, 0.0, 0.3, 0.0, 0.4)
+
+
+def test_two_qubit_marginal_refuses_what_is_not_psd(monkeypatch):
+    # nonnegative diagonal and unit trace, but R = [[0.5, 0.4 sqrt 2, 0], [0.4 sqrt 2, 0, 0],
+    # [0, 0, 0.5]] has eigenvalue 0.25 - sqrt(0.3825); concurrence_two_qubit refuses its 4x4 too
+    with pytest.raises(NotDensityMatrixError, match=r"smallest eigenvalue -0\.368"):
+        TwoQubitMarginal(None, 0.5, 0.4, 0.0, 0.0, 0.0, 0.5)
+    dense = SmallMatrix(4, (0.5, 0.4, 0.4, 0, 0.4, 0, 0, 0, 0.4, 0, 0, 0, 0, 0, 0, 0.5))
+    with pytest.raises(NotDensityMatrixError, match=r"smallest eigenvalue -0\.368"):
+        concurrence_two_qubit(dense)
+    # the Bell state |Phi+> is pure: R has the double eigenvalue 0, on the boundary
+    assert TwoQubitMarginal(None, 0.5, 0.0, 0.5, 0.0, 0.0, 0.5).C == 0.5
+
+    def no_convergence(mats):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericalInstabilityError, match="did not converge"):
+        TwoQubitMarginal(None, 0.5, 0.0, 0.5, 0.0, 0.0, 0.5)
 
 
 def test_single_qubit_marginal_validation():
@@ -148,6 +168,8 @@ def test_single_qubit_marginal_validation():
     with pytest.raises(NotDensityMatrixError):
         SingleQubitMarginal(p, SmallMatrix(2, (1.4, 0.0, 0.0, -0.4)))
     with pytest.raises(NotDensityMatrixError):
+        SingleQubitMarginal(p, SmallMatrix(2, (0.5, 0.6, 0.6, 0.5)))  # det -0.11
+    with pytest.raises(InvalidParamsError):
         SingleQubitMarginal(p, SmallMatrix(4, (0.0,) * 16))
 
 

@@ -9,10 +9,8 @@ from dicketangle.cli import _a_grid
 from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import (
     InvalidParamsError,
-    NoConvergenceError,
     NotDensityMatrixError,
     NumericalInstabilityError,
-    WrongDimensionError,
 )
 from dicketangle.marginals import (
     SingleQubitMarginal,
@@ -94,14 +92,14 @@ def test_eigensolver_failure_raises_no_convergence(monkeypatch):
 
     rho = marginal_matrix(two_qubit_marginal(DickeParams(5, 2, 0.3)))
     monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
-    with pytest.raises(NoConvergenceError, match="did not converge"):
+    with pytest.raises(NumericalInstabilityError, match="did not converge"):
         tangle_record(DickeParams(5, 2, 0.3))
-    with pytest.raises(NoConvergenceError, match="did not converge"):
+    with pytest.raises(NumericalInstabilityError, match="did not converge"):
         concurrence_two_qubit(rho)
 
 
 def test_concurrence_input_checks():
-    with pytest.raises(WrongDimensionError):
+    with pytest.raises(InvalidParamsError):
         concurrence_two_qubit(SmallMatrix(2, (0.5, 0.0, 0.0, 0.5)))
     with pytest.raises(NotDensityMatrixError):
         concurrence_two_qubit(SmallMatrix(4, tuple(np.eye(4).ravel())))  # trace 4
@@ -159,10 +157,14 @@ def test_negativity_matches_numpy_spectrum():
 
 
 def test_negativity_aborts_on_garbage_marginal():
-    # unit trace but wildly unphysical coherences: the [0, 1] guard must trip
-    m = TwoQubitMarginal(DickeParams(4, 2, 0.5), 0.0, 0.0, 5.0, 0.25, 5.0, 0.5)
+    # unit trace but wildly unphysical coherences: the constructor refuses them (R has
+    # eigenvalue -8.25), and on their blocks the [0, 1] guard must trip
+    elements = (0.0, 0.0, 5.0, 0.25, 5.0, 0.5)
+    with pytest.raises(NotDensityMatrixError, match="positive semidefinite"):
+        TwoQubitMarginal(DickeParams(4, 2, 0.5), *elements)
+    _, blocks, singlet = triplet_blocks(*np.array(elements)[:, None])
     with pytest.raises(NumericalInstabilityError):
-        negativity_two_qubit(m)
+        measures._negativity(blocks, singlet)
 
 
 def test_tangle_record_w_state():

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from dicketangle.dicke import DickeParams
-from dicketangle.errors import (
-    CapExceededError,
-    InvalidParamsError,
-    OutOfRangeError,
-    WrongDimensionError,
-)
+from dicketangle.errors import CapExceededError, InvalidParamsError
 from dicketangle.marginals import (
     marginal_matrix,
     single_qubit_marginal,
@@ -174,21 +169,21 @@ def test_symmetrize_phase_is_local():
 
 
 def test_symmetrize_range_checks():
-    with pytest.raises(OutOfRangeError, match="need at least two qubits, got 1"):
+    with pytest.raises(InvalidParamsError, match="need at least two qubits, got 1"):
         symmetrize_two_spinors(1, 1, UP, DOWN)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InvalidParamsError):
         symmetrize_two_spinors(4, 0, UP, DOWN)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InvalidParamsError):
         symmetrize_two_spinors(4, 4, UP, DOWN)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InvalidParamsError):
         symmetrize_two_spinors(3.5, 1, UP, DOWN)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InvalidParamsError):
         symmetrize_two_spinors(4, 1.5, UP, DOWN)
     with pytest.raises(CapExceededError):
         symmetrize_two_spinors(15, 1, UP, DOWN)
     with pytest.raises(CapExceededError, match="<16610-bit integer>"):
         symmetrize_two_spinors(10**5000, 1, UP, DOWN)
-    with pytest.raises(OutOfRangeError, match="<16610-bit integer>"):
+    with pytest.raises(InvalidParamsError, match="<16610-bit integer>"):
         symmetrize_two_spinors(10**5000, 0, UP, DOWN)
 
 
@@ -235,7 +230,7 @@ def test_partial_trace_keeps_the_leading_qubits():
 
 def test_partial_trace_to_two_refuses_a_single_qubit():
     single = FullState(1, np.array([1.0, 0.0]))
-    with pytest.raises(WrongDimensionError):
+    with pytest.raises(InvalidParamsError):
         partial_trace_to_two(single)
 
 
