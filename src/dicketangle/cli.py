@@ -41,7 +41,7 @@ _CHECK_ROWS_MAX = (_CHECK_N_MAX**2 // 4 - 1) * _CHECK_A_STEPS
 # a sweep chunk holds whole (N, k) pairs, at most this many rows unless one pair has more
 _CHUNK_ROWS = 2**13
 
-# rows |00>, |psi+>, |11> (the triplet basis T), then the singlet s = |psi->
+# T: the triplet basis |00>, |psi+>, |11>, then the singlet |psi->
 _R = np.sqrt(0.5)
 _BELL = np.array([[1, 0, 0, 0], [0, _R, _R, 0], [0, 0, 0, 1], [0, _R, -_R, 0]], dtype=float)
 
@@ -238,8 +238,9 @@ def run_check(n_max: int, a_steps: int, tol: float) -> int:
     tau and xi come from one tangle_grid call per chunk of pairs, as in
     run_sweep, and each property is one array expression over them; a failing
     call raises its DicketangleError. Returns 1 if a property is violated by
-    more than tol. n_max is capped at 900, and the rows (pairs times a_steps)
-    at the 2,227,489 that n_max = 900 has with the default grid (about a minute).
+    more than tol or its margin is NaN. n_max is capped at 900, and the rows
+    (pairs times a_steps) at the 2,227,489 that n_max = 900 has with the
+    default grid (about a minute).
     """
     n_max, a_steps, tol = _validated("check", n_max, 3, _CHECK_N_MAX, a_steps, tol)
     rows = _check_pair_count(n_max) * a_steps
@@ -264,7 +265,7 @@ def run_check(n_max: int, a_steps: int, tol: float) -> int:
             f"(N={_span(n[lo[r]], n[hi[r]])}, k={_span(k[lo[r]], k[hi[r]])}, "
             f"a={_span(a_lo[c], a_hi[c], '.6g')})"
         )
-        if margin < 0.0:
+        if not margin >= 0.0:
             lines[name] = f"FAIL {name}: violated by {-margin:.3e} at {where}"
         else:
             lines[name] = f"PASS {name}: margin {margin:.3e} (tightest at {where})"
@@ -273,8 +274,16 @@ def run_check(n_max: int, a_steps: int, tol: float) -> int:
     return 1 if any(line.startswith("FAIL") for line in lines.values()) else 0
 
 
-def _worst(devs: dict, name: str, diff) -> None:
-    devs[name] = max(devs[name], float(np.max(np.abs(diff))))
+def _largest(*diffs) -> float:
+    """The largest modulus over every entry of diffs; a NaN anywhere makes it NaN."""
+    return float(np.max([np.max(np.abs(diff)) for diff in diffs]))
+
+
+def _block_diagonal(blocks, corner) -> np.ndarray:
+    """The 4x4 matrices with a 3x3 block of blocks (shape (m, 3, 3)) and corner at [3, 3]."""
+    out = np.zeros((len(blocks), 4, 4))
+    out[:, :3, :3], out[:, 3, 3] = blocks, corner
+    return out
 
 
 def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
@@ -284,69 +293,60 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         state              expand_state against symmetrize_two_spinors, and each row of
                            amplitude_rows against the dense state's Dicke-basis
                            amplitudes sqrt(binom(N, r)) psi[2^r - 1], r = 0..k
-        marginal           the dense two-qubit marginal rho2 against marginal_matrix, and
-                           T rho2 T^T against the R of triplet_blocks
-        partial-transpose  T S T^T, s^T S s and T S s of the axis-swapped dense marginal S
-                           against the P and D - C of triplet_blocks and against 0
+        marginal           T rho2 T^T of the dense two-qubit marginal rho2 against
+                           blockdiag(R, 0), with R the triplet block of triplet_blocks
+        partial-transpose  T S T^T of the axis-swapped dense marginal S against
+                           blockdiag(P, D - C), the other two blocks of triplet_blocks
         pair-choice        the dense state against itself with each pair of neighbouring
                            qubits exchanged; these exchanges generate every permutation,
                            so every qubit pair then has the marginal of (0, 1)
-        rho1               the dense one-qubit marginal against single_qubit_marginal
-                           and against the dense two-qubit marginal traced over qubit 2
+        rho1               the dense one-qubit marginal against [[A+D, B+E], [B+E, D+F]],
+                           whose determinant gives C1, and against rho2 traced over qubit 2
         measures           C2, N2 and C1 of one tangle_table call (the numbers sweep
                            prints) against concurrence_two_qubit of the dense marginal,
                            the trace norm of its axis-swapped partial transpose minus 1,
                            and one_vs_rest of the dense one-qubit marginal
 
-    A..F are evaluated once for the whole grid (marginal_elements); each point's
-    TwoQubitMarginal is built from its row, which is bit for bit what
-    two_qubit_marginal returns, and its triplet blocks from the same columns.
+    T is _BELL. The 2^N-sized work runs and is reduced per point; the dense marginals are
+    stacked and compared with the engine's arrays once per (N, k). A NaN makes its key NaN.
     """
     table = measures.tangle_table(n, k, grid)
-    engine = np.stack([np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)], axis=1)
     beta = amplitude_rows(n, k, grid)
-    elements = marginals.marginal_elements(n, beta)
-    rows = zip(*(col.tolist() for col in elements))
+    A, B, C, D, E, F = elements = marginals.marginal_elements(n, beta)
+    R, P, singlet = marginals.triplet_blocks(*elements)
     # the bitstring 0..01..1 of weight r, and the norm sqrt(binom(N, r)) of its Dicke state
     dicke_index = (1 << np.arange(k + 1)) - 1
     dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])
-    eps1 = Spinor(1.0, 0.0)
-    devs = dict.fromkeys(
-        ("state", "marginal", "partial-transpose", "pair-choice", "rho1", "measures"), 0.0
-    )
-    for a, engine_row, beta_row, row, R, P, singlet in zip(
-        grid, engine, beta, rows, *marginals.triplet_blocks(*elements)
-    ):
+    state, pair_choice, dicke, rho2, rho1, dense = [], [], [], [], [], []
+    for a in grid:
         params = DickeParams(n, k, a)
         psi = oracle.expand_state(params)
-        sym = oracle.symmetrize_two_spinors(n, k, eps1, Spinor(a, params.b))
-        _worst(devs, "state", psi.amplitudes - sym.amplitudes)
-        _worst(devs, "state", dicke_norm * psi.amplitudes[dicke_index] - beta_row)
-
-        brute = oracle.partial_trace_to_two(psi)
-        rho2 = brute.to_array()
-        marg = marginals.TwoQubitMarginal(params, *row)
-        _worst(devs, "marginal", rho2 - marginals.marginal_matrix(marg).to_array())
-        _worst(devs, "marginal", (_BELL @ rho2 @ _BELL.T)[:3, :3] - R)
-        swapped = rho2.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        rotated = _BELL @ swapped @ _BELL.T
-        _worst(devs, "partial-transpose", rotated[:3, :3] - P)
-        _worst(devs, "partial-transpose", rotated[3] - [0.0, 0.0, 0.0, singlet])
+        sym = oracle.symmetrize_two_spinors(n, k, Spinor(1.0, 0.0), Spinor(a, params.b))
+        state.append(_largest(psi.amplitudes - sym.amplitudes))
         tensor = psi.amplitudes.reshape((2,) * n)
-        _worst(devs, "pair-choice", [tensor - tensor.swapaxes(q, q + 1) for q in range(n - 1)])
+        pair_choice.append(_largest(*(tensor - tensor.swapaxes(q, q + 1) for q in range(n - 1))))
+        dicke.append(psi.amplitudes[dicke_index])
+        brute, single = oracle.partial_trace_to_two(psi), oracle.partial_trace_to_one(psi)
+        rho2.append(brute.to_array())
+        rho1.append(single.to_array())
+        one = measures.one_vs_rest(marginals.SingleQubitMarginal(params, single))
+        dense.append((measures.concurrence_two_qubit(brute), one))
 
-        rho1 = oracle.partial_trace_to_one(psi)
-        dense1 = rho1.to_array()
-        _worst(devs, "rho1", dense1 - marginals.single_qubit_marginal(marg).rho.to_array())
-        _worst(devs, "rho1", np.trace(rho2.reshape(2, 2, 2, 2), axis1=1, axis2=3) - dense1)
-
-        dense = (
-            measures.concurrence_two_qubit(brute),
-            max(0.0, np.abs(np.linalg.eigvalsh(swapped)).sum() - 1.0),
-            measures.one_vs_rest(marginals.SingleQubitMarginal(params, rho1)),
-        )
-        _worst(devs, "measures", engine_row - dense)
-    return devs
+    rho2, rho1 = np.array(rho2), np.array(rho1)
+    swapped = rho2.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    c2, c1 = np.array(dense).T
+    n2 = np.maximum(0.0, np.abs(np.linalg.eigvalsh(swapped)).sum(axis=1) - 1.0)
+    engine = np.stack((np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)))
+    engine_rho1 = np.stack((A + D, B + E, B + E, D + F), axis=1).reshape(-1, 2, 2)
+    traced = np.trace(rho2.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
+    return {
+        "state": _largest(state, dicke_norm * np.array(dicke) - beta),
+        "marginal": _largest(_BELL @ rho2 @ _BELL.T - _block_diagonal(R, 0.0)),
+        "partial-transpose": _largest(_BELL @ swapped @ _BELL.T - _block_diagonal(P, singlet)),
+        "pair-choice": _largest(pair_choice),
+        "rho1": _largest(rho1 - engine_rho1, traced - rho1),
+        "measures": _largest(engine - (c2, n2, c1)),
+    }
 
 
 def run_oracle(n_max: int, a_steps: int, tol: float) -> int:
@@ -354,21 +354,20 @@ def run_oracle(n_max: int, a_steps: int, tol: float) -> int:
 
     Prints one line of oracle_deviations per (N, k) with N = 2..n_max, then
     the largest deviation and PASS or FAIL; returns 1 if any deviation
-    exceeds tol. n_max is capped at 12, since each point expands a 2^N state.
+    exceeds tol or is NaN. n_max is capped at 12, since each point expands a 2^N state.
     """
     n_max, a_steps, tol = _validated("oracle", n_max, 2, _ORACLE_N_MAX, a_steps, tol)
     grid = _a_grid(0.0, 1.0, a_steps)
-    worst = (-1.0, "")
+    devs = []
     for n in range(2, n_max + 1):
         for k in range(1, n // 2 + 1):
-            devs = oracle_deviations(n, k, grid)
-            print(f"N={n} k={k}:", *(f"{name}={dev:.3e}" for name, dev in devs.items()))
-            for name, dev in devs.items():
-                if dev > worst[0]:
-                    worst = (dev, f"{name} at N={n}, k={k}")
-    print(f"max deviation: {worst[0]:.3e} ({worst[1]})")
-    # some deviation exceeds tol exactly when the largest does; a NaN one does neither
-    if worst[0] > tol:
+            pair = oracle_deviations(n, k, grid)
+            print(f"N={n} k={k}:", *(f"{name}={dev:.3e}" for name, dev in pair.items()))
+            devs += ((dev, f"{name} at N={n}, k={k}") for name, dev in pair.items())
+    # the first NaN deviation, else the first largest; a NaN is not <= tol, so it fails
+    worst, where = max(devs, key=lambda item: (math.isnan(item[0]), item[0]))
+    print(f"max deviation: {worst:.3e} ({where})")
+    if not worst <= tol:
         print(f"FAIL: max deviation exceeds tol={tol:g}")
         return 1
     print(f"PASS: all deviations below tol={tol:g}")

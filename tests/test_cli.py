@@ -446,6 +446,25 @@ def test_check_compares_neighbouring_k_and_n(monkeypatch, chunk_rows):
     assert any(line.startswith("FAIL n-decay:") and "(N=6->7, k=2, a=" in line for line in lines)
 
 
+def test_check_fails_on_a_nan_tangle(monkeypatch):
+    # a NaN margin is never below 0; each property that reads the NaN tau must still FAIL
+    orig = measures.tangle_grid
+
+    def poisoned(pairs, a_values):
+        table = orig(pairs, a_values)
+        tau = table.tau.copy()
+        tau[1] = math.nan
+        return table._replace(tau=tau)
+
+    monkeypatch.setattr(measures, "tangle_grid", poisoned)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run_check(6, 3, 1e-9) == 1
+    lines = out.getvalue().splitlines()
+    assert not any("nan" in line for line in lines if line.startswith("PASS"))
+    assert "FAIL monogamy-tau: violated by nan at (N=3, k=1, a=0.5)" in lines
+
+
 def test_check_stops_with_exit_2_on_a_numerical_abort(monkeypatch, capsys):
     def explode(pairs, a_values):
         raise NumericalInstabilityError("injected abort")
@@ -557,6 +576,63 @@ def test_oracle_detects_perturbed_triplet_blocks(monkeypatch, index, name):
     *pair_lines, _, verdict = out.getvalue().splitlines()
     assert max(float(line.split(f" {name}=")[1].split()[0]) for line in pair_lines) > 1e-10
     assert verdict.startswith("FAIL")
+
+
+def test_oracle_fails_on_a_nan_measure(monkeypatch):
+    # a NaN deviation is never above tol; it must still FAIL and be printed
+    orig = measures.tangle_table
+
+    def poisoned(n_qubits, degeneracy, a_values):
+        table = orig(n_qubits, degeneracy, a_values)
+        c2_sq = table.c2_sq.copy()
+        if (n_qubits, degeneracy) == (3, 1):
+            c2_sq[1] = math.nan
+        return table._replace(c2_sq=c2_sq)
+
+    monkeypatch.setattr(measures, "tangle_table", poisoned)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run_oracle(4, 3, 1e-10) == 1
+    lines = out.getvalue().splitlines()
+    assert " measures=nan" in lines[1] and lines[1].startswith("N=3 k=1:")
+    assert lines[-2] == "max deviation: nan (measures at N=3, k=1)"
+    assert lines[-1].startswith("FAIL")
+
+
+def test_oracle_builds_no_scalar_marginal(monkeypatch):
+    # the oracle compares the engine's arrays; no TwoQubitMarginal is built on its route
+    built = []
+    orig = marginals.TwoQubitMarginal.__post_init__
+
+    def counted(self):
+        built.append(self)
+        orig(self)
+
+    def unreachable(*args):
+        raise AssertionError("the oracle route called a scalar marginal helper")
+
+    monkeypatch.setattr(marginals.TwoQubitMarginal, "__post_init__", counted)
+    monkeypatch.setattr(marginals, "marginal_matrix", unreachable)
+    monkeypatch.setattr(marginals, "single_qubit_marginal", unreachable)
+    devs = cli.oracle_deviations(6, 3, [0.0, 0.4, 1.0])
+    assert built == []
+    assert max(devs.values()) <= 1e-10
+
+
+def test_oracle_marginal_catches_singlet_weight(monkeypatch):
+    # the engine's marginal has no singlet weight, so 1e-9 of the singlet projector in
+    # the dense rho2 shows at the [3, 3] corner of T rho2 T^T
+    grid = [0.0, 0.3, 0.7, 1.0]
+    assert cli.oracle_deviations(6, 3, grid)["marginal"] <= 1e-10
+    orig = oracle.partial_trace_to_two
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
+
+    def mixed(psi):
+        rho2 = (1 - 1e-9) * orig(psi).to_array() + 1e-9 * np.outer(singlet, singlet)
+        return oracle.SmallMatrix(4, rho2.ravel())
+
+    monkeypatch.setattr(oracle, "partial_trace_to_two", mixed)
+    assert cli.oracle_deviations(6, 3, grid)["marginal"] > 1e-10
 
 
 def test_oracle_pair_choice_catches_a_state_that_is_not_exchange_symmetric(monkeypatch):
