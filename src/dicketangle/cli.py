@@ -41,6 +41,9 @@ _CHECK_ROWS_MAX = (_CHECK_N_MAX**2 // 4 - 1) * _CHECK_A_STEPS
 # a sweep chunk holds whole (N, k) pairs, at most this many rows unless one pair has more
 _CHUNK_ROWS = 2**13
 
+# the oracle stacks the 2^N amplitudes of at most this many a-values at a time
+_ORACLE_ROWS = 128
+
 # T: the triplet basis |00>, |psi+>, |11>, then the singlet |psi->
 _R = np.sqrt(0.5)
 _BELL = np.array([[1, 0, 0, 0], [0, _R, _R, 0], [0, 0, 0, 1], [0, _R, -_R, 0]], dtype=float)
@@ -290,7 +293,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     """Largest deviation over `grid` between the closed forms and the dense oracle, for one (N, k).
 
     Keys, in report order:
-        state              expand_state against symmetrize_two_spinors, and each row of
+        state              expand_state against symmetrized_states, and each row of
                            amplitude_rows against the dense state's Dicke-basis
                            amplitudes sqrt(binom(N, r)) psi[2^r - 1], r = 0..k
         marginal           T rho2 T^T of the dense two-qubit marginal rho2 against
@@ -303,12 +306,17 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         rho1               the dense one-qubit marginal against [[A+D, B+E], [B+E, D+F]],
                            whose determinant gives C1, and against rho2 traced over qubit 2
         measures           C2, N2 and C1 of one tangle_table call (the numbers sweep
-                           prints) against concurrence_two_qubit of the dense marginal,
+                           prints) against concurrence_stack of the dense marginals,
                            the trace norm of its axis-swapped partial transpose minus 1,
                            and one_vs_rest of the dense one-qubit marginal
 
-    T is _BELL. The 2^N-sized work runs and is reduced per point; the dense marginals are
-    stacked and compared with the engine's arrays once per (N, k). A NaN makes its key NaN.
+    T is _BELL. Per point run only the public dense route: expand_state, both partial
+    traces and one_vs_rest of the one-qubit marginal. The rest runs per slice of at most
+    _ORACLE_ROWS points, on their stacked 2^N amplitudes: symmetrized_states, the state=
+    and Dicke-amplitude differences, and pair-choice=, which compares the 01 block of each
+    neighbouring qubit pair with its 10 block (the 00 and 11 blocks map to themselves).
+    The dense marginals are stacked, and concurrence_stack and the comparisons with the
+    engine's arrays run once per (N, k). A NaN makes its key NaN.
     """
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
@@ -317,30 +325,38 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     # the bitstring 0..01..1 of weight r, and the norm sqrt(binom(N, r)) of its Dicke state
     dicke_index = (1 << np.arange(k + 1)) - 1
     dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])
-    state, pair_choice, dicke, rho2, rho1, dense = [], [], [], [], [], []
-    for a in grid:
-        params = DickeParams(n, k, a)
-        psi = oracle.expand_state(params)
-        sym = oracle.symmetrize_two_spinors(n, k, Spinor(1.0, 0.0), Spinor(a, params.b))
-        state.append(_largest(psi.amplitudes - sym.amplitudes))
-        tensor = psi.amplitudes.reshape((2,) * n)
-        pair_choice.append(_largest(*(tensor - tensor.swapaxes(q, q + 1) for q in range(n - 1))))
-        dicke.append(psi.amplitudes[dicke_index])
-        brute, single = oracle.partial_trace_to_two(psi), oracle.partial_trace_to_one(psi)
-        rho2.append(brute.to_array())
-        rho1.append(single.to_array())
-        one = measures.one_vs_rest(marginals.SingleQubitMarginal(params, single))
-        dense.append((measures.concurrence_two_qubit(brute), one))
+    up = Spinor(1.0, 0.0)
+    state, pair_choice, rho2, rho1, c1 = [], [], [], [], []
+    for start in range(0, len(grid), _ORACLE_ROWS):
+        part = grid[start:start + _ORACLE_ROWS]
+        m = len(part)
+        psi, eps2 = np.empty((m, 2**n), dtype=complex), []
+        for i, a in enumerate(part):
+            params = DickeParams(n, k, a)
+            dense = oracle.expand_state(params)
+            brute, single = oracle.partial_trace_to_two(dense), oracle.partial_trace_to_one(dense)
+            psi[i] = dense.amplitudes
+            eps2.append(Spinor(a, params.b))
+            rho2.append(brute.to_array())
+            rho1.append(single.to_array())
+            c1.append(measures.one_vs_rest(marginals.SingleQubitMarginal(params, single)))
+        # the symmetrized states less the dense ones, in place
+        sym = oracle.symmetrized_states(n, k, up, eps2)
+        sym -= psi
+        state.append(_largest(sym, dicke_norm * psi[:, dicke_index] - beta[start:start + m]))
+        # axes 2 and 3 are qubits q + 1 and q + 2; one pair's difference exists at a time
+        pairs = (psi.reshape(m, 2**q, 2, 2, -1) for q in range(n - 1))
+        pair_choice += (_largest(x[:, :, 0, 1] - x[:, :, 1, 0]) for x in pairs)
 
     rho2, rho1 = np.array(rho2), np.array(rho1)
     swapped = rho2.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    c2, c1 = np.array(dense).T
+    c2 = measures.concurrence_stack(rho2)
     n2 = np.maximum(0.0, np.abs(np.linalg.eigvalsh(swapped)).sum(axis=1) - 1.0)
     engine = np.stack((np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)))
     engine_rho1 = np.stack((A + D, B + E, B + E, D + F), axis=1).reshape(-1, 2, 2)
     traced = np.trace(rho2.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
     return {
-        "state": _largest(state, dicke_norm * np.array(dicke) - beta),
+        "state": _largest(state),
         "marginal": _largest(_BELL @ rho2 @ _BELL.T - _block_diagonal(R, 0.0)),
         "partial-transpose": _largest(_BELL @ swapped @ _BELL.T - _block_diagonal(P, singlet)),
         "pair-choice": _largest(pair_choice),

@@ -24,6 +24,7 @@ from .dicke import (
     check_a_values,
     check_n_k,
     check_number,
+    check_numbers,
     check_type,
 )
 from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
@@ -117,32 +118,50 @@ def _spin_flip(mats: np.ndarray) -> np.ndarray:
     return mats[..., ::-1] * _FLIP_SIGNS[mats.shape[-1]]
 
 
-def concurrence_two_qubit(rho: SmallMatrix) -> float:
-    """Wootters concurrence of a real symmetric two-qubit density matrix.
+def concurrence_stack(rhos) -> np.ndarray:
+    """Wootters concurrence of each real symmetric two-qubit density matrix in a stack.
 
-    Returns max(0, l1 - l2 - l3 - l4), where l1 >= ... >= l4 are the moduli
-    of the eigenvalues of rho (sigma_y x sigma_y); these are the square roots
-    of the eigenvalues of rho rho~ (see _wootters). A rho that is not a 4x4
-    SmallMatrix raises InvalidParamsError. rho must have unit trace and be
-    positive semidefinite, to within 1e-10, and symmetric to within 1e-12 of
-    its largest entry; otherwise NotDensityMatrixError is raised.
+    rhos has shape (m, 4, 4); entry i of the result is max(0, l1 - l2 - l3 - l4)
+    of rhos[i], where l1 >= ... >= l4 are the moduli of the eigenvalues of
+    rho (sigma_y x sigma_y); these are the square roots of the eigenvalues of
+    rho rho~ (see _wootters). Another shape, or an entry that is not finite,
+    raises InvalidParamsError. Each matrix must have unit trace and be positive
+    semidefinite, to within 1e-10, and be symmetric to within 1e-12 of its
+    largest entry; otherwise NotDensityMatrixError names the first that is not.
+    Entry i depends on rhos[i] alone, bit for bit.
     """
+    arr = check_numbers(rhos, "density matrices")
+    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
+        raise InvalidParamsError(
+            f"concurrence needs a stack of 4x4 matrices, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise InvalidParamsError("matrix entries must be finite")
+    trace = np.trace(arr, axis1=1, axis2=2)
+    bad = np.abs(trace - 1.0) > _RANGE_TOL
+    if bad.any():
+        raise NotDensityMatrixError(f"trace must be 1, got {_first(trace, bad)!r}")
+    skew = np.max(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
+    bad = skew > _SYM_TOL * np.max(np.abs(arr), axis=(1, 2))
+    if bad.any():
+        raise NotDensityMatrixError(
+            f"matrix is not symmetric: an entry differs from its transpose by {_first(skew, bad)!r}"
+        )
+    low = _eig(np.linalg.eigvalsh, arr)[:, 0]
+    bad = low < -_RANGE_TOL
+    if bad.any():
+        raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {_first(low, bad)!r}")
+    return _wootters(_eig(np.linalg.eigvals, _spin_flip(arr)))
+
+
+def concurrence_two_qubit(rho: SmallMatrix) -> float:
+    """Wootters concurrence of a real symmetric two-qubit density matrix: the one-row view
+    of concurrence_stack, with its checks and typed errors. A rho that is not a 4x4
+    SmallMatrix raises InvalidParamsError."""
     check_type(rho, SmallMatrix, "rho")
     if rho.dim != 4:
         raise InvalidParamsError(f"concurrence needs a 4x4 matrix, got dim {rho.dim}")
-    arr = rho.to_array()
-    trace = float(np.trace(arr))
-    if abs(trace - 1.0) > _RANGE_TOL:
-        raise NotDensityMatrixError(f"trace must be 1, got {trace!r}")
-    skew = float(np.max(np.abs(arr - arr.T)))
-    if skew > _SYM_TOL * np.max(np.abs(arr)):
-        raise NotDensityMatrixError(
-            f"matrix is not symmetric: an entry differs from its transpose by {skew!r}"
-        )
-    low = _eig(np.linalg.eigvalsh, arr)[0].item()
-    if low < -_RANGE_TOL:
-        raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {low!r}")
-    return float(_wootters(_eig(np.linalg.eigvals, _spin_flip(arr))))
+    return concurrence_stack(rho.to_array()[None]).item()
 
 
 def _triplet_concurrence(blocks: np.ndarray) -> np.ndarray:

@@ -96,16 +96,21 @@ def expand_state(params: DickeParams) -> FullState:
     return FullState(n, coeff[_hamming_weights(n)])
 
 
-def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) -> FullState:
-    """Normalized symmetrized product of N-k copies of eps1 and k copies of eps2.
+def symmetrized_states(n_qubits: int, k: int, eps1: Spinor, eps2s) -> np.ndarray:
+    """Normalized symmetrized products of N-k copies of eps1 and k copies of each eps2.
 
-    The sum over all N! orderings collapses onto the binom(N, k) distinct
-    placements of the eps2 copies, and the amplitude on a bitstring of
-    Hamming weight w needs only a sum over t = |placements on 1-bits|:
+    Row i of the (len(eps2s), 2^N) complex result belongs to eps2s[i], a
+    sequence of Spinor. The sum over all N! orderings collapses onto the
+    binom(N, k) distinct placements of the eps2 copies, and the amplitude on
+    a bitstring of Hamming weight w needs only a sum over t = |placements on 1-bits|:
 
         g(w) = sum_t binom(w, t) binom(N-w, k-t)
                * eps1.c0^(N-w-k+t) * eps1.c1^(w-t) * eps2.c0^(k-t) * eps2.c1^t.
 
+    Each term is one array operation over the rows. The powers of the eps2
+    components are Python's complex ** (numpy's complex power can round
+    otherwise, and warn at a zero component). Row i depends on eps2s[i]
+    alone, bit for bit.
     Identical spinors are fine (the sum degenerates to a product state). The
     norm cannot underflow: g is binom(N, k) times the symmetrized product, so
     ||g||^2 = binom(N, k) sum_t binom(k, t) binom(N-k, t) |<eps1|eps2>|^(2t)
@@ -121,22 +126,36 @@ def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) ->
         )
     _check_cap(n)
     check_type(eps1, Spinor, "eps1")
-    check_type(eps2, Spinor, "eps2")
-    g = np.zeros(n + 1, dtype=complex)
+    try:
+        eps2s = list(eps2s)
+    except TypeError:
+        raise InvalidParamsError("eps2s must be a sequence of Spinor") from None
+    for eps2 in eps2s:
+        check_type(eps2, Spinor, "eps2")
+    powers = np.array(
+        [[(s.c0 ** (k - t), s.c1**t) for t in range(k + 1)] for s in eps2s], dtype=complex
+    ).reshape(len(eps2s), k + 1, 2)
+    g = np.zeros((len(eps2s), n + 1), dtype=complex)
     for w in range(n + 1):
-        acc = 0.0 + 0.0j
         for t in range(max(0, k - (n - w)), min(k, w) + 1):
-            acc += (
+            g[:, w] += (
                 math.comb(w, t)
                 * math.comb(n - w, k - t)
                 * eps1.c0 ** (n - w - k + t)
                 * eps1.c1 ** (w - t)
-                * eps2.c0 ** (k - t)
-                * eps2.c1**t
+                * powers[:, t, 0]
+                * powers[:, t, 1]
             )
-        g[w] = acc
-    amp = g[_hamming_weights(n)]
-    return FullState(n, amp / np.linalg.norm(amp))
+    amp = g[:, _hamming_weights(n)]
+    # each row by its own np.linalg.norm, as one state is; axis=1 would sum in another order
+    amp /= np.array([np.linalg.norm(row) for row in amp]).reshape(-1, 1)
+    return amp
+
+
+def symmetrize_two_spinors(n_qubits: int, k: int, eps1: Spinor, eps2: Spinor) -> FullState:
+    """Normalized symmetrized product of N-k copies of eps1 and k copies of eps2: the
+    one-row view of symmetrized_states, with its checks and typed errors."""
+    return FullState(n_qubits, symmetrized_states(n_qubits, k, eps1, [eps2])[0])
 
 
 def _reduced(psi: FullState, dim: int) -> SmallMatrix:

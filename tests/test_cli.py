@@ -17,7 +17,7 @@ from dicketangle.cli import (
     run_oracle,
     run_sweep,
 )
-from dicketangle.dicke import DickeParams
+from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import (
     CapExceededError,
     InvalidParamsError,
@@ -635,19 +635,87 @@ def test_oracle_marginal_catches_singlet_weight(monkeypatch):
     assert cli.oracle_deviations(6, 3, grid)["marginal"] > 1e-10
 
 
-def test_oracle_pair_choice_catches_a_state_that_is_not_exchange_symmetric(monkeypatch):
-    grid = [0.0, 0.5, 1.0]
-    assert cli.oracle_deviations(5, 2, grid)["pair-choice"] == 0.0
+def _full_swap_pair_choice(amplitudes, n):
+    """pair-choice= of one dense state, from full copies with each neighbouring pair exchanged."""
+    tensor = amplitudes.reshape((2,) * n)
+    return max(float(np.max(np.abs(tensor - tensor.swapaxes(q, q + 1)))) for q in range(n - 1))
+
+
+def _per_point_deviations(n, k, grid):
+    """oracle_deviations recomputed one point at a time through the public scalar functions."""
+    table = measures.tangle_table(n, k, grid)
+    beta = amplitude_rows(n, k, grid)
+    A, B, C, D, E, F = elements = marginals.marginal_elements(n, beta)
+    R, P, singlet = marginals.triplet_blocks(*elements)
+    h = math.sqrt(0.5)
+    bell = np.array([[1, 0, 0, 0], [0, h, h, 0], [0, 0, 0, 1], [0, h, -h, 0]])
+    devs = {name: 0.0 for name in ("state", "marginal", "partial-transpose", "pair-choice",
+                                   "rho1", "measures")}
+
+    def record(name, *diffs):
+        devs[name] = max(devs[name], *(float(np.max(np.abs(diff))) for diff in diffs))
+
+    for i, a in enumerate(grid):
+        params = DickeParams(n, k, a)
+        psi = oracle.expand_state(params)
+        up, eps2 = oracle.Spinor(1.0, 0.0), oracle.Spinor(a, params.b)
+        sym = oracle.symmetrize_two_spinors(n, k, up, eps2).amplitudes
+        dicke = [2**r - 1 for r in range(k + 1)]
+        norms = np.sqrt([math.comb(n, r) for r in range(k + 1)])
+        record("state", psi.amplitudes - sym, norms * psi.amplitudes[dicke] - beta[i])
+        record("pair-choice", _full_swap_pair_choice(psi.amplitudes, n))
+        brute, single = oracle.partial_trace_to_two(psi), oracle.partial_trace_to_one(psi)
+        rho2, rho1 = brute.to_array(), single.to_array()
+        swapped = rho2.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        engine_rho2, engine_swapped = np.zeros((4, 4)), np.zeros((4, 4))
+        engine_rho2[:3, :3] = R[i]
+        engine_swapped[:3, :3], engine_swapped[3, 3] = P[i], singlet[i]
+        record("marginal", bell @ rho2 @ bell.T - engine_rho2)
+        record("partial-transpose", bell @ swapped @ bell.T - engine_swapped)
+        engine_rho1 = np.array([[A[i] + D[i], B[i] + E[i]], [B[i] + E[i], D[i] + F[i]]])
+        traced = np.trace(rho2.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+        record("rho1", rho1 - engine_rho1, traced - rho1)
+        c2 = measures.concurrence_two_qubit(brute)
+        n2 = max(0.0, float(np.abs(np.linalg.eigvalsh(swapped)).sum()) - 1.0)
+        c1 = measures.one_vs_rest(marginals.SingleQubitMarginal(params, single))
+        engine = np.sqrt(table.c2_sq[i]), table.n2[i], np.sqrt(table.c1_sq[i])
+        record("measures", np.subtract(engine, (c2, n2, c1)))
+    return devs
+
+
+@pytest.mark.parametrize("rows", [1, cli._ORACLE_ROWS])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (7, 3), (12, 1), (12, 6)])
+def test_oracle_deviations_equal_a_per_point_recomputation(monkeypatch, rows, n, k):
+    # the printed deviations alone cannot tell a computed key from a zero; this holds every
+    # key, bit for bit, to the scalar route, with one-point slices and with the default slices
+    monkeypatch.setattr(cli, "_ORACLE_ROWS", rows)
+    grid = [0.0, 0.3, 0.7, 1.0]
+    got = cli.oracle_deviations(n, k, grid)
+    want = _per_point_deviations(n, k, grid)
+    assert list(got) == list(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("q", range(4))
+def test_oracle_pair_choice_catches_a_state_that_is_not_exchange_symmetric(monkeypatch, q):
+    # qubits q + 1 and q + 2 (of 5) no longer exchange, but the qubits up to q + 1 and those
+    # from q + 2 on still permute among themselves, so only that neighbouring pair shows it
+    n, grid = 5, [0.0, 0.5, 1.0]
+    assert cli.oracle_deviations(n, 2, grid)["pair-choice"] == 0.0
     orig = oracle.expand_state
+    states = []
 
     def broken(params):
-        # |0...01> and |0...10> get different amplitudes: qubits N-1 and N no longer exchange
+        # |0..0> on qubits 1..q+1 times the W state of qubits q+2..N, added with weight 0.1
         amp = orig(params).amplitudes.copy()
-        amp[0b01] += 0.1
-        return oracle.FullState(params.n_qubits, amp / np.linalg.norm(amp))
+        amp[[1 << b for b in range(n - q - 1)]] += 0.1
+        states.append(amp / np.linalg.norm(amp))
+        return oracle.FullState(params.n_qubits, states[-1])
 
     monkeypatch.setattr(oracle, "expand_state", broken)
-    assert cli.oracle_deviations(5, 2, grid)["pair-choice"] > 1e-3
+    got = cli.oracle_deviations(n, 2, grid)["pair-choice"]
+    assert got > 1e-3
+    assert got == max(_full_swap_pair_choice(amp, n) for amp in states)
 
 
 def test_oracle_holds_the_engine_amplitudes_against_the_dense_state(monkeypatch):

@@ -112,6 +112,45 @@ def test_concurrence_input_checks():
         concurrence_two_qubit(SmallMatrix(4, tuple(lop.ravel())))
 
 
+def test_concurrence_two_qubit_is_the_one_row_view_of_concurrence_stack():
+    rhos = [
+        oracle.partial_trace_to_two(oracle.expand_state(DickeParams(n, k, a)))
+        for n, k in ((2, 1), (5, 2), (12, 6)) for a in (0.0, 0.3, 0.7, 1.0)
+    ]
+    stack = measures.concurrence_stack(np.array([rho.to_array() for rho in rhos]))
+    for i, rho in enumerate(rhos):
+        assert concurrence_two_qubit(rho) == measures.concurrence_stack(rho.to_array()[None])[0]
+        assert concurrence_two_qubit(rho) == stack[i]
+
+
+def _asymmetric():
+    rho = np.diag([0.5, 0.5, 0.0, 0.0])
+    rho[0, 1] = 0.3
+    return rho
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([0.6, 0.3, 0.1, 0.1]),  # trace 1.1
+    _asymmetric(),
+    np.diag([1.2, -0.2, 0.0, 0.0]),  # not PSD
+])
+def test_concurrence_stack_names_its_bad_row_as_the_scalar_call_does(bad):
+    good = marginal_matrix(two_qubit_marginal(DickeParams(6, 3, 0.4))).to_array()
+    with pytest.raises(NotDensityMatrixError) as scalar:
+        concurrence_two_qubit(SmallMatrix(4, tuple(bad.ravel())))
+    with pytest.raises(NotDensityMatrixError) as stacked:
+        measures.concurrence_stack(np.array([good, good, bad, good]))
+    assert str(stacked.value) == str(scalar.value)
+
+
+def test_concurrence_stack_refuses_a_stack_of_another_shape():
+    for rhos in (np.eye(4) / 4, np.zeros((2, 3, 3)), [[["x"] * 4] * 4]):
+        with pytest.raises(InvalidParamsError):
+            measures.concurrence_stack(rhos)
+    with pytest.raises(InvalidParamsError, match="finite"):
+        measures.concurrence_stack(np.full((1, 4, 4), np.nan))
+
+
 def test_one_vs_rest_values():
     p = DickeParams(4, 2, 0.5)
     assert one_vs_rest(SingleQubitMarginal(p, SmallMatrix(2, (0.5, 0.0, 0.0, 0.5)))) == 1.0

@@ -18,6 +18,7 @@ from dicketangle.oracle import (
     partial_trace_to_one,
     partial_trace_to_two,
     symmetrize_two_spinors,
+    symmetrized_states,
 )
 
 UP = Spinor(1.0, 0.0)
@@ -166,6 +167,26 @@ def test_symmetrize_phase_is_local():
     assert np.allclose(
         np.abs(phased.amplitudes), np.abs(plain.amplitudes), atol=1e-13, rtol=0.0
     )
+
+
+def test_symmetrize_two_spinors_is_the_one_row_view_of_symmetrized_states():
+    # real overlaps as the oracle takes them, and complex spinors with relative phases
+    eps2s = [_overlap_spinor(a) for a in (0.0, 0.3, 0.6, 1.0)]
+    eps2s += [Spinor(0.6, 0.8 * np.exp(1.3j)), Spinor(np.exp(0.4j) * 0.28, 0.96)]
+    for n, k in ((2, 1), (5, 2), (9, 4), (12, 6)):
+        for eps1 in (UP, Spinor(math.cos(0.55), np.exp(0.7j) * math.sin(0.55))):
+            rows = symmetrized_states(n, k, eps1, eps2s)
+            assert rows.shape == (len(eps2s), 2**n)
+            for i, eps2 in enumerate(eps2s):
+                one = symmetrize_two_spinors(n, k, eps1, eps2).amplitudes
+                assert np.array_equal(one, rows[i]), (n, k, i)
+
+
+def test_symmetrized_states_checks_each_spinor():
+    with pytest.raises(InvalidParamsError, match="eps2 must be a Spinor"):
+        symmetrized_states(3, 1, UP, [DOWN, (0.0, 1.0)])
+    with pytest.raises(InvalidParamsError, match="sequence of Spinor"):
+        symmetrized_states(3, 1, UP, DOWN)
 
 
 def test_symmetrize_range_checks():
