@@ -81,7 +81,14 @@ def check_numbers(values, name: str, dtype: type = float) -> np.ndarray:
 
 
 def check_number(value, name: str) -> float:
-    """`value` as a Python float, by check_numbers' rule, if it is a single number."""
+    """`value` as a Python float, by check_numbers' rule, if it is a single number.
+
+    A Python float (nan, inf and -0.0 among them) already meets that rule and comes back
+    unchanged, without a numpy round trip; finiteness stays the caller's check. Every
+    other value, np.float64, Decimal and bool included, goes through check_numbers.
+    """
+    if type(value) is float:
+        return value
     arr = check_numbers(value, name)
     if arr.ndim:
         raise InvalidParamsError(f"{name} must be a single number, got shape {arr.shape}")
@@ -139,7 +146,10 @@ class DickeParams:
 
     def __post_init__(self):
         n, k = check_n_k(self.n_qubits, self.degeneracy)
-        a = check_a_values(check_number(self.non_orthogonality, "non-orthogonality a")).item()
+        a = check_number(self.non_orthogonality, "non-orthogonality a")
+        # nan fails both comparisons; check_a_values then raises its out-of-range error
+        if not 0.0 <= a <= 1.0:
+            check_a_values(a)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "degeneracy", k)
         object.__setattr__(self, "non_orthogonality", a)
@@ -184,10 +194,12 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
         log_b_over_a = np.log(np.sqrt((1.0 - a) * (1.0 + a))) - np.log(a)
     steps = (log_r1[::-1] - 0.5 * (log_n_r + log_r1)) + log_b_over_a[:, None]
     peak = (steps > 0.0).sum(axis=1, keepdims=True)
+    up = r >= peak
     logs = np.zeros((len(a), k + 1))
-    logs[:, 1:] = np.cumsum(np.where(r >= peak, steps, 0.0), axis=1)
-    logs[:, :-1] -= np.cumsum(np.where(r < peak, steps, 0.0)[:, ::-1], axis=1)[:, ::-1]
-    raw = np.exp(logs)
+    np.where(up, steps, 0.0).cumsum(axis=1, out=logs[:, 1:])
+    down = np.where(up, 0.0, steps)[:, ::-1]
+    logs[:, :-1] -= down.cumsum(axis=1, out=down)[:, ::-1]
+    raw = np.exp(logs, out=logs)
     return raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
 
 

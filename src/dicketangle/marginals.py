@@ -119,30 +119,29 @@ def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]
         F = sum_{r=0}^{k}   beta_r^2        (c_-1^(r))^2
 
     Empty sums (small k) are zero. Every term is nonnegative, so the sums
-    cannot cancel. Each is reduced along its own row, so a row's result does
-    not depend on the other rows. Returns six arrays of shape (m,).
+    cannot cancel. The terms of A, 2D and F, of B and E, and of C are formed as
+    three stacked products, each summed along its contiguous r axis. So each
+    element sums the same terms in the same order (numpy's pairwise summation
+    along one row) as a sum of that element alone, and the stacking changes no
+    bit. Each is reduced along its own row, so a row's result does not depend
+    on the other rows. Returns six arrays of shape (m,).
     """
     n = n_qubits
     r = np.arange(beta.shape[1], dtype=float)
     n_r = n - r
-    # the numerators are integers, exact in float below 2^53, so c_-1 at r = 0, 1
-    # and c_+1 at r = N - 1 are exact zeros (c_-1 at r = 0 is -0.0, which enters
-    # only squared)
-    cp, c0, cm = np.sqrt(
+    # rows c_+1, c_0, c_-1; the numerators are integers, exact in float below 2^53, so
+    # c_-1 at r = 0, 1 and c_+1 at r = N - 1 are exact zeros (c_-1 at r = 0 is -0.0,
+    # which enters only squared)
+    c = np.sqrt(
         np.array([n_r * (n_r - 1.0), 2.0 * r * n_r, r * (r - 1.0)])
         / float(n * (n - 1))
     )
-    sq = beta * beta
-    near = beta[:, :-1] * beta[:, 1:]
-    far = beta[:, :-2] * beta[:, 2:]
-    return (
-        (sq * (cp * cp)).sum(axis=1),
-        _SQRT1_2 * (near * (cp[:-1] * c0[1:])).sum(axis=1),
-        (far * (cp[:-2] * cm[2:])).sum(axis=1),
-        0.5 * (sq * (c0 * c0)).sum(axis=1),
-        _SQRT1_2 * (near * (c0[:-1] * cm[1:])).sum(axis=1),
-        (sq * (cm * cm)).sum(axis=1),
-    )
+    # weights of A, 2D, F; of B, E (c_+1^(r) c_0^(r+1), c_0^(r) c_-1^(r+1)); and of C
+    diag = ((beta * beta)[:, None, :] * (c * c)).sum(axis=2)
+    near = ((beta[:, :-1] * beta[:, 1:])[:, None, :] * (c[:-1, :-1] * c[1:, 1:])).sum(axis=2)
+    near *= _SQRT1_2
+    far = ((beta[:, :-2] * beta[:, 2:]) * (c[0, :-2] * c[2, 2:])).sum(axis=1)
+    return diag[:, 0], near[:, 0], far, 0.5 * diag[:, 1], near[:, 1], diag[:, 2]
 
 
 def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
@@ -170,12 +169,14 @@ def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, np.ndarray, np.ndarray
     or are floats for m = 1 (then s^T rho^T_B s is a float).
     rho has no singlet weight, so R holds its spectrum apart from one exact
     zero. The qubit swap commutes with the partial transpose, so T rho^T_B s
-    is 0, and P and D - C hold the whole spectrum of rho^T_B.
+    is 0, and P and D - C hold the whole spectrum of rho^T_B. R and P are two
+    views of one (m, 2, 3, 3) array, built in one call.
     """
     sB, sE = _SQRT2 * B, _SQRT2 * E
-    R = np.array([A, sB, C, sB, 2.0 * D, sE, C, sE, F]).T.reshape(-1, 3, 3)
-    P = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
-    return R, P, D - C
+    blocks = np.array(
+        [A, sB, C, sB, 2.0 * D, sE, C, sE, F, A, sB, D, sB, D + C, sE, D, sE, F]
+    ).T.reshape(-1, 2, 3, 3)
+    return blocks[:, 0], blocks[:, 1], D - C
 
 
 def single_qubit_marginal(m: TwoQubitMarginal) -> SingleQubitMarginal:

@@ -94,20 +94,23 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
     are |mu|: no product is formed and no square root amplifies noise. The
     exact eigenvalues mu^2 of rho rho~ are real and nonnegative; an imaginary
     part beyond 1e-8 or a real part below -1e-10 aborts, and so does a
-    concurrence above 1 + 1e-10 or NaN.
+    concurrence above 1 + 1e-10 or NaN, in that order. A real mu has mu^2 >= 0
+    or NaN, so only a complex mu is tested for the first two.
     """
-    lam = mu * mu
-    if np.iscomplexobj(lam):
+    if np.iscomplexobj(mu):
+        lam = mu * mu
         bad = np.abs(lam.imag) > _IMAG_ABORT
         if bad.any():
             raise NumericalInstabilityError(f"complex eigenvalue of rho rho~: {_first(lam, bad)!r}")
-    bad = lam.real < -_RANGE_TOL
-    if bad.any():
-        raise NumericalInstabilityError(f"negative eigenvalue of rho rho~: {_first(lam, bad)!r}")
+        bad = lam.real < -_RANGE_TOL
+        if bad.any():
+            raise NumericalInstabilityError(
+                f"negative eigenvalue of rho rho~: {_first(lam, bad)!r}"
+            )
     roots = np.sort(np.abs(mu), axis=-1)
     value = np.maximum(0.0, roots[..., -1] - roots[..., :-1].sum(axis=-1))
-    bad = ~(value <= 1.0 + _RANGE_TOL)
-    if bad.any():
+    if not value.max(initial=0.0) <= 1.0 + _RANGE_TOL:  # a NaN lands here too
+        bad = ~(value <= 1.0 + _RANGE_TOL)
         raise NumericalInstabilityError(f"concurrence left [0, 1]: {_first(value, bad)!r}")
     return np.minimum(value, 1.0)
 
@@ -177,8 +180,8 @@ def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
     """
     eigs = _eig(np.linalg.eigvalsh, blocks)
     value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(singlet, 0.0)))
-    bad = ~(value <= 1.0 + _RANGE_TOL)
-    if bad.any():
+    if not value.max(initial=0.0) <= 1.0 + _RANGE_TOL:  # a NaN lands here too
+        bad = ~(value <= 1.0 + _RANGE_TOL)
         raise NumericalInstabilityError(f"doubled negativity left [0, 1]: {_first(value, bad)!r}")
     return np.minimum(value, 1.0)
 
@@ -187,11 +190,12 @@ def _c1_squared(det: np.ndarray) -> np.ndarray:
     """C1^2 = 4 det rho_1 for each det: one PSD abort, then a clamp into [0, 1]. Each rho_1
     is a partial trace of a normalised state (tangle_grid) or a SingleQubitMarginal, so its
     trace is 1 to within 1e-12 and 4 det <= (1 + 1e-12)^2 (AM-GM)."""
-    bad = det < -_RANGE_TOL
-    if bad.any():
-        raise NotDensityMatrixError(
-            f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
-        )
+    if not det.min(initial=0.0) >= -_RANGE_TOL:  # a NaN lands here too, and passes
+        bad = det < -_RANGE_TOL
+        if bad.any():
+            raise NotDensityMatrixError(
+                f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
+            )
     return np.minimum(4.0 * np.maximum(det, 0.0), 1.0)
 
 
@@ -228,10 +232,12 @@ def tangle_grid(pairs, a_values) -> TangleTable:
     """Concurrence and negativity tangles of every (N, k) in `pairs` at every overlap in `a_values`.
 
     Returns the columns pair-major: rows i*m .. i*m + m - 1, with m = len(a_values),
-    belong to pairs[i]. Each pair's amplitudes and marginal elements A..F are
-    built on their own (their row widths k + 1 differ); the three measures
-    then run once over the rows of all pairs. Invalid (N, k, a) raise
-    InvalidParamsError. The marginals built are not re-checked: as partial
+    belong to pairs[i]. Invalid (N, k, a) raise InvalidParamsError; this is
+    the one place they are validated (_checked_pairs, check_a_values), and
+    the engine behind it, _tangles, runs on what passed. Each pair's
+    amplitudes and marginal elements A..F are built on their own (their row
+    widths k + 1 differ); the three measures then run once over the rows of
+    all pairs. The marginals built are not re-checked: as partial
     traces of a normalised state they have unit trace, and R and rho_1 are
     Gram matrices (test_built_marginals_are_finite_unit_trace_and_psd). A
     det rho_1 below -1e-10 raises NotDensityMatrixError, and a C2 or N2 above
@@ -239,8 +245,12 @@ def tangle_grid(pairs, a_values) -> TangleTable:
     whole call. Every stage works row by row, so a row depends on its
     (N, k, a) alone, bit for bit.
     """
-    pairs = _checked_pairs(pairs)
-    a = check_a_values(a_values)
+    return _tangles(_checked_pairs(pairs), check_a_values(a_values))
+
+
+def _tangles(pairs: list[tuple[int, int]], a: np.ndarray) -> TangleTable:
+    """tangle_grid's engine, for int (N, k) pairs that passed check_n_k and a 1-D float
+    array of overlaps in [0, 1]; it checks neither again."""
     if len(pairs) == 1:
         # the one-pair view copies nothing and keeps N - 1 a Python int
         (n, k), = pairs
@@ -271,8 +281,11 @@ def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
 def tangle_record(params: DickeParams) -> TangleRecord:
     """Concurrence and negativity tangles for one canonical Dicke-class state.
 
-    The one-row view of tangle_table.
+    The one-row view of tangle_grid's engine, bit for bit row 0 of
+    tangle_table(N, k, [a]), with the same aborts. DickeParams validated
+    (N, k, a) when it was built, so the engine runs without tangle_grid's
+    checks.
     """
     check_type(params, DickeParams, "params")
-    row = tangle_table(params.n_qubits, params.degeneracy, [params.a])
-    return TangleRecord(params, *(float(col[0]) for col in row))
+    row = _tangles([(params.n_qubits, params.degeneracy)], np.array([params.a]))
+    return TangleRecord(params, *(col.item() for col in row))

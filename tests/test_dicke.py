@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dicketangle import dicke
 from dicketangle.dicke import (
     DickeParams,
     amplitude_rows,
@@ -116,6 +117,53 @@ def test_params_validation():
         with pytest.raises(InvalidParamsError, match="single number"):
             DickeParams(10, 3, a)
     assert DickeParams(10, 3, np.float64(0.5)).a == 0.5
+
+
+def test_params_name_an_out_of_range_overlap_as_check_a_values_does():
+    cases = [
+        (1.5, "1.5"), (-0.1, "-0.1"), (float("nan"), "nan"), (float("-inf"), "-inf"),
+        (np.float64(2.0), "2.0"), (decimal.Decimal("1.25"), "1.25"), (2, "2.0"),
+    ]
+    for a, shown in cases:
+        with pytest.raises(InvalidParamsError) as refused:
+            DickeParams(10, 3, a)
+        assert str(refused.value) == f"non-orthogonality a must lie in [0, 1], got {shown}"
+        with pytest.raises(InvalidParamsError) as refused:
+            dicke.check_a_values(a)
+        assert str(refused.value) == f"non-orthogonality a must lie in [0, 1], got {shown}"
+    p = DickeParams(10, 3, -0.0)
+    assert p.a == 0.0 and math.copysign(1.0, p.a) == -1.0
+    assert type(DickeParams(10, 3, np.float64(0.5)).a) is float
+
+
+def test_check_number_returns_a_python_float_unchanged(monkeypatch):
+    for value in (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.3):
+        assert dicke.check_number(value, "x") is value
+    assert math.copysign(1.0, dicke.check_number(-0.0, "x")) == -1.0
+    # every other value takes check_numbers' path, and reads its messages
+    seen = []
+    check_numbers = dicke.check_numbers
+
+    def spy(values, name):
+        seen.append(values)
+        return check_numbers(values, name)
+
+    monkeypatch.setattr(dicke, "check_numbers", spy)
+    dicke.check_number(0.5, "x")
+    assert seen == []
+    for value, want in ((np.float64(0.25), 0.25), (decimal.Decimal("0.25"), 0.25), (True, 1.0)):
+        got = dicke.check_number(value, "x")
+        assert type(got) is float and got == want
+        assert seen[-1] is value
+    for value, message in (
+        ("1", "x must be a real number, got str"),
+        (1j, "x must be a real number, got complex"),
+        ([0.5, 0.5], "x must be a single number, got shape (2,)"),
+    ):
+        with pytest.raises(InvalidParamsError) as refused:
+            dicke.check_number(value, "x")
+        assert seen[-1] is value
+        assert str(refused.value) == message
 
 
 def test_params_b_complements_a():

@@ -1,0 +1,232 @@
+"""The engine's stacked numpy calls against the termwise expressions they stand for.
+
+amplitude_rows, marginal_elements and triplet_blocks form their results in
+a few stacked numpy calls, and _wootters, _negativity and _c1_squared test
+their aborts with one check on the usual path. Each is held here, bit for
+bit, to an in-test copy of the termwise expression (one numpy call per
+element, every abort tested on its own), and each abort to the error class
+and message the termwise checks raise, first failing check first.
+"""
+
+import numpy as np
+import pytest
+
+from dicketangle import measures
+from dicketangle.dicke import DickeParams, amplitude_rows
+from dicketangle.errors import NotDensityMatrixError, NumericalInstabilityError
+from dicketangle.marginals import (
+    marginal_elements,
+    marginal_matrix,
+    triplet_blocks,
+    two_qubit_marginal,
+)
+
+_SQRT1_2 = np.sqrt(0.5)
+_SQRT2 = np.sqrt(2.0)
+
+POINTS = [(2, 1), (3, 1), (10, 3), (64, 32), (1000, 500), (10**9, 3), (2**53, 2)]
+A_VALUES = [0.0, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0]
+A_VALUES += np.random.default_rng(26).random(16).tolist()
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # == alone would let -0.0 stand for 0.0
+    assert got.tobytes() == want.tobytes()
+
+
+def _amplitude_rows_termwise(n, k, a_values):
+    a = np.asarray(a_values, dtype=float)
+    r = np.arange(k, dtype=float)
+    log_r1, log_n_r = np.log(np.array([r + 1.0, n - r]))
+    with np.errstate(divide="ignore"):
+        log_b_over_a = np.log(np.sqrt((1.0 - a) * (1.0 + a))) - np.log(a)
+    steps = (log_r1[::-1] - 0.5 * (log_n_r + log_r1)) + log_b_over_a[:, None]
+    peak = (steps > 0.0).sum(axis=1, keepdims=True)
+    logs = np.zeros((len(a), k + 1))
+    logs[:, 1:] = np.cumsum(np.where(r >= peak, steps, 0.0), axis=1)
+    logs[:, :-1] -= np.cumsum(np.where(r < peak, steps, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    raw = np.exp(logs)
+    return raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
+
+
+def _marginal_elements_termwise(n, beta):
+    """The six sums of marginal_elements' docstring, one product and one sum each."""
+    r = np.arange(beta.shape[1], dtype=float)
+    n_r = n - r
+    cp, c0, cm = np.sqrt(
+        np.array([n_r * (n_r - 1.0), 2.0 * r * n_r, r * (r - 1.0)]) / float(n * (n - 1))
+    )
+    sq = beta * beta
+    near = beta[:, :-1] * beta[:, 1:]
+    far = beta[:, :-2] * beta[:, 2:]
+    return (
+        (sq * (cp * cp)).sum(axis=1),
+        _SQRT1_2 * (near * (cp[:-1] * c0[1:])).sum(axis=1),
+        (far * (cp[:-2] * cm[2:])).sum(axis=1),
+        0.5 * (sq * (c0 * c0)).sum(axis=1),
+        _SQRT1_2 * (near * (c0[:-1] * cm[1:])).sum(axis=1),
+        (sq * (cm * cm)).sum(axis=1),
+    )
+
+
+def _triplet_blocks_termwise(A, B, C, D, E, F):
+    sB, sE = _SQRT2 * B, _SQRT2 * E
+    R = np.array([A, sB, C, sB, 2.0 * D, sE, C, sE, F]).T.reshape(-1, 3, 3)
+    P = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
+    return R, P, D - C
+
+
+def _first(values, bad):
+    return values[bad].reshape(-1)[0].item()
+
+
+def _wootters_termwise(mu):
+    lam = mu * mu
+    if np.iscomplexobj(lam):
+        bad = np.abs(lam.imag) > 1e-8
+        if bad.any():
+            raise NumericalInstabilityError(f"complex eigenvalue of rho rho~: {_first(lam, bad)!r}")
+    bad = lam.real < -1e-10
+    if bad.any():
+        raise NumericalInstabilityError(f"negative eigenvalue of rho rho~: {_first(lam, bad)!r}")
+    roots = np.sort(np.abs(mu), axis=-1)
+    value = np.maximum(0.0, roots[..., -1] - roots[..., :-1].sum(axis=-1))
+    bad = ~(value <= 1.0 + 1e-10)
+    if bad.any():
+        raise NumericalInstabilityError(f"concurrence left [0, 1]: {_first(value, bad)!r}")
+    return np.minimum(value, 1.0)
+
+
+def _negativity_termwise(blocks, singlet):
+    eigs = np.linalg.eigvalsh(blocks)
+    value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(singlet, 0.0)))
+    bad = ~(value <= 1.0 + 1e-10)
+    if bad.any():
+        raise NumericalInstabilityError(f"doubled negativity left [0, 1]: {_first(value, bad)!r}")
+    return np.minimum(value, 1.0)
+
+
+def _c1_squared_termwise(det):
+    bad = det < -1e-10
+    if bad.any():
+        raise NotDensityMatrixError(
+            f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
+        )
+    return np.minimum(4.0 * np.maximum(det, 0.0), 1.0)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("n,k", POINTS)
+def test_stacked_stages_equal_their_termwise_expressions(n, k):
+    beta = amplitude_rows(n, k, A_VALUES)
+    _same_bits(beta, _amplitude_rows_termwise(n, k, A_VALUES))
+    elements = marginal_elements(n, beta)
+    for got, want in zip(elements, _marginal_elements_termwise(n, beta), strict=True):
+        _same_bits(got, want)
+    R, P, singlet = triplet_blocks(*elements)
+    for got, want in zip((R, P, singlet), _triplet_blocks_termwise(*elements), strict=True):
+        _same_bits(got, want)
+    A, B, C, D, E, F = elements
+    det = (A + D) * (D + F) - (B + E) * (B + E)
+    _same_bits(measures._c1_squared(det), _c1_squared_termwise(det))
+    mu = np.linalg.eigvals(measures._spin_flip(R))
+    _same_bits(measures._wootters(mu), _wootters_termwise(mu))
+    _same_bits(measures._negativity(P, singlet), _negativity_termwise(P, singlet))
+
+
+def test_triplet_blocks_of_floats_equal_their_termwise_expressions():
+    # TwoQubitMarginal passes six floats: one row, and D - C a float
+    elements = [float(x[0]) for x in marginal_elements(10, amplitude_rows(10, 3, [0.3]))]
+    expected = _triplet_blocks_termwise(*elements)
+    for got, want in zip(triplet_blocks(*elements), expected, strict=True):
+        _same_bits(got, want)
+
+
+def test_checks_pass_what_the_termwise_checks_pass():
+    # a complex spectrum within the imaginary-part abort, a real and a complex NaN, a det
+    # between 0 and -1e-10, a NaN det, and an empty stack
+    for mu in (
+        np.array([[0.5 + 1e-9j, 0.5 - 1e-9j, 0.1], [0.9 + 1e-10j, 0.1 - 1e-10j, 0.05]]),
+        np.array([[0.5, 0.3, 0.1], [-0.4, 0.2, 0.0]]),
+        np.empty((0, 3)),
+    ):
+        _same_bits(measures._wootters(mu), _wootters_termwise(mu))
+    for det in (np.array([0.1, -1e-11, -0.0, 0.25 + 1e-13]), np.array([0.1, np.nan]), np.empty(0)):
+        _same_bits(measures._c1_squared(det), _c1_squared_termwise(det))
+    blocks = np.array([np.diag([-0.2, 0.5, 0.5]), np.diag([0.0, 0.5, 0.5])])
+    for singlet in (np.array([-0.1, 0.0]), np.array([0.0, -0.0])):
+        _same_bits(measures._negativity(blocks, singlet), _negativity_termwise(blocks, singlet))
+    _same_bits(measures._negativity(np.empty((0, 3, 3)), np.empty(0)), np.empty(0))
+
+
+# mu^2 = -4 + 1e-6j fails the imaginary-part abort, the negative-eigenvalue abort and
+# (|mu| = 2) the concurrence bound at once; the imaginary part is tested first
+_THREE_ABORTS = np.sqrt(-4 + 1e-6j)
+_COMPLEX_MESSAGE = "complex eigenvalue of rho rho~: (-3.9999999999999996+1e-06j)"
+_PSD_MESSAGE = "single-qubit marginal must be positive semidefinite, got det "
+
+
+@pytest.mark.parametrize(
+    "mu,message",
+    [
+        (np.array([[np.sqrt(-1 + 1e-6j), 0.1, 0.1]]),
+         "complex eigenvalue of rho rho~: (-1+1e-06j)"),
+        (np.array([[0.3, 0.1, 0.1], [_THREE_ABORTS, 0.1, 0.1]]), _COMPLEX_MESSAGE),
+        # -4 < -1e-10 and |2j| = 2 > 1: the negative eigenvalue is named
+        (np.array([[0.5, 0.1, 0.0], [2j, 0.1, 0.1]]), "negative eigenvalue of rho rho~: (-4+0j)"),
+        (np.array([[np.nan, 0.1, 0.1], [1.5, 0.1, 0.1]]), "concurrence left [0, 1]: nan"),
+        (np.array([[np.nan + 0j, 0.1, 0.1], [1.5, 0.1, 0.1]]), "concurrence left [0, 1]: nan"),
+        (np.array([[0.2, 0.1, 0.1], [1.5, 0.1, 0.1]]), "concurrence left [0, 1]: 1.3"),
+    ],
+)
+def test_wootters_names_the_first_failed_abort(mu, message):
+    want = (NumericalInstabilityError, message)
+    assert _raised(measures._wootters, mu) == want
+    assert _raised(_wootters_termwise, mu) == want
+
+
+def test_negativity_and_c1_aborts_read_as_the_termwise_checks():
+    blocks = np.array([np.diag([-0.2, 0.5, 0.5]), np.diag([-0.7, 1.0, 0.5])])
+    cases = [
+        (measures._negativity, _negativity_termwise, (blocks, np.array([-0.1, 0.0])),
+         (NumericalInstabilityError, "doubled negativity left [0, 1]: 1.4")),
+        (measures._negativity, _negativity_termwise, (blocks[:1], np.array([np.nan])),
+         (NumericalInstabilityError, "doubled negativity left [0, 1]: nan")),
+        # a NaN det passes the abort; the first det below -1e-10 is named
+        (measures._c1_squared, _c1_squared_termwise,
+         (np.array([0.1, np.nan, -1e-10, -1e-9, -0.5]),),
+         (NotDensityMatrixError, _PSD_MESSAGE + "-1e-09")),
+    ]
+    for fn, termwise, args, want in cases:
+        assert _raised(fn, *args) == want
+        assert _raised(termwise, *args) == want
+
+
+def test_engine_and_scalar_routes_name_the_first_failed_abort(monkeypatch):
+    rho = marginal_matrix(two_qubit_marginal(DickeParams(5, 2, 0.3)))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda mats: np.array([[_THREE_ABORTS, 0.1, 0.1]]))
+    want = (NumericalInstabilityError, _COMPLEX_MESSAGE)
+    assert _raised(measures.tangle_record, DickeParams(5, 2, 0.3)) == want
+    assert _raised(measures.concurrence_two_qubit, rho) == want
+    monkeypatch.setattr(np.linalg, "eigvals", lambda mats: np.full(mats.shape[:-1], np.nan))
+    want = (NumericalInstabilityError, "concurrence left [0, 1]: nan")
+    assert _raised(measures.tangle_record, DickeParams(5, 2, 0.3)) == want
+    assert _raised(measures.tangle_table, 5, 2, [0.1, 0.3]) == want
+
+
+def test_engine_names_a_negative_det_before_a_nan_row(monkeypatch):
+    # rows: a NaN marginal, then one whose rho_1 has det 0.25 - 1 = -0.75; the C1 stage runs first
+    def bad_elements(n, beta):
+        nan, negative = [np.nan] * 6, [0.5, 0.5, 0.0, 0.0, 0.5, 0.5]
+        return tuple(np.array(col) for col in zip(nan, negative))
+
+    monkeypatch.setattr(measures, "marginal_elements", bad_elements)
+    want = (NotDensityMatrixError, _PSD_MESSAGE + "-0.75")
+    assert _raised(measures.tangle_table, 5, 2, [0.1, 0.3]) == want
