@@ -308,15 +308,15 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         measures           C2, N2 and C1 of one tangle_table call (the numbers sweep
                            prints) against concurrence_stack of the dense marginals,
                            the trace norm of its axis-swapped partial transpose minus 1,
-                           and one_vs_rest of the dense one-qubit marginal
+                           and one_vs_rest_stack of the dense one-qubit marginals
 
-    T is _BELL. Per point run only the public dense route: expand_state, both partial
-    traces and one_vs_rest of the one-qubit marginal. The rest runs per slice of at most
-    _ORACLE_ROWS points, on their stacked 2^N amplitudes: symmetrized_states, the state=
-    and Dicke-amplitude differences, and pair-choice=, which compares the 01 block of each
-    neighbouring qubit pair with its 10 block (the 00 and 11 blocks map to themselves).
-    The dense marginals are stacked, and concurrence_stack and the comparisons with the
-    engine's arrays run once per (N, k). A NaN makes its key NaN.
+    T is _BELL. Per point run only the public dense route: expand_state and both partial
+    traces. The rest runs per slice of at most _ORACLE_ROWS points, on their stacked 2^N
+    amplitudes: symmetrized_states, the state= and Dicke-amplitude differences, and
+    pair-choice=, which compares the 01 block of each neighbouring qubit pair with its 10
+    block (the 00 and 11 blocks map to themselves).
+    The dense marginals are stacked, and concurrence_stack, one_vs_rest_stack and the
+    comparisons with the engine's arrays run once per (N, k). A NaN makes its key NaN.
     """
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
@@ -326,7 +326,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     dicke_index = (1 << np.arange(k + 1)) - 1
     dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])
     up = Spinor(1.0, 0.0)
-    state, pair_choice, rho2, rho1, c1 = [], [], [], [], []
+    state, pair_choice, rho2, rho1 = [], [], [], []
     for start in range(0, len(grid), _ORACLE_ROWS):
         part = grid[start:start + _ORACLE_ROWS]
         m = len(part)
@@ -339,7 +339,6 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
             eps2.append(Spinor(a, params.b))
             rho2.append(brute.to_array())
             rho1.append(single.to_array())
-            c1.append(measures.one_vs_rest(marginals.SingleQubitMarginal(params, single)))
         # the symmetrized states less the dense ones, in place
         sym = oracle.symmetrized_states(n, k, up, eps2)
         sym -= psi
@@ -350,7 +349,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
 
     rho2, rho1 = np.array(rho2), np.array(rho1)
     swapped = rho2.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    c2 = measures.concurrence_stack(rho2)
+    c2, c1 = measures.concurrence_stack(rho2), measures.one_vs_rest_stack(rho1)
     n2 = np.maximum(0.0, np.abs(np.linalg.eigvalsh(swapped)).sum(axis=1) - 1.0)
     engine = np.stack((np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)))
     engine_rho1 = np.stack((A + D, B + E, B + E, D + F), axis=1).reshape(-1, 2, 2)

@@ -14,12 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeParams, amplitude_rows, check_number, check_type
+from .dicke import DickeParams, amplitude_rows, check_number, check_numbers, check_type
 from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
 from .smallmat import SmallMatrix
 
 _SQRT1_2 = math.sqrt(0.5)
 _SQRT2 = math.sqrt(2.0)
+# the tolerances of density_stack, the one density-matrix rule: trace, symmetry relative to
+# the largest entry, and the smallest eigenvalue
+TRACE_TOL = 1e-12
+_SYM_TOL = 1e-12
+_PSD_TOL = 1e-10
 
 
 def _eig(solver, mats: np.ndarray) -> np.ndarray:
@@ -28,6 +33,44 @@ def _eig(solver, mats: np.ndarray) -> np.ndarray:
         return solver(mats)
     except np.linalg.LinAlgError as exc:
         raise NumericalInstabilityError(f"eigensolver failed: {exc}") from exc
+
+
+def _first(values: np.ndarray, bad: np.ndarray):
+    """The first entry of values where bad holds, as a Python scalar."""
+    return values[bad].reshape(-1)[0].item()
+
+
+def _refuse(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    if bad.any():
+        raise NotDensityMatrixError(f"{message} {_first(values, bad)!r}")
+
+
+def density_stack(values, dim: int, what: str) -> np.ndarray:
+    """The density-matrix rule: values as a float array of shape (m, dim, dim) whose every
+    matrix is a real density matrix, for each matrix that enters as one.
+
+    values go through check_numbers; another shape, or an entry that is not finite,
+    raises InvalidParamsError. Then, in this order, each matrix must have unit trace to
+    within TRACE_TOL, be symmetric to within 1e-12 of its largest entry (eigvalsh reads
+    one triangle only), have no eigvalsh eigenvalue below -1e-10 and no negative diagonal
+    entry. A failure raises NotDensityMatrixError, worded "{what} must ..., got ...",
+    with the value from the first matrix that fails that test.
+    """
+    arr = check_numbers(values, what)
+    if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
+        raise InvalidParamsError(f"{what} must have shape (m, {dim}, {dim}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidParamsError(f"{what} must have finite entries")
+    trace = np.trace(arr, axis1=1, axis2=2)
+    _refuse(np.abs(trace - 1.0) > TRACE_TOL, trace, f"{what} must have unit trace, got")
+    skew = np.max(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
+    bad = skew > _SYM_TOL * np.max(np.abs(arr), axis=(1, 2))
+    _refuse(bad, skew, f"{what} must be symmetric, got an entry off its transpose by")
+    low = _eig(np.linalg.eigvalsh, arr)[:, 0]
+    _refuse(low < -_PSD_TOL, low, f"{what} must be positive semidefinite, got smallest eigenvalue")
+    diagonal = np.diagonal(arr, axis1=1, axis2=2)
+    _refuse(diagonal < 0.0, diagonal, f"{what} must have a nonnegative diagonal, got")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -42,10 +85,9 @@ class TwoQubitMarginal:
          [C, E, E, F]].
 
     params are those of the state it was traced from, or None if it stands alone.
-    An element that is not finite raises InvalidParamsError. The matrix must be
-    a density matrix: A, D, F nonnegative, unit trace A + 2D + F to within 1e-12,
-    and the triplet block R of triplet_blocks (which holds its spectrum) positive
-    semidefinite to within 1e-10; otherwise NotDensityMatrixError is raised.
+    The matrix must pass density_stack, which runs on its triplet block R of
+    triplet_blocks: R has trace A + 2D + F, diagonal (A, 2D, F), and the
+    spectrum of the 4x4 apart from one exact zero.
     """
 
     params: DickeParams | None
@@ -60,26 +102,14 @@ class TwoQubitMarginal:
         check_type(self.params, (DickeParams, type(None)), "params")
         for name in "ABCDEF":
             object.__setattr__(self, name, check_number(getattr(self, name), name))
-        elements = [getattr(self, name) for name in "ABCDEF"]
-        if not all(map(math.isfinite, elements)):
-            raise InvalidParamsError("marginal elements must be finite")
-        A, _, _, D, _, F = elements
-        if A < 0.0 or D < 0.0 or F < 0.0:
-            raise NotDensityMatrixError("diagonal elements A, D, F must be nonnegative")
-        trace = A + 2.0 * D + F
-        if abs(trace - 1.0) > 1e-12:
-            raise NotDensityMatrixError(f"marginal must have unit trace, got {trace!r}")
-        R, _, _ = triplet_blocks(*elements)
-        low = _eig(np.linalg.eigvalsh, R[0])[0].item()
-        if low < -1e-10:
-            raise NotDensityMatrixError(
-                f"marginal must be positive semidefinite, got smallest eigenvalue {low!r}"
-            )
+        R, _, _ = triplet_blocks(self.A, self.B, self.C, self.D, self.E, self.F)
+        density_stack(R, 3, "two-qubit marginal")
 
 
 @dataclass(frozen=True)
 class SingleQubitMarginal:
-    """A one-qubit reduced density matrix; params as for TwoQubitMarginal."""
+    """A one-qubit reduced density matrix; params as for TwoQubitMarginal. rho must be
+    a 2x2 SmallMatrix that passes density_stack."""
 
     params: DickeParams | None
     rho: SmallMatrix
@@ -87,15 +117,7 @@ class SingleQubitMarginal:
     def __post_init__(self):
         check_type(self.params, (DickeParams, type(None)), "params")
         check_type(self.rho, SmallMatrix, "rho")
-        if self.rho.dim != 2:
-            raise InvalidParamsError("single-qubit marginal must be 2x2")
-        e = self.rho.entries
-        if abs(e[1] - e[2]) > 1e-12:
-            raise NotDensityMatrixError("single-qubit marginal must be symmetric")
-        if abs(e[0] + e[3] - 1.0) > 1e-12:
-            raise NotDensityMatrixError(f"single-qubit marginal must have unit trace, got {e[0] + e[3]!r}")
-        if e[0] < -1e-12 or e[3] < -1e-12 or e[0] * e[3] - e[1] * e[2] < -1e-10:
-            raise NotDensityMatrixError("single-qubit marginal must be positive semidefinite")
+        density_stack(self.rho.to_array()[None], 2, "single-qubit marginal")
 
 
 def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -18,20 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import (
-    DickeParams,
-    amplitude_rows,
-    check_a_values,
-    check_n_k,
-    check_number,
-    check_numbers,
-    check_type,
-)
+from .dicke import DickeParams, amplitude_rows, check_a_values, check_n_k, check_number, check_type
 from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
 from .marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
     _eig,
+    _first,
+    density_stack,
     marginal_elements,
     triplet_blocks,
 )
@@ -39,8 +33,6 @@ from .smallmat import SmallMatrix
 
 _IMAG_ABORT = 1e-8
 _RANGE_TOL = 1e-10
-# eigvalsh reads one triangle only, so asymmetry beyond this (relative) is an error
-_SYM_TOL = 1e-12
 
 # column signs of M @ Y, by width, for Y = sigma_y x sigma_y and its restriction Y3 to
 # the triplet basis {|00>, |psi+>, |11>}
@@ -82,10 +74,6 @@ class TangleTable(NamedTuple):
     xi: np.ndarray
 
 
-def _first(values: np.ndarray, bad: np.ndarray):
-    return values[bad].reshape(-1)[0].item()
-
-
 def _wootters(mu: np.ndarray) -> np.ndarray:
     """Concurrence from the eigenvalues mu of rho Y along the last axis.
 
@@ -109,9 +97,15 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
             )
     roots = np.sort(np.abs(mu), axis=-1)
     value = np.maximum(0.0, roots[..., -1] - roots[..., :-1].sum(axis=-1))
+    return _at_most_one(value, "concurrence")
+
+
+def _at_most_one(value: np.ndarray, name: str) -> np.ndarray:
+    """value clamped to at most 1, after an abort that names the first entry above
+    1 + 1e-10, or NaN."""
     if not value.max(initial=0.0) <= 1.0 + _RANGE_TOL:  # a NaN lands here too
         bad = ~(value <= 1.0 + _RANGE_TOL)
-        raise NumericalInstabilityError(f"concurrence left [0, 1]: {_first(value, bad)!r}")
+        raise NumericalInstabilityError(f"{name} left [0, 1]: {_first(value, bad)!r}")
     return np.minimum(value, 1.0)
 
 
@@ -127,33 +121,10 @@ def concurrence_stack(rhos) -> np.ndarray:
     rhos has shape (m, 4, 4); entry i of the result is max(0, l1 - l2 - l3 - l4)
     of rhos[i], where l1 >= ... >= l4 are the moduli of the eigenvalues of
     rho (sigma_y x sigma_y); these are the square roots of the eigenvalues of
-    rho rho~ (see _wootters). Another shape, or an entry that is not finite,
-    raises InvalidParamsError. Each matrix must have unit trace and be positive
-    semidefinite, to within 1e-10, and be symmetric to within 1e-12 of its
-    largest entry; otherwise NotDensityMatrixError names the first that is not.
-    Entry i depends on rhos[i] alone, bit for bit.
+    rho rho~ (see _wootters). rhos must pass marginals.density_stack. Entry i
+    depends on rhos[i] alone, bit for bit.
     """
-    arr = check_numbers(rhos, "density matrices")
-    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
-        raise InvalidParamsError(
-            f"concurrence needs a stack of 4x4 matrices, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise InvalidParamsError("matrix entries must be finite")
-    trace = np.trace(arr, axis1=1, axis2=2)
-    bad = np.abs(trace - 1.0) > _RANGE_TOL
-    if bad.any():
-        raise NotDensityMatrixError(f"trace must be 1, got {_first(trace, bad)!r}")
-    skew = np.max(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
-    bad = skew > _SYM_TOL * np.max(np.abs(arr), axis=(1, 2))
-    if bad.any():
-        raise NotDensityMatrixError(
-            f"matrix is not symmetric: an entry differs from its transpose by {_first(skew, bad)!r}"
-        )
-    low = _eig(np.linalg.eigvalsh, arr)[:, 0]
-    bad = low < -_RANGE_TOL
-    if bad.any():
-        raise NotDensityMatrixError(f"matrix is not PSD, smallest eigenvalue {_first(low, bad)!r}")
+    arr = density_stack(rhos, 4, "two-qubit density matrix")
     return _wootters(_eig(np.linalg.eigvals, _spin_flip(arr)))
 
 
@@ -162,8 +133,6 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
     of concurrence_stack, with its checks and typed errors. A rho that is not a 4x4
     SmallMatrix raises InvalidParamsError."""
     check_type(rho, SmallMatrix, "rho")
-    if rho.dim != 4:
-        raise InvalidParamsError(f"concurrence needs a 4x4 matrix, got dim {rho.dim}")
     return concurrence_stack(rho.to_array()[None]).item()
 
 
@@ -180,16 +149,14 @@ def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
     """
     eigs = _eig(np.linalg.eigvalsh, blocks)
     value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(singlet, 0.0)))
-    if not value.max(initial=0.0) <= 1.0 + _RANGE_TOL:  # a NaN lands here too
-        bad = ~(value <= 1.0 + _RANGE_TOL)
-        raise NumericalInstabilityError(f"doubled negativity left [0, 1]: {_first(value, bad)!r}")
-    return np.minimum(value, 1.0)
+    return _at_most_one(value, "doubled negativity")
 
 
 def _c1_squared(det: np.ndarray) -> np.ndarray:
     """C1^2 = 4 det rho_1 for each det: one PSD abort, then a clamp into [0, 1]. Each rho_1
-    is a partial trace of a normalised state (tangle_grid) or a SingleQubitMarginal, so its
-    trace is 1 to within 1e-12 and 4 det <= (1 + 1e-12)^2 (AM-GM)."""
+    is a partial trace of a normalised state (tangle_grid) or passed density_stack
+    (one_vs_rest_stack), so its trace is 1 to within 1e-12 and 4 det <= (1 + 1e-12)^2
+    (AM-GM)."""
     if not det.min(initial=0.0) >= -_RANGE_TOL:  # a NaN lands here too, and passes
         bad = det < -_RANGE_TOL
         if bad.any():
@@ -199,11 +166,17 @@ def _c1_squared(det: np.ndarray) -> np.ndarray:
     return np.minimum(4.0 * np.maximum(det, 0.0), 1.0)
 
 
+def one_vs_rest_stack(rhos) -> np.ndarray:
+    """One-vs-rest entanglement 2 sqrt(det rho_1) of each one-qubit density matrix in a stack
+    (m, 2, 2), by tangle_table's C1 stage; rhos must pass marginals.density_stack."""
+    rho = density_stack(rhos, 2, "single-qubit marginal")
+    return np.sqrt(_c1_squared(rho[:, 0, 0] * rho[:, 1, 1] - rho[:, 0, 1] * rho[:, 1, 0]))
+
+
 def one_vs_rest(rho1: SingleQubitMarginal) -> float:
-    """One-vs-rest entanglement 2 sqrt(det rho_1), the one-row view of tangle_table's C1 stage."""
+    """One-vs-rest entanglement of a SingleQubitMarginal: the one-row view of one_vs_rest_stack."""
     check_type(rho1, SingleQubitMarginal, "rho1")
-    e = rho1.rho.entries
-    return math.sqrt(_c1_squared(np.array([e[0] * e[3] - e[1] * e[2]])).item())
+    return one_vs_rest_stack(rho1.rho.to_array()[None]).item()
 
 
 def negativity_two_qubit(m: TwoQubitMarginal) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .dicke import DickeParams, check_int, check_numbers, check_type, int_text
 from .errors import CapExceededError, InvalidParamsError
+from .marginals import TRACE_TOL
 from .smallmat import SmallMatrix
 
 # Dense vectors above this qubit count are refused (2^14 amplitudes).
@@ -47,7 +48,8 @@ class Spinor:
 
 @dataclass(frozen=True)
 class FullState:
-    """Dense N-qubit pure state; amplitudes[i] belongs to the bitstring of i."""
+    """Dense N-qubit pure state; amplitudes[i] belongs to the bitstring of i. Its squared
+    norm must be 1 to within marginals.TRACE_TOL, the trace tolerance of its partial traces."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -62,9 +64,9 @@ class FullState:
             raise InvalidParamsError(
                 f"expected 2**{int_text(n)} amplitudes, got shape {amp.shape}"
             )
-        norm = float(np.linalg.norm(amp))
-        if not abs(norm - 1.0) <= _REAL_TOL:
-            raise InvalidParamsError(f"state must have unit norm, got {norm!r}")
+        norm_sq = np.vdot(amp, amp).real.item()
+        if not abs(norm_sq - 1.0) <= TRACE_TOL:
+            raise InvalidParamsError(f"state must have unit norm, got squared norm {norm_sq!r}")
         amp.flags.writeable = False
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amp)

@@ -21,6 +21,7 @@ from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import (
     CapExceededError,
     InvalidParamsError,
+    NotDensityMatrixError,
     NumericalInstabilityError,
 )
 
@@ -633,6 +634,18 @@ def test_oracle_marginal_catches_singlet_weight(monkeypatch):
 
     monkeypatch.setattr(oracle, "partial_trace_to_two", mixed)
     assert cli.oracle_deviations(6, 3, grid)["marginal"] > 1e-10
+
+
+def test_oracle_runs_the_density_rule_on_the_dense_rho1(monkeypatch):
+    # C1 comes from the stacked dense rho1, which must pass the rule as a SingleQubitMarginal does
+    orig = oracle.partial_trace_to_one
+
+    def off_trace(psi):
+        return oracle.SmallMatrix(2, (orig(psi).to_array() + np.diag([1e-11, 0.0])).ravel())
+
+    monkeypatch.setattr(oracle, "partial_trace_to_one", off_trace)
+    with pytest.raises(NotDensityMatrixError, match="single-qubit marginal must have unit trace"):
+        cli.oracle_deviations(6, 3, [0.0, 0.4, 1.0])
 
 
 def _full_swap_pair_choice(amplitudes, n):

@@ -4,11 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from dicketangle import measures
 from dicketangle.dicke import DickeParams, amplitude_rows
-from dicketangle.errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
+from dicketangle.errors import (
+    DicketangleError,
+    InvalidParamsError,
+    NotDensityMatrixError,
+    NumericalInstabilityError,
+)
 from dicketangle.marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
+    density_stack,
     marginal_elements,
     marginal_matrix,
     single_qubit_marginal,
@@ -16,6 +23,7 @@ from dicketangle.marginals import (
     two_qubit_marginal,
 )
 from dicketangle.measures import concurrence_two_qubit
+from dicketangle.oracle import expand_state, partial_trace_to_one, partial_trace_to_two
 from dicketangle.smallmat import SmallMatrix
 
 from test_dicke import _amplitude_squares, _cg_squares
@@ -173,6 +181,96 @@ def test_single_qubit_marginal_validation():
         SingleQubitMarginal(p, SmallMatrix(4, (0.0,) * 16))
 
 
+def _pair_form(A, B, C, D, E, F):
+    return np.array([[A, B, B, C], [B, D, D, E], [B, D, D, E], [C, E, E, F]])
+
+
+def _asymmetric_probe():
+    # off-diagonals 0.1 and 0.1 + 5e-13: its one-qubit trace is [[0.5, 0.1], [0.1 + 5e-13, 0.5]]
+    rho = np.diag([0.25] * 4)
+    rho[0, 2], rho[2, 0] = 0.1, 0.1 + 5e-13
+    return rho
+
+
+_ENGINE = two_qubit_marginal(DickeParams(6, 3, 0.4))
+_ENGINE_ELEMENTS = (_ENGINE.A, _ENGINE.B, _ENGINE.C, _ENGINE.D, _ENGINE.E, _ENGINE.F)
+# name: (A..F, or None where only a 4x4 can carry the defect; that 4x4, or None for the pair
+# form of A..F; the class every entry point raises, or None). The one-qubit trace of each 4x4
+# carries its defect. Each refused case was refused by at least one entry point of 0.12.0.
+_VERDICT_CASES = {
+    "engine": (_ENGINE_ELEMENTS, None, None),
+    "bell-phi+": ((0.5, 0.0, 0.5, 0.0, 0.0, 0.5), None, None),
+    "product": ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), None, None),
+    # the four probes on which the entry points of 0.12.0 disagreed
+    "trace-1+5e-11": ((_ENGINE.A + 5e-11, *_ENGINE_ELEMENTS[1:]), None, NotDensityMatrixError),
+    "diagonal--1e-13": ((-1e-13, 0.0, 0.0, 0.0, 0.0, 1.0 + 1e-13), None, NotDensityMatrixError),
+    "diagonal--1e-11": ((-1e-11, 0.0, 0.0, 0.0, 0.0, 1.0 + 1e-11), None, NotDensityMatrixError),
+    "asymmetric-5e-13": (None, _asymmetric_probe(), NotDensityMatrixError),
+    # examples every entry point refused
+    "trace-1.1": ((0.4, 0.0, 0.0, 0.2, 0.0, 0.3), None, NotDensityMatrixError),
+    "diagonal--0.2": ((-0.2, 0.0, 0.0, 0.0, 0.0, 1.2), None, NotDensityMatrixError),
+    "det--0.11": ((0.5, 0.6, 0.0, 0.0, 0.0, 0.5), None, NotDensityMatrixError),
+    "garbage": ((0.0, 0.0, 5.0, 0.25, 5.0, 0.5), None, NotDensityMatrixError),
+    "nan": ((math.nan, 0.0, 0.0, 0.5, 0.0, 0.0), None, InvalidParamsError),
+}
+
+
+def _raised(fn):
+    """The class of the package error fn() raises, or None if it returns."""
+    try:
+        fn()
+    except DicketangleError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", list(_VERDICT_CASES))
+def test_every_entry_point_gives_a_density_matrix_the_same_verdict(case):
+    elements, rho, want = _VERDICT_CASES[case]
+    if rho is None:
+        rho = _pair_form(*elements)
+    rho1 = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    verdicts = {
+        "concurrence_two_qubit": _raised(
+            lambda: concurrence_two_qubit(SmallMatrix(4, rho.ravel()))
+        ),
+        "concurrence_stack": _raised(lambda: measures.concurrence_stack(rho[None])),
+        "SingleQubitMarginal": _raised(
+            lambda: SingleQubitMarginal(None, SmallMatrix(2, rho1.ravel()))
+        ),
+    }
+    if elements is not None:
+        verdicts["TwoQubitMarginal"] = _raised(lambda: TwoQubitMarginal(None, *elements))
+    assert verdicts == dict.fromkeys(verdicts, want)
+
+
+def test_density_stack_names_the_first_matrix_that_fails_the_first_failed_test():
+    good = marginal_matrix(_ENGINE).to_array()
+    not_psd, trace = np.diag([1.2, -0.2, 0.0, 0.0]), np.diag([0.5, 0.25, 0.25, 0.125])
+    with pytest.raises(NotDensityMatrixError) as raised:
+        density_stack([good, not_psd, trace, 1.5 * trace], 4, "rho")
+    assert str(raised.value) == "rho must have unit trace, got 1.125"
+    with pytest.raises(NotDensityMatrixError) as raised:
+        density_stack([good, not_psd], 4, "rho")
+    assert str(raised.value) == "rho must be positive semidefinite, got smallest eigenvalue -0.2"
+    assert density_stack([good], 4, "rho").tolist() == [good.tolist()]
+    with pytest.raises(InvalidParamsError) as raised:
+        concurrence_two_qubit(SmallMatrix(2, (0.5, 0.0, 0.0, 0.5)))
+    assert str(raised.value) == "two-qubit density matrix must have shape (m, 4, 4), got (1, 2, 2)"
+
+
+def test_dense_marginals_pass_the_density_rule():
+    """The dense rho2 and rho1 of expand_state at every (N, k) of the oracle, a = 0 and 1
+    included: the oracle runs the rule on them, and concurrence_stack's trace tolerance is
+    1e-12."""
+    grid = np.linspace(0.0, 1.0, 11)
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            states = [expand_state(DickeParams(n, k, float(a))) for a in grid]
+            density_stack([partial_trace_to_two(s).to_array() for s in states], 4, "rho2")
+            density_stack([partial_trace_to_one(s).to_array() for s in states], 2, "rho1")
+
+
 def _reference_elements(n, k, a):
     """A..F in 60-digit decimal from the exact binary value of a and the integer
     Clebsch-Gordan formula, each element rounded to float once."""
@@ -243,4 +341,5 @@ def test_built_marginals_are_finite_unit_trace_and_psd():
             assert np.abs(A + 2.0 * D + F - 1.0).max() <= 1e-13, (n, k)
             R = triplet_blocks(*elements)[0]
             assert np.linalg.eigvalsh(R)[:, 0].min() >= -1e-13, (n, k)
+            density_stack(R, 3, "engine R")
             assert ((A + D) * (D + F) - (B + E) ** 2).min() >= -1e-13, (n, k)

@@ -433,7 +433,9 @@ def test_psd_abort_reads_the_same_through_both_routes():
     with pytest.raises(NotDensityMatrixError) as four:
         concurrence_two_qubit(SmallMatrix(4, tuple(np.diag([1.2, -0.2, 0.0, 0.0]).ravel())))
     assert "np.float64(" not in str(four.value)
-    assert str(four.value) == "matrix is not PSD, smallest eigenvalue -0.2"
+    assert str(four.value) == (
+        "two-qubit density matrix must be positive semidefinite, got smallest eigenvalue -0.2"
+    )
 
 
 def test_concurrence_cubic_meets_the_negativity_block_on_the_readme_grid():

@@ -7,10 +7,13 @@ import pytest
 from dicketangle.dicke import DickeParams
 from dicketangle.errors import CapExceededError, InvalidParamsError
 from dicketangle.marginals import (
+    SingleQubitMarginal,
+    TwoQubitMarginal,
     marginal_matrix,
     single_qubit_marginal,
     two_qubit_marginal,
 )
+from dicketangle.measures import concurrence_two_qubit
 from dicketangle.oracle import (
     FullState,
     Spinor,
@@ -81,6 +84,19 @@ def test_full_state_validation():
     state = FullState(1, np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 1.0
+
+
+def test_full_state_norm_meets_the_trace_tolerance_of_its_marginals():
+    # each partial trace of a state has its squared norm as trace, held to 1e-12 by the rule
+    amp = expand_state(DickeParams(6, 3, 0.4)).amplitudes
+    with pytest.raises(InvalidParamsError, match="squared norm 1.00000000000179"):
+        FullState(6, amp * math.sqrt(1.0 + 1.8e-12))
+    state = FullState(6, amp * math.sqrt(1.0 + 8e-13))
+    rho2 = partial_trace_to_two(state)
+    e = rho2.entries
+    TwoQubitMarginal(None, e[0], e[1], e[3], e[5], e[7], e[15])
+    concurrence_two_qubit(rho2)
+    SingleQubitMarginal(None, partial_trace_to_one(state))
 
 
 def test_full_state_freezes_its_own_copy_not_the_callers_array():
