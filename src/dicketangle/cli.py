@@ -35,8 +35,9 @@ _SPOT_K_MAX = 5
 _ORACLE_N_MAX = 12
 _CHECK_N_MAX = 900
 _CHECK_A_STEPS = 11
-# the rows of n_max = 900 at the default a-grid: about a minute of check
-_CHECK_ROWS_MAX = (_CHECK_N_MAX**2 // 4 - 1) * _CHECK_A_STEPS
+# len(_check_pairs(_CHECK_N_MAX)) * _CHECK_A_STEPS, the rows of n_max = 900 at the default
+# a-grid: about a minute of check
+_CHECK_ROWS_MAX = 2_227_489
 
 # a sweep chunk holds whole (N, k) pairs, at most this many rows unless one pair has more
 _CHUNK_ROWS = 2**13
@@ -198,11 +199,6 @@ def _check_pairs(n_max: int):
     return pairs
 
 
-def _check_pair_count(n_max: int) -> int:
-    """len(_check_pairs(n_max)) without building it: sum_{n=2}^{M} floor(n/2) is floor(M^2/4)."""
-    return n_max**2 // 4 - 1 + sum(min(_SPOT_K_MAX, n // 2) for n in _SPOT_N if n > n_max)
-
-
 def _span(lo, hi, spec: str = "") -> str:
     """lo, or lo->hi where the two differ, each formatted by spec."""
     return format(lo, spec) if lo == hi else f"{lo:{spec}}->{hi:{spec}}"
@@ -246,12 +242,13 @@ def run_check(n_max: int, a_steps: int, tol: float) -> int:
     default grid (about a minute).
     """
     n_max, a_steps, tol = _validated("check", n_max, 3, _CHECK_N_MAX, a_steps, tol)
-    rows = _check_pair_count(n_max) * a_steps
+    pairs = _check_pairs(n_max)
+    rows = len(pairs) * a_steps
     if rows > _CHECK_ROWS_MAX:
         raise CapExceededError(
             f"check command is capped at {_CHECK_ROWS_MAX} (pair, a) rows, got {int_text(rows)}"
         )
-    grid, pairs = _a_grid(0.0, 1.0, a_steps), _check_pairs(n_max)
+    grid = _a_grid(0.0, 1.0, a_steps)
     m = len(grid)
     tau, xi = np.empty((len(pairs), m)), np.empty((len(pairs), m))
     for chunk in _chunks(len(pairs), m):
@@ -303,8 +300,9 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         pair-choice        the dense state against itself with each pair of neighbouring
                            qubits exchanged; these exchanges generate every permutation,
                            so every qubit pair then has the marginal of (0, 1)
-        rho1               the dense one-qubit marginal against [[A+D, B+E], [B+E, D+F]],
-                           whose determinant gives C1, and against rho2 traced over qubit 2
+        rho1               the dense one-qubit marginal against rho_1 of triplet_blocks,
+                           the matrix the engine's C1 is computed from, and against rho2
+                           traced over qubit 2
         measures           C2, N2 and C1 of one tangle_table call (the numbers sweep
                            prints) against concurrence_stack of the dense marginals,
                            the trace norm of its axis-swapped partial transpose minus 1,
@@ -320,8 +318,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     """
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
-    A, B, C, D, E, F = elements = marginals.marginal_elements(n, beta)
-    R, P, singlet = marginals.triplet_blocks(*elements)
+    R, P, singlet, engine_rho1 = marginals.triplet_blocks(*marginals.marginal_elements(n, beta))
     # the bitstring 0..01..1 of weight r, and the norm sqrt(binom(N, r)) of its Dicke state
     dicke_index = (1 << np.arange(k + 1)) - 1
     dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])
@@ -352,7 +349,6 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     c2, c1 = measures.concurrence_stack(rho2), measures.one_vs_rest_stack(rho1)
     n2 = np.maximum(0.0, np.abs(np.linalg.eigvalsh(swapped)).sum(axis=1) - 1.0)
     engine = np.stack((np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)))
-    engine_rho1 = np.stack((A + D, B + E, B + E, D + F), axis=1).reshape(-1, 2, 2)
     traced = np.trace(rho2.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
     return {
         "state": _largest(state),

@@ -85,9 +85,7 @@ class TwoQubitMarginal:
          [C, E, E, F]].
 
     params are those of the state it was traced from, or None if it stands alone.
-    The matrix must pass density_stack, which runs on its triplet block R of
-    triplet_blocks: R has trace A + 2D + F, diagonal (A, 2D, F), and the
-    spectrum of the 4x4 apart from one exact zero.
+    This 4x4, as marginal_matrix lays it out, must pass density_stack.
     """
 
     params: DickeParams | None
@@ -102,8 +100,7 @@ class TwoQubitMarginal:
         check_type(self.params, (DickeParams, type(None)), "params")
         for name in "ABCDEF":
             object.__setattr__(self, name, check_number(getattr(self, name), name))
-        R, _, _ = triplet_blocks(self.A, self.B, self.C, self.D, self.E, self.F)
-        density_stack(R, 3, "two-qubit marginal")
+        density_stack(np.reshape(_pair_form(self), (1, 4, 4)), 4, "two-qubit marginal")
 
 
 @dataclass(frozen=True)
@@ -177,34 +174,42 @@ def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
     return TwoQubitMarginal(params, *(float(col[0]) for col in row))
 
 
+def _pair_form(m: TwoQubitMarginal) -> tuple[float, ...]:
+    """The 16 entries, row-major, of the 4x4 of TwoQubitMarginal's docstring."""
+    A, B, C, D, E, F = m.A, m.B, m.C, m.D, m.E, m.F
+    return (A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F)
+
+
 def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:
     """Assemble the 4x4 two-qubit density matrix in the computational basis."""
     check_type(m, TwoQubitMarginal, "m")
-    A, B, C, D, E, F = m.A, m.B, m.C, m.D, m.E, m.F
-    return SmallMatrix(4, (A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F))
+    return SmallMatrix(4, _pair_form(m))
 
 
-def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R = T rho T^T, P = T rho^T_B T^T (shape (m, 3, 3)) and s^T rho^T_B s = D - C (shape (m,)).
+def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, ...]:
+    """R = T rho T^T, P = T rho^T_B T^T (shape (m, 3, 3)), s^T rho^T_B s = D - C (shape (m,))
+    and the one-qubit marginal rho_1 (shape (m, 2, 2)) of the two-qubit marginal rho.
 
     T has rows |00>, |psi+>, |11> and s is the singlet; A..F have shape (m,),
     or are floats for m = 1 (then s^T rho^T_B s is a float).
     rho has no singlet weight, so R holds its spectrum apart from one exact
     zero. The qubit swap commutes with the partial transpose, so T rho^T_B s
-    is 0, and P and D - C hold the whole spectrum of rho^T_B. R and P are two
-    views of one (m, 2, 3, 3) array, built in one call.
+    is 0, and P and D - C hold the whole spectrum of rho^T_B. Tracing out
+    qubit 2 gives rho_1 = [[A + D, B + E], [B + E, D + F]]; this is the one
+    place it is formed. R, P and rho_1 are views of one (m, 22) array, built
+    in one call.
     """
-    sB, sE = _SQRT2 * B, _SQRT2 * E
-    blocks = np.array(
-        [A, sB, C, sB, 2.0 * D, sE, C, sE, F, A, sB, D, sB, D + C, sE, D, sE, F]
-    ).T.reshape(-1, 2, 3, 3)
-    return blocks[:, 0], blocks[:, 1], D - C
+    sB, sE, off = _SQRT2 * B, _SQRT2 * E, B + E
+    flat = np.array(
+        [A, sB, C, sB, 2.0 * D, sE, C, sE, F, A, sB, D, sB, D + C, sE, D, sE, F,
+         A + D, off, off, D + F]
+    ).T.reshape(-1, 22)
+    R, P, rho1 = flat[:, :9], flat[:, 9:18], flat[:, 18:]
+    return R.reshape(-1, 3, 3), P.reshape(-1, 3, 3), D - C, rho1.reshape(-1, 2, 2)
 
 
 def single_qubit_marginal(m: TwoQubitMarginal) -> SingleQubitMarginal:
-    """Trace one more qubit out of the two-qubit marginal."""
+    """Trace one more qubit out of the two-qubit marginal: rho_1 of triplet_blocks."""
     check_type(m, TwoQubitMarginal, "m")
-    p = m.A + m.D
-    off = m.B + m.E
-    q = m.D + m.F
-    return SingleQubitMarginal(m.params, SmallMatrix(2, (p, off, off, q)))
+    rho1 = triplet_blocks(m.A, m.B, m.C, m.D, m.E, m.F)[3]
+    return SingleQubitMarginal(m.params, SmallMatrix(2, rho1.ravel()))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dicke import DickeParams, amplitude_rows, check_a_values, check_n_k, check_number, check_type
-from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
+from .errors import InvalidParamsError, NumericalInstabilityError
 from .marginals import (
     SingleQubitMarginal,
     TwoQubitMarginal,
@@ -115,6 +115,12 @@ def _spin_flip(mats: np.ndarray) -> np.ndarray:
     return mats[..., ::-1] * _FLIP_SIGNS[mats.shape[-1]]
 
 
+def _concurrence(mats: np.ndarray) -> np.ndarray:
+    """Concurrence of each 4x4 density matrix or 3x3 triplet block, from the eigenvalues of
+    M Y; the one core of the engine's C2 (on R) and of concurrence_stack."""
+    return _wootters(_eig(np.linalg.eigvals, _spin_flip(mats)))
+
+
 def concurrence_stack(rhos) -> np.ndarray:
     """Wootters concurrence of each real symmetric two-qubit density matrix in a stack.
 
@@ -124,8 +130,7 @@ def concurrence_stack(rhos) -> np.ndarray:
     rho rho~ (see _wootters). rhos must pass marginals.density_stack. Entry i
     depends on rhos[i] alone, bit for bit.
     """
-    arr = density_stack(rhos, 4, "two-qubit density matrix")
-    return _wootters(_eig(np.linalg.eigvals, _spin_flip(arr)))
+    return _concurrence(density_stack(rhos, 4, "two-qubit density matrix"))
 
 
 def concurrence_two_qubit(rho: SmallMatrix) -> float:
@@ -134,11 +139,6 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
     SmallMatrix raises InvalidParamsError."""
     check_type(rho, SmallMatrix, "rho")
     return concurrence_stack(rho.to_array()[None]).item()
-
-
-def _triplet_concurrence(blocks: np.ndarray) -> np.ndarray:
-    """Concurrence of each triplet block R, from the eigenvalues of R Y3."""
-    return _wootters(_eig(np.linalg.eigvals, _spin_flip(blocks)))
 
 
 def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
@@ -152,37 +152,34 @@ def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
     return _at_most_one(value, "doubled negativity")
 
 
-def _c1_squared(det: np.ndarray) -> np.ndarray:
-    """C1^2 = 4 det rho_1 for each det: one PSD abort, then a clamp into [0, 1]. Each rho_1
-    is a partial trace of a normalised state (tangle_grid) or passed density_stack
-    (one_vs_rest_stack), so its trace is 1 to within 1e-12 and 4 det <= (1 + 1e-12)^2
-    (AM-GM)."""
-    if not det.min(initial=0.0) >= -_RANGE_TOL:  # a NaN lands here too, and passes
-        bad = det < -_RANGE_TOL
-        if bad.any():
-            raise NotDensityMatrixError(
-                f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
-            )
+def _c1_squared(rho1: np.ndarray) -> np.ndarray:
+    """C1^2 = 4 det rho_1 for each rho_1 of a stack (m, 2, 2), clamped into [0, 1]: the one C1
+    stage. It runs no PSD test. The engine's rho_1 are Gram matrices (triplet_blocks; det >=
+    -1e-13 in test_built_marginals_are_finite_unit_trace_and_psd), and every other rho_1 has
+    passed density_stack, so its eigenvalues are above -1e-10 and its trace is 1 to within
+    1e-12; a det below 0, or 4 det above 1 (4 det <= trace^2, AM-GM), is within those bounds."""
+    det = rho1[:, 0, 0] * rho1[:, 1, 1] - rho1[:, 0, 1] * rho1[:, 1, 0]
     return np.minimum(4.0 * np.maximum(det, 0.0), 1.0)
 
 
 def one_vs_rest_stack(rhos) -> np.ndarray:
     """One-vs-rest entanglement 2 sqrt(det rho_1) of each one-qubit density matrix in a stack
-    (m, 2, 2), by tangle_table's C1 stage; rhos must pass marginals.density_stack."""
-    rho = density_stack(rhos, 2, "single-qubit marginal")
-    return np.sqrt(_c1_squared(rho[:, 0, 0] * rho[:, 1, 1] - rho[:, 0, 1] * rho[:, 1, 0]))
+    (m, 2, 2), by the C1 stage; rhos must pass marginals.density_stack."""
+    return np.sqrt(_c1_squared(density_stack(rhos, 2, "single-qubit marginal")))
 
 
 def one_vs_rest(rho1: SingleQubitMarginal) -> float:
-    """One-vs-rest entanglement of a SingleQubitMarginal: the one-row view of one_vs_rest_stack."""
+    """One-vs-rest entanglement of a SingleQubitMarginal, bit for bit its row of
+    one_vs_rest_stack. Its matrix passed density_stack when it was built, so only the C1
+    stage runs."""
     check_type(rho1, SingleQubitMarginal, "rho1")
-    return one_vs_rest_stack(rho1.rho.to_array()[None]).item()
+    return np.sqrt(_c1_squared(rho1.rho.to_array()[None])).item()
 
 
 def negativity_two_qubit(m: TwoQubitMarginal) -> float:
     """Doubled negativity ||rho_2^T_B||_1 - 1 of the two-qubit marginal, in [0, 1]."""
     check_type(m, TwoQubitMarginal, "m")
-    _, blocks, singlet = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
+    _, blocks, singlet, _ = triplet_blocks(m.A, m.B, m.C, m.D, m.E, m.F)
     return _negativity(blocks, singlet).item()
 
 
@@ -212,11 +209,10 @@ def tangle_grid(pairs, a_values) -> TangleTable:
     widths k + 1 differ); the three measures then run once over the rows of
     all pairs. The marginals built are not re-checked: as partial
     traces of a normalised state they have unit trace, and R and rho_1 are
-    Gram matrices (test_built_marginals_are_finite_unit_trace_and_psd). A
-    det rho_1 below -1e-10 raises NotDensityMatrixError, and a C2 or N2 above
-    1 + 1e-10, or NaN, NumericalInstabilityError. One failing row fails the
-    whole call. Every stage works row by row, so a row depends on its
-    (N, k, a) alone, bit for bit.
+    Gram matrices (test_built_marginals_are_finite_unit_trace_and_psd). A C2
+    or N2 above 1 + 1e-10, or NaN, raises NumericalInstabilityError. One
+    failing row fails the whole call. Every stage works row by row, so a row
+    depends on its (N, k, a) alone, bit for bit.
     """
     return _tangles(_checked_pairs(pairs), check_a_values(a_values))
 
@@ -233,10 +229,9 @@ def _tangles(pairs: list[tuple[int, int]], a: np.ndarray) -> TangleTable:
         per_pair = [marginal_elements(n, amplitude_rows(n, k, a)) for n, k in pairs]
         elements = [np.concatenate(col) for col in zip(*per_pair)]
         n_minus_1 = np.repeat(np.array([n - 1 for n, _ in pairs], dtype=float), len(a))
-    A, B, C, D, E, F = elements
-    c1_sq = _c1_squared((A + D) * (D + F) - (B + E) * (B + E))
-    R, P, singlet = triplet_blocks(A, B, C, D, E, F)
-    c2 = _triplet_concurrence(R)
+    R, P, singlet, rho1 = triplet_blocks(*elements)
+    c1_sq = _c1_squared(rho1)
+    c2 = _concurrence(R)
     c2_sq = c2 * c2
     n2 = _negativity(P, singlet)
     return TangleTable(c1_sq, c2_sq, c1_sq - n_minus_1 * c2_sq, n2, c1_sq - n_minus_1 * n2 * n2)

@@ -414,12 +414,24 @@ def test_check_output_is_frozen(monkeypatch, chunk_rows):
     ]
 
 
+def _triple_engine_concurrence(monkeypatch):
+    """Triple C2 (clamped to 1) in the engine's output, with tau to match. concurrence_stack
+    shares the engine's concurrence core, so the error is planted after it, in the engine
+    alone, where the dense route cannot carry it too."""
+    orig = measures._tangles
+
+    def tripled(pairs, a):
+        table = orig(pairs, a)
+        c2_sq = np.minimum(1.0, 9.0 * table.c2_sq)
+        n_minus_1 = np.repeat([n - 1.0 for n, _ in pairs], len(a))
+        return table._replace(c2_sq=c2_sq, tau=table.c1_sq - n_minus_1 * c2_sq)
+
+    monkeypatch.setattr(measures, "_tangles", tripled)
+
+
 def test_check_detects_broken_concurrence(monkeypatch):
     # inflating the pair concurrence violates monogamy, which check must flag
-    orig = measures._triplet_concurrence
-    monkeypatch.setattr(
-        measures, "_triplet_concurrence", lambda blocks: np.minimum(1.0, 3.0 * orig(blocks))
-    )
+    _triple_engine_concurrence(monkeypatch)
     out = io.StringIO()
     with redirect_stdout(out):
         rc = run_check(5, 3, 1e-9)
@@ -535,10 +547,7 @@ def test_oracle_fails_on_impossible_tolerance():
 
 def test_oracle_detects_broken_concurrence(monkeypatch):
     # the oracle holds the engine's concurrence, the one sweep prints, against the dense route
-    orig = measures._triplet_concurrence
-    monkeypatch.setattr(
-        measures, "_triplet_concurrence", lambda blocks: np.minimum(1.0, 3.0 * orig(blocks))
-    )
+    _triple_engine_concurrence(monkeypatch)
     out = io.StringIO()
     with redirect_stdout(out):
         rc = run_oracle(6, 5, 1e-10)
@@ -559,14 +568,15 @@ def test_oracle_detects_broken_negativity(monkeypatch):
     assert out.getvalue().splitlines()[-1].startswith("FAIL")
 
 
-@pytest.mark.parametrize("index,name", [(0, "marginal"), (1, "partial-transpose")])
+@pytest.mark.parametrize("index,name", [(0, "marginal"), (1, "partial-transpose"), (3, "rho1")])
 def test_oracle_detects_perturbed_triplet_blocks(monkeypatch, index, name):
-    # adds 1e-9 I to R (index 0) or P (index 1) where both the engine and the oracle read it
+    # adds 1e-9 I to R (index 0), P (index 1) or rho_1 (index 3) where both the engine and
+    # the oracle read it
     orig = marginals.triplet_blocks
 
     def perturbed(*elems):
         blocks = list(orig(*elems))
-        blocks[index] = blocks[index] + 1e-9 * np.eye(3)
+        blocks[index] = blocks[index] + 1e-9 * np.eye(blocks[index].shape[-1])
         return tuple(blocks)
 
     monkeypatch.setattr(marginals, "triplet_blocks", perturbed)
@@ -659,7 +669,7 @@ def _per_point_deviations(n, k, grid):
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
     A, B, C, D, E, F = elements = marginals.marginal_elements(n, beta)
-    R, P, singlet = marginals.triplet_blocks(*elements)
+    R, P, singlet, _ = marginals.triplet_blocks(*elements)
     h = math.sqrt(0.5)
     bell = np.array([[1, 0, 0, 0], [0, h, h, 0], [0, 0, 0, 1], [0, h, -h, 0]])
     devs = {name: 0.0 for name in ("state", "marginal", "partial-transpose", "pair-choice",
@@ -762,10 +772,8 @@ def test_check_enforces_cap(capsys):
 
 
 def test_check_caps_its_row_count_before_building_anything(monkeypatch, capsys):
-    for n_max in range(3, 130):
-        assert cli._check_pair_count(n_max) == len(cli._check_pairs(n_max)), n_max
-    # (300**2 // 4 - 1) * 101 rows, above the (900**2 // 4 - 1) * 11 of the largest default run
-    assert cli._CHECK_ROWS_MAX == 2_227_489 == cli._check_pair_count(900) * 11
+    # 22,499 pairs * 101 rows at n_max = 300, above the 202,499 * 11 of the largest default run
+    assert cli._CHECK_ROWS_MAX == 2_227_489 == len(cli._check_pairs(900)) * 11
     with pytest.raises(CapExceededError, match=r"capped at 2227489 \(pair, a\) rows, got 2272399"):
         run_check(300, 101, 1e-9)
     assert main(["check", "--n-max", "300", "--a-steps", "101"]) == 2
@@ -775,9 +783,11 @@ def test_check_caps_its_row_count_before_building_anything(monkeypatch, capsys):
         raise AssertionError("built before the row cap was checked")
 
     monkeypatch.setattr(cli, "_a_grid", unreachable)
-    monkeypatch.setattr(cli, "_check_pairs", unreachable)
+    monkeypatch.setattr(measures, "tangle_grid", unreachable)
     with pytest.raises(CapExceededError):
         run_check(12, 10**12, 1e-9)
+    with pytest.raises(CapExceededError, match="got 2429988"):
+        run_check(900, 12, 1e-9)
 
 
 def test_main_exit_codes(capsys):

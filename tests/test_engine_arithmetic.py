@@ -1,8 +1,8 @@
 """The engine's stacked numpy calls against the termwise expressions they stand for.
 
 amplitude_rows, marginal_elements and triplet_blocks form their results in
-a few stacked numpy calls, and _wootters, _negativity and _c1_squared test
-their aborts with one check on the usual path. Each is held here, bit for
+a few stacked numpy calls, and _wootters and _negativity test their aborts
+with one check on the usual path. Each is held here, bit for
 bit, to an in-test copy of the termwise expression (one numpy call per
 element, every abort tested on its own), and each abort to the error class
 and message the termwise checks raise, first failing check first.
@@ -13,7 +13,7 @@ import pytest
 
 from dicketangle import measures
 from dicketangle.dicke import DickeParams, amplitude_rows
-from dicketangle.errors import NotDensityMatrixError, NumericalInstabilityError
+from dicketangle.errors import NumericalInstabilityError
 from dicketangle.marginals import (
     marginal_elements,
     marginal_matrix,
@@ -75,7 +75,8 @@ def _triplet_blocks_termwise(A, B, C, D, E, F):
     sB, sE = _SQRT2 * B, _SQRT2 * E
     R = np.array([A, sB, C, sB, 2.0 * D, sE, C, sE, F]).T.reshape(-1, 3, 3)
     P = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
-    return R, P, D - C
+    rho1 = np.array([A + D, B + E, B + E, D + F]).T.reshape(-1, 2, 2)
+    return R, P, D - C, rho1
 
 
 def _first(values, bad):
@@ -108,12 +109,8 @@ def _negativity_termwise(blocks, singlet):
     return np.minimum(value, 1.0)
 
 
-def _c1_squared_termwise(det):
-    bad = det < -1e-10
-    if bad.any():
-        raise NotDensityMatrixError(
-            f"single-qubit marginal must be positive semidefinite, got det {_first(det, bad)!r}"
-        )
+def _c1_squared_termwise(A, B, C, D, E, F):
+    det = (A + D) * (D + F) - (B + E) * (B + E)
     return np.minimum(4.0 * np.maximum(det, 0.0), 1.0)
 
 
@@ -130,19 +127,17 @@ def test_stacked_stages_equal_their_termwise_expressions(n, k):
     elements = marginal_elements(n, beta)
     for got, want in zip(elements, _marginal_elements_termwise(n, beta), strict=True):
         _same_bits(got, want)
-    R, P, singlet = triplet_blocks(*elements)
-    for got, want in zip((R, P, singlet), _triplet_blocks_termwise(*elements), strict=True):
+    R, P, singlet, rho1 = blocks = triplet_blocks(*elements)
+    for got, want in zip(blocks, _triplet_blocks_termwise(*elements), strict=True):
         _same_bits(got, want)
-    A, B, C, D, E, F = elements
-    det = (A + D) * (D + F) - (B + E) * (B + E)
-    _same_bits(measures._c1_squared(det), _c1_squared_termwise(det))
+    _same_bits(measures._c1_squared(rho1), _c1_squared_termwise(*elements))
     mu = np.linalg.eigvals(measures._spin_flip(R))
     _same_bits(measures._wootters(mu), _wootters_termwise(mu))
     _same_bits(measures._negativity(P, singlet), _negativity_termwise(P, singlet))
 
 
 def test_triplet_blocks_of_floats_equal_their_termwise_expressions():
-    # TwoQubitMarginal passes six floats: one row, and D - C a float
+    # single_qubit_marginal and negativity_two_qubit pass six floats: one row, and D - C a float
     elements = [float(x[0]) for x in marginal_elements(10, amplitude_rows(10, 3, [0.3]))]
     expected = _triplet_blocks_termwise(*elements)
     for got, want in zip(triplet_blocks(*elements), expected, strict=True):
@@ -150,16 +145,21 @@ def test_triplet_blocks_of_floats_equal_their_termwise_expressions():
 
 
 def test_checks_pass_what_the_termwise_checks_pass():
-    # a complex spectrum within the imaginary-part abort, a real and a complex NaN, a det
-    # between 0 and -1e-10, a NaN det, and an empty stack
+    # a complex spectrum within the imaginary-part abort, a real and a complex NaN, and an
+    # empty stack; rho_1 with det -0.75, 0 and NaN, and with 4 det = 1 + 2e-12
     for mu in (
         np.array([[0.5 + 1e-9j, 0.5 - 1e-9j, 0.1], [0.9 + 1e-10j, 0.1 - 1e-10j, 0.05]]),
         np.array([[0.5, 0.3, 0.1], [-0.4, 0.2, 0.0]]),
         np.empty((0, 3)),
     ):
         _same_bits(measures._wootters(mu), _wootters_termwise(mu))
-    for det in (np.array([0.1, -1e-11, -0.0, 0.25 + 1e-13]), np.array([0.1, np.nan]), np.empty(0)):
-        _same_bits(measures._c1_squared(det), _c1_squared_termwise(det))
+    for elements in (
+        np.array([[0.5, 0.5, 0.0, 0.0, 0.5, 0.5], [0.5, 0.0, 0.0, 0.0, 0.0, 0.5], [np.nan] * 6,
+                  [0.5 + 5e-13, 0.0, 0.0, 0.0, 0.0, 0.5 + 5e-13]]).T,
+        np.empty((6, 0)),
+    ):
+        rho1 = triplet_blocks(*elements)[3]
+        _same_bits(measures._c1_squared(rho1), _c1_squared_termwise(*elements))
     blocks = np.array([np.diag([-0.2, 0.5, 0.5]), np.diag([0.0, 0.5, 0.5])])
     for singlet in (np.array([-0.1, 0.0]), np.array([0.0, -0.0])):
         _same_bits(measures._negativity(blocks, singlet), _negativity_termwise(blocks, singlet))
@@ -170,7 +170,6 @@ def test_checks_pass_what_the_termwise_checks_pass():
 # (|mu| = 2) the concurrence bound at once; the imaginary part is tested first
 _THREE_ABORTS = np.sqrt(-4 + 1e-6j)
 _COMPLEX_MESSAGE = "complex eigenvalue of rho rho~: (-3.9999999999999996+1e-06j)"
-_PSD_MESSAGE = "single-qubit marginal must be positive semidefinite, got det "
 
 
 @pytest.mark.parametrize(
@@ -192,17 +191,13 @@ def test_wootters_names_the_first_failed_abort(mu, message):
     assert _raised(_wootters_termwise, mu) == want
 
 
-def test_negativity_and_c1_aborts_read_as_the_termwise_checks():
+def test_negativity_aborts_read_as_the_termwise_checks():
     blocks = np.array([np.diag([-0.2, 0.5, 0.5]), np.diag([-0.7, 1.0, 0.5])])
     cases = [
         (measures._negativity, _negativity_termwise, (blocks, np.array([-0.1, 0.0])),
          (NumericalInstabilityError, "doubled negativity left [0, 1]: 1.4")),
         (measures._negativity, _negativity_termwise, (blocks[:1], np.array([np.nan])),
          (NumericalInstabilityError, "doubled negativity left [0, 1]: nan")),
-        # a NaN det passes the abort; the first det below -1e-10 is named
-        (measures._c1_squared, _c1_squared_termwise,
-         (np.array([0.1, np.nan, -1e-10, -1e-9, -0.5]),),
-         (NotDensityMatrixError, _PSD_MESSAGE + "-1e-09")),
     ]
     for fn, termwise, args, want in cases:
         assert _raised(fn, *args) == want
@@ -218,15 +213,4 @@ def test_engine_and_scalar_routes_name_the_first_failed_abort(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda mats: np.full(mats.shape[:-1], np.nan))
     want = (NumericalInstabilityError, "concurrence left [0, 1]: nan")
     assert _raised(measures.tangle_record, DickeParams(5, 2, 0.3)) == want
-    assert _raised(measures.tangle_table, 5, 2, [0.1, 0.3]) == want
-
-
-def test_engine_names_a_negative_det_before_a_nan_row(monkeypatch):
-    # rows: a NaN marginal, then one whose rho_1 has det 0.25 - 1 = -0.75; the C1 stage runs first
-    def bad_elements(n, beta):
-        nan, negative = [np.nan] * 6, [0.5, 0.5, 0.0, 0.0, 0.5, 0.5]
-        return tuple(np.array(col) for col in zip(nan, negative))
-
-    monkeypatch.setattr(measures, "marginal_elements", bad_elements)
-    want = (NotDensityMatrixError, _PSD_MESSAGE + "-0.75")
     assert _raised(measures.tangle_table, 5, 2, [0.1, 0.3]) == want

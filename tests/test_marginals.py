@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ SINGLET = np.array([0.0, _R, -_R, 0.0])
 
 
 def _blocks(m):
-    R, P, singlet = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
+    R, P, singlet, _ = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
     return R[0], P[0], singlet[0]
 
 
@@ -146,6 +147,18 @@ def test_two_qubit_marginal_validation():
         TwoQubitMarginal(p, -0.2, 0.0, 0.0, 0.5, 0.0, 0.2)
     with pytest.raises(InvalidParamsError):
         TwoQubitMarginal(p, math.nan, 0.0, 0.0, 0.3, 0.0, 0.4)
+
+
+def test_two_qubit_marginal_with_huge_finite_entries_is_not_called_non_finite():
+    # every entry of the 4x4 is finite, though sqrt(2) B would overflow in R; eigvalsh gives
+    # a smallest eigenvalue of -inf here, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotDensityMatrixError) as raised:
+            TwoQubitMarginal(None, 0.5, 1.5e308, 0.0, 0.0, 0.0, 0.5)
+    assert str(raised.value).startswith(
+        "two-qubit marginal must be positive semidefinite, got smallest eigenvalue -"
+    )
 
 
 def test_two_qubit_marginal_refuses_what_is_not_psd(monkeypatch):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dicketangle import measures, oracle
+from dicketangle import marginals, measures, oracle
 from dicketangle.cli import _a_grid
 from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import (
@@ -159,6 +159,24 @@ def test_one_vs_rest_values():
     assert one_vs_rest(SingleQubitMarginal(p, SmallMatrix(2, (1.0, 0.0, 0.0, 0.0)))) == 0.0
 
 
+def test_one_vs_rest_runs_the_density_rule_only_on_a_stack(monkeypatch):
+    # a SingleQubitMarginal passed the rule when it was built; one_vs_rest_stack takes raw arrays
+    rho1 = SingleQubitMarginal(None, SmallMatrix(2, (2 / 3, 0.1, 0.1, 1 / 3)))
+    calls = []
+    orig = marginals.density_stack
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(marginals, "density_stack", counted)
+    monkeypatch.setattr(measures, "density_stack", counted)
+    got = one_vs_rest(rho1)
+    assert calls == []
+    assert measures.one_vs_rest_stack(rho1.rho.to_array()[None]).tolist() == [got]
+    assert len(calls) == 1
+
+
 def test_one_vs_rest_is_the_one_row_view_of_the_c1_stage():
     for n in (2, 3, 7, 12, 100, 1000):
         for k in sorted({1, min(2, n // 2), max(1, n // 4), n // 2}):
@@ -196,12 +214,12 @@ def test_negativity_matches_numpy_spectrum():
 
 
 def test_negativity_aborts_on_garbage_marginal():
-    # unit trace but wildly unphysical coherences: the constructor refuses them (R has
+    # unit trace but wildly unphysical coherences: the constructor refuses them (the 4x4 has
     # eigenvalue -8.25), and on their blocks the [0, 1] guard must trip
     elements = (0.0, 0.0, 5.0, 0.25, 5.0, 0.5)
     with pytest.raises(NotDensityMatrixError, match="positive semidefinite"):
         TwoQubitMarginal(DickeParams(4, 2, 0.5), *elements)
-    _, blocks, singlet = triplet_blocks(*np.array(elements)[:, None])
+    _, blocks, singlet, _ = triplet_blocks(*np.array(elements)[:, None])
     with pytest.raises(NumericalInstabilityError):
         measures._negativity(blocks, singlet)
 
@@ -425,8 +443,6 @@ def test_engine_aborts_keep_their_types():
         measures._wootters(np.array([[1.5, 0.1, 0.1]]))  # concurrence 1.3
     with pytest.raises(NumericalInstabilityError):
         measures._wootters(np.array([[np.nan, 0.1, 0.1]]))
-    with pytest.raises(NotDensityMatrixError):
-        measures._c1_squared(np.array([0.1, -1e-9]))  # det rho_1 < 0
 
 
 def test_psd_abort_reads_the_same_through_both_routes():
@@ -451,7 +467,7 @@ def test_concurrence_cubic_meets_the_negativity_block_on_the_readme_grid():
     e1 = 2.0 * (D - C)
     e2 = C * C - A * F - 4.0 * C * D + 4.0 * B * E
     e3 = -2.0 * (A * D * F - A * E * E - B * B * F + 2.0 * B * C * E - C * C * D)
-    R, P, _ = triplet_blocks(*elements)
+    R, P, _, _ = triplet_blocks(*elements)
     mu = measures._eig(np.linalg.eigvals, measures._spin_flip(R))
     m0, m1, m2 = mu[:, 0], mu[:, 1], mu[:, 2]
     assert np.abs(m0 + m1 + m2 - e1).max() <= 1e-14
