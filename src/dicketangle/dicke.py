@@ -193,14 +193,14 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_b_over_a = np.log(np.sqrt((1.0 - a) * (1.0 + a))) - np.log(a)
     steps = (log_r1[::-1] - 0.5 * (log_n_r + log_r1)) + log_b_over_a[:, None]
-    peak = (steps > 0.0).sum(axis=1, keepdims=True)
+    peak = np.add.reduce(steps > 0.0, axis=1, keepdims=True)
     up = r >= peak
     logs = np.zeros((len(a), k + 1))
-    np.where(up, steps, 0.0).cumsum(axis=1, out=logs[:, 1:])
+    np.add.accumulate(np.where(up, steps, 0.0), axis=1, out=logs[:, 1:])
     down = np.where(up, 0.0, steps)[:, ::-1]
-    logs[:, :-1] -= down.cumsum(axis=1, out=down)[:, ::-1]
+    logs[:, :-1] -= np.add.accumulate(down, axis=1, out=down)[:, ::-1]
     raw = np.exp(logs, out=logs)
-    return raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
+    return raw / np.sqrt(np.add.reduce(raw * raw, axis=1, keepdims=True))
 
 
 def amplitudes(params: DickeParams) -> tuple[float, ...]:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dicke import DickeParams, amplitude_rows, check_number, check_numbers, check_type
 from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
@@ -25,14 +26,31 @@ _SQRT2 = math.sqrt(2.0)
 TRACE_TOL = 1e-12
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
+# triplet_blocks' R, P, rho_1 as indices into A, sqrt2 B, C, 2D, sqrt2 E, F, D+C, A+D, B+E, D+F, D
+_TRIPLET_GATHER = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5, 0, 1, 10, 1, 6, 4, 10, 4, 5, 7, 8, 8, 9])
 
 
-def _eig(solver, mats: np.ndarray) -> np.ndarray:
-    """solver(mats), a numpy eigensolver, with a LAPACK failure raised as a typed error."""
-    try:
-        return solver(mats)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalInstabilityError(f"eigensolver failed: {exc}") from exc
+def _no_convergence(err, flag):
+    raise NumericalInstabilityError("eigensolver failed: Eigenvalues did not converge")
+
+
+def _eig(mats: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """Eigenvalues of each real square matrix of a stack: the one seam to LAPACK. Bit for bit
+    np.linalg.eigvalsh (lower triangle) if symmetric, else np.linalg.eigvals, by the gufuncs
+    they wrap: a non-finite entry (eigvals only) and non-convergence raise
+    NumericalInstabilityError "eigensolver failed: ...", and eigvals' stack is real exactly
+    when every imaginary part is 0 (test_eig_is_numpys_eigensolver)."""
+    if symmetric:
+        gufunc, signature = _umath_linalg.eigvalsh_lo, "d->d"
+    elif np.logical_and.reduce(np.isfinite(mats), axis=None):
+        gufunc, signature = _umath_linalg.eigvals, "d->D"
+    else:
+        raise NumericalInstabilityError("eigensolver failed: Array must not contain infs or NaNs")
+    with np.errstate(call=_no_convergence, all="ignore", invalid="call"):
+        w = gufunc(mats, signature=signature)
+    if symmetric or np.count_nonzero(w.imag):
+        return w
+    return w.real
 
 
 def _first(values: np.ndarray, bad: np.ndarray):
@@ -41,7 +59,7 @@ def _first(values: np.ndarray, bad: np.ndarray):
 
 
 def _refuse(bad: np.ndarray, values: np.ndarray, message: str) -> None:
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         raise NotDensityMatrixError(f"{message} {_first(values, bad)!r}")
 
 
@@ -59,16 +77,16 @@ def density_stack(values, dim: int, what: str) -> np.ndarray:
     arr = check_numbers(values, what)
     if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
         raise InvalidParamsError(f"{what} must have shape (m, {dim}, {dim}), got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise InvalidParamsError(f"{what} must have finite entries")
-    trace = np.trace(arr, axis1=1, axis2=2)
+    trace = arr.trace(axis1=1, axis2=2)
     _refuse(np.abs(trace - 1.0) > TRACE_TOL, trace, f"{what} must have unit trace, got")
-    skew = np.max(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
-    bad = skew > _SYM_TOL * np.max(np.abs(arr), axis=(1, 2))
+    skew = np.maximum.reduce(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
+    bad = skew > _SYM_TOL * np.maximum.reduce(np.abs(arr), axis=(1, 2))
     _refuse(bad, skew, f"{what} must be symmetric, got an entry off its transpose by")
-    low = _eig(np.linalg.eigvalsh, arr)[:, 0]
+    low = _eig(arr, symmetric=True)[:, 0]
     _refuse(low < -_PSD_TOL, low, f"{what} must be positive semidefinite, got smallest eigenvalue")
-    diagonal = np.diagonal(arr, axis1=1, axis2=2)
+    diagonal = arr.diagonal(axis1=1, axis2=2)
     _refuse(diagonal < 0.0, diagonal, f"{what} must have a nonnegative diagonal, got")
     return arr
 
@@ -156,10 +174,11 @@ def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]
         / float(n * (n - 1))
     )
     # weights of A, 2D, F; of B, E (c_+1^(r) c_0^(r+1), c_0^(r) c_-1^(r+1)); and of C
-    diag = ((beta * beta)[:, None, :] * (c * c)).sum(axis=2)
-    near = ((beta[:, :-1] * beta[:, 1:])[:, None, :] * (c[:-1, :-1] * c[1:, 1:])).sum(axis=2)
+    diag = np.add.reduce((beta * beta)[:, None, :] * (c * c), axis=2)
+    near = (beta[:, :-1] * beta[:, 1:])[:, None, :] * (c[:-1, :-1] * c[1:, 1:])
+    near = np.add.reduce(near, axis=2)
     near *= _SQRT1_2
-    far = ((beta[:, :-2] * beta[:, 2:]) * (c[0, :-2] * c[2, 2:])).sum(axis=1)
+    far = np.add.reduce((beta[:, :-2] * beta[:, 2:]) * (c[0, :-2] * c[2, 2:]), axis=1)
     return diag[:, 0], near[:, 0], far, 0.5 * diag[:, 1], near[:, 1], diag[:, 2]
 
 
@@ -196,14 +215,12 @@ def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, ...]:
     zero. The qubit swap commutes with the partial transpose, so T rho^T_B s
     is 0, and P and D - C hold the whole spectrum of rho^T_B. Tracing out
     qubit 2 gives rho_1 = [[A + D, B + E], [B + E, D + F]]; this is the one
-    place it is formed. R, P and rho_1 are views of one (m, 22) array, built
-    in one call.
+    place it is formed. R, P and rho_1 are views of one (m, 22) array, gathered in one
+    call from its 11 distinct columns.
     """
-    sB, sE, off = _SQRT2 * B, _SQRT2 * E, B + E
-    flat = np.array(
-        [A, sB, C, sB, 2.0 * D, sE, C, sE, F, A, sB, D, sB, D + C, sE, D, sE, F,
-         A + D, off, off, D + F]
-    ).T.reshape(-1, 22)
+    sB, sE = _SQRT2 * B, _SQRT2 * E
+    columns = np.array([A, sB, C, 2.0 * D, sE, F, D + C, A + D, B + E, D + F, D])
+    flat = columns.T.take(_TRIPLET_GATHER, axis=-1).reshape(-1, 22)
     R, P, rho1 = flat[:, :9], flat[:, 9:18], flat[:, 18:]
     return R.reshape(-1, 3, 3), P.reshape(-1, 3, 3), D - C, rho1.reshape(-1, 2, 2)
 

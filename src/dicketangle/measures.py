@@ -88,22 +88,23 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(mu):
         lam = mu * mu
         bad = np.abs(lam.imag) > _IMAG_ABORT
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):
             raise NumericalInstabilityError(f"complex eigenvalue of rho rho~: {_first(lam, bad)!r}")
         bad = lam.real < -_RANGE_TOL
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):
             raise NumericalInstabilityError(
                 f"negative eigenvalue of rho rho~: {_first(lam, bad)!r}"
             )
-    roots = np.sort(np.abs(mu), axis=-1)
-    value = np.maximum(0.0, roots[..., -1] - roots[..., :-1].sum(axis=-1))
+    roots = np.abs(mu)
+    roots.sort(axis=-1)
+    value = np.maximum(0.0, roots[..., -1] - np.add.reduce(roots[..., :-1], axis=-1))
     return _at_most_one(value, "concurrence")
 
 
 def _at_most_one(value: np.ndarray, name: str) -> np.ndarray:
     """value clamped to at most 1, after an abort that names the first entry above
     1 + 1e-10, or NaN."""
-    if not value.max(initial=0.0) <= 1.0 + _RANGE_TOL:  # a NaN lands here too
+    if not np.maximum.reduce(value, axis=None, initial=0.0) <= 1.0 + _RANGE_TOL:  # NaN too
         bad = ~(value <= 1.0 + _RANGE_TOL)
         raise NumericalInstabilityError(f"{name} left [0, 1]: {_first(value, bad)!r}")
     return np.minimum(value, 1.0)
@@ -118,7 +119,7 @@ def _spin_flip(mats: np.ndarray) -> np.ndarray:
 def _concurrence(mats: np.ndarray) -> np.ndarray:
     """Concurrence of each 4x4 density matrix or 3x3 triplet block, from the eigenvalues of
     M Y; the one core of the engine's C2 (on R) and of concurrence_stack."""
-    return _wootters(_eig(np.linalg.eigvals, _spin_flip(mats)))
+    return _wootters(_eig(_spin_flip(mats)))
 
 
 def concurrence_stack(rhos) -> np.ndarray:
@@ -147,8 +148,8 @@ def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
     P and D - C are the partial-transpose blocks of marginals.triplet_blocks.
     A value above 1 + 1e-10, or NaN, aborts.
     """
-    eigs = _eig(np.linalg.eigvalsh, blocks)
-    value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(singlet, 0.0)))
+    negative = np.abs(np.minimum(_eig(blocks, symmetric=True), 0.0))
+    value = 2.0 * (np.add.reduce(negative, axis=-1) + np.abs(np.minimum(singlet, 0.0)))
     return _at_most_one(value, "doubled negativity")
 
 

@@ -25,6 +25,8 @@ from dicketangle.errors import (
     NumericalInstabilityError,
 )
 
+from test_marginals import _fails_to_converge
+
 HEADER = "N,k,a,c1_sq,c2_sq,tau,n2,xi"
 
 
@@ -804,6 +806,22 @@ def test_main_exit_codes(capsys):
 
     assert main(["oracle", "--n-max", "3", "--tol", "nan"]) == 2
     assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+def test_oracle_eigensolver_failure_exits_2(monkeypatch, capsys):
+    # LAPACK fails on the dense partial transposes alone, the oracle's own eigensolve: a
+    # typed error and exit 2, not a LinAlgError traceback
+    solve = marginals._umath_linalg.eigvalsh_lo
+
+    def fails_on_partial_transposes(mats, signature):
+        w = solve(mats, signature=signature)
+        if mats.shape[-1] == 4 and np.minimum.reduce(w, axis=None) < -0.1:
+            return _fails_to_converge(mats, signature)
+        return w
+
+    monkeypatch.setattr(marginals._umath_linalg, "eigvalsh_lo", fails_on_partial_transposes)
+    assert main(["oracle", "--n-max", "3", "--a-steps", "2"]) == 2
+    assert capsys.readouterr().err == "error: eigensolver failed: Eigenvalues did not converge\n"
 
 
 def test_main_reads_k_all_as_every_k(capsys):

@@ -11,7 +11,7 @@ and message the termwise checks raise, first failing check first.
 import numpy as np
 import pytest
 
-from dicketangle import measures
+from dicketangle import marginals, measures
 from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import NumericalInstabilityError
 from dicketangle.marginals import (
@@ -205,12 +205,15 @@ def test_negativity_aborts_read_as_the_termwise_checks():
 
 
 def test_engine_and_scalar_routes_name_the_first_failed_abort(monkeypatch):
+    # the spectra are planted in the eigvals gufunc, under the seam marginals._eig
     rho = marginal_matrix(two_qubit_marginal(DickeParams(5, 2, 0.3)))
-    monkeypatch.setattr(np.linalg, "eigvals", lambda mats: np.array([[_THREE_ABORTS, 0.1, 0.1]]))
+    lapack = marginals._umath_linalg
+    spectrum = np.array([[_THREE_ABORTS, 0.1, 0.1]])
+    monkeypatch.setattr(lapack, "eigvals", lambda mats, signature: spectrum)
     want = (NumericalInstabilityError, _COMPLEX_MESSAGE)
     assert _raised(measures.tangle_record, DickeParams(5, 2, 0.3)) == want
     assert _raised(measures.concurrence_two_qubit, rho) == want
-    monkeypatch.setattr(np.linalg, "eigvals", lambda mats: np.full(mats.shape[:-1], np.nan))
+    monkeypatch.setattr(lapack, "eigvals", lambda mats, signature: np.full(mats.shape[:-1], np.nan))
     want = (NumericalInstabilityError, "concurrence left [0, 1]: nan")
     assert _raised(measures.tangle_record, DickeParams(5, 2, 0.3)) == want
     assert _raised(measures.tangle_table, 5, 2, [0.1, 0.3]) == want

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dicketangle import measures
+from dicketangle import marginals, measures
+from dicketangle.cli import _a_grid
 from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import (
     DicketangleError,
@@ -28,6 +29,7 @@ from dicketangle.oracle import expand_state, partial_trace_to_one, partial_trace
 from dicketangle.smallmat import SmallMatrix
 
 from test_dicke import _amplitude_squares, _cg_squares
+from test_engine_arithmetic import _same_bits
 
 
 def _grid_params(n_max=10, a_steps=11):
@@ -172,12 +174,59 @@ def test_two_qubit_marginal_refuses_what_is_not_psd(monkeypatch):
     # the Bell state |Phi+> is pure: R has the double eigenvalue 0, on the boundary
     assert TwoQubitMarginal(None, 0.5, 0.0, 0.5, 0.0, 0.0, 0.5).C == 0.5
 
-    def no_convergence(mats):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    monkeypatch.setattr(marginals._umath_linalg, "eigvalsh_lo", _fails_to_converge)
     with pytest.raises(NumericalInstabilityError, match="did not converge"):
         TwoQubitMarginal(None, 0.5, 0.0, 0.5, 0.0, 0.0, 0.5)
+
+
+def _fails_to_converge(mats, signature):
+    """A stand-in for the eigensolver gufuncs that fails as LAPACK does in them: it raises
+    the floating-point invalid flag (0/0)."""
+    return np.zeros(mats.shape[:-1]) / 0.0
+
+
+def test_eig_is_numpys_eigensolver():
+    # every engine block of the README sweep (N = 10 and 100, every k, 101 a), read as the
+    # engine reads them: the eigenvalues of R Y3 (C2) and the ascending ones of P (N2)
+    grid = _a_grid(0.0, 1.0, 101)
+    pairs = [(n, k) for n in (10, 100) for k in range(1, n // 2 + 1)]
+    columns = zip(*(marginal_elements(n, amplitude_rows(n, k, grid)) for n, k in pairs))
+    R, P, _, _ = triplet_blocks(*(np.concatenate(col) for col in columns))
+    flipped = measures._spin_flip(R)
+    assert len(flipped) == len(P) == 5555
+    _same_bits(marginals._eig(flipped), np.linalg.eigvals(flipped))
+    _same_bits(marginals._eig(P, symmetric=True), np.linalg.eigvalsh(P))
+    # a rotation by pi/2 about the third axis has the spectrum i, -i, 1
+    turn = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+    assert marginals._eig(turn).dtype == complex
+    _same_bits(marginals._eig(turn), np.linalg.eigvals(turn))
+    # one complex spectrum in a stack makes every row complex, as in numpy
+    mixed = np.concatenate([flipped[:2], turn, flipped[2:3]])
+    assert marginals._eig(mixed).dtype == complex
+    assert not np.iscomplexobj(marginals._eig(flipped[:3]))
+    _same_bits(marginals._eig(mixed), np.linalg.eigvals(mixed))
+
+
+@pytest.mark.parametrize("symmetric, gufunc", [(False, "eigvals"), (True, "eigvalsh_lo")])
+def test_eig_failures_are_typed(monkeypatch, symmetric, gufunc):
+    # eigvals refuses a non-finite entry before LAPACK runs; eigvalsh passes it on, and
+    # LAPACK may fail on it or return NaN, and then _eig does the same
+    mats = np.array([np.eye(3), np.diag([0.5, 0.25, 0.25])])
+    for bad in (np.nan, np.inf):
+        mats[1, 0, 1] = mats[1, 1, 0] = bad
+        solver = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
+        try:
+            want = solver(mats)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(NumericalInstabilityError, match=f"^eigensolver failed: {exc}$"):
+                marginals._eig(mats, symmetric=symmetric)
+        else:
+            _same_bits(marginals._eig(mats, symmetric=symmetric), want)
+    with pytest.raises(NumericalInstabilityError, match=r"^eigensolver failed: Array must not "):
+        marginals._eig(mats)
+    monkeypatch.setattr(marginals._umath_linalg, gufunc, _fails_to_converge)
+    with pytest.raises(NumericalInstabilityError, match=r"^eigensolver failed: Eigenvalues "):
+        marginals._eig(np.array([np.eye(3)]), symmetric=symmetric)
 
 
 def test_single_qubit_marginal_validation():

@@ -32,6 +32,8 @@ from dicketangle.measures import (
 )
 from dicketangle.smallmat import SmallMatrix
 
+from test_marginals import _fails_to_converge
+
 
 def _corner_only_concurrence(m):
     """Closed form for marginals with no single-excitation coherence.
@@ -87,11 +89,8 @@ def test_concurrence_of_dense_marginals_equals_the_matrix_product_route():
 
 
 def test_eigensolver_failure_raises_no_convergence(monkeypatch):
-    def no_convergence(mats):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
     rho = marginal_matrix(two_qubit_marginal(DickeParams(5, 2, 0.3)))
-    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    monkeypatch.setattr(marginals._umath_linalg, "eigvals", _fails_to_converge)
     with pytest.raises(NumericalInstabilityError, match="did not converge"):
         tangle_record(DickeParams(5, 2, 0.3))
     with pytest.raises(NumericalInstabilityError, match="did not converge"):
@@ -468,11 +467,11 @@ def test_concurrence_cubic_meets_the_negativity_block_on_the_readme_grid():
     e2 = C * C - A * F - 4.0 * C * D + 4.0 * B * E
     e3 = -2.0 * (A * D * F - A * E * E - B * B * F + 2.0 * B * C * E - C * C * D)
     R, P, _, _ = triplet_blocks(*elements)
-    mu = measures._eig(np.linalg.eigvals, measures._spin_flip(R))
+    mu = measures._eig(measures._spin_flip(R))
     m0, m1, m2 = mu[:, 0], mu[:, 1], mu[:, 2]
     assert np.abs(m0 + m1 + m2 - e1).max() <= 1e-14
     assert np.abs(m0 * m1 + m0 * m2 + m1 * m2 - e2).max() <= 1e-14
     assert np.abs(m0 * m1 * m2 - e3).max() <= 1e-14
     h = 0.5 * e1
-    det_p = measures._eig(np.linalg.eigvalsh, P).prod(axis=1)
+    det_p = measures._eig(P, symmetric=True).prod(axis=1)
     assert np.abs(((h - e1) * h + e2) * h - e3 - det_p).max() <= 1e-14
