@@ -42,6 +42,9 @@ _CHECK_ROWS_MAX = 2_227_489
 # a sweep chunk holds whole (N, k) pairs, at most this many rows unless one pair has more
 _CHUNK_ROWS = 2**13
 
+# the largest precision that % formatting accepts
+_PRECISION_MAX = 2**31 - 1
+
 # the oracle stacks the 2^N amplitudes of at most this many a-values at a time
 _ORACLE_ROWS = 128
 
@@ -96,15 +99,17 @@ def _chunks(n_pairs: int, m: int):
 def _chunk_text(pairs: list, grid: list[float], precision: int) -> tuple[str, int]:
     """The CSV lines of every (N, k) in pairs at every a of grid, and the number of rows that failed.
 
-    One tangle_grid call covers the whole chunk, and each pair's rows are
-    filled into that pair's template. If the call fails, a chunk of several
-    pairs is re-run one pair at a time, and a failing pair one row at a time,
-    so that only the rows that fail are lost; each of those is reported on
-    stderr. Every value gets + 0.0, which turns -0.0 into 0.0, so that equal
-    values always render identically.
+    One tangle_grid call covers the whole chunk. Each a of grid is formatted
+    once, into a line template that holds the five computed columns as
+    %-fields; each pair's "N,k," prefixes its copies of those lines, and one %
+    fills the chunk's template from its values in row order. If the call
+    fails, a chunk of several pairs is re-run one pair at a time, and a
+    failing pair one row at a time, so that only the rows that fail are lost;
+    each of those is reported on stderr. Every value gets + 0.0, which turns
+    -0.0 into 0.0, so that equal values always render identically.
     """
     try:
-        values = np.column_stack((np.tile(grid, len(pairs)), *measures.tangle_grid(pairs, grid)))
+        table = measures.tangle_grid(pairs, grid)
     except DicketangleError as exc:
         if len(pairs) > 1:
             parts = [([pair], grid) for pair in pairs]
@@ -116,14 +121,11 @@ def _chunk_text(pairs: list, grid: list[float], precision: int) -> tuple[str, in
             return "", 1
         done = [_chunk_text(part, part_grid, precision) for part, part_grid in parts]
         return "".join(text for text, _ in done), sum(failed for _, failed in done)
-    m = len(grid)
-    rows = (values + 0.0).tolist()
-    template = ",".join([f"%.{precision}g"] * 6) + "\n"
-    text = "".join(
-        "".join(map((f"{n},{k}," + template).__mod__, map(tuple, rows[i * m:(i + 1) * m])))
-        for i, (n, k) in enumerate(pairs)
-    )
-    return text, 0
+    field = f"%.{precision}g"
+    lines = [f"{field % (a + 0.0)},{field},{field},{field},{field},{field}\n" for a in grid]
+    # each line ends in "\n", so joining on a pair's prefix starts its every line with it
+    template = "".join([prefix + prefix.join(lines) for prefix in (f"{n},{k}," for n, k in pairs)])
+    return template % tuple((np.column_stack(table) + 0.0).ravel().tolist()), 0
 
 
 def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path="-",
@@ -134,12 +136,13 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
     iterable of integers), or None for 1..N//2 at each N; a pair with k outside
     1..N//2 is skipped with a warning. The a-grid has a_steps >= 2 evenly
     spaced points from a_min to a_max, with 0 <= a_min <= a_max <= 1. Rows go
-    to output_path, or to sys.stdout if it is "-", with `precision` (>= 1)
-    significant digits; warnings go to sys.stderr. Both streams are looked up
-    when written to, so contextlib.redirect_stdout and redirect_stderr capture
-    them. An invalid argument raises InvalidParamsError. Nothing is written,
-    and no output file is created, until the first row has been computed, so
-    a sweep in which every row fails writes nothing.
+    to output_path, or to sys.stdout if it is "-", with `precision` (1 to
+    2**31 - 1) significant digits; warnings go to sys.stderr. Both streams are
+    looked up when written to, so contextlib.redirect_stdout and
+    redirect_stderr capture them. An invalid argument raises
+    InvalidParamsError. Nothing is written, and no output file is created,
+    until the first row has been computed, so a sweep in which every row
+    fails writes nothing.
     """
     try:
         n_values = tuple(n_values)
@@ -156,6 +159,10 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
         k_values = sorted({check_int(k, "k") for k in k_values})
     grid = _a_grid(a_min, a_max, a_steps)
     precision = _int_at_least(precision, 1, "precision")
+    if precision > _PRECISION_MAX:
+        raise InvalidParamsError(
+            f"precision must be <= {_PRECISION_MAX}, got {int_text(precision)}"
+        )
 
     pairs = []
     for n in ns:

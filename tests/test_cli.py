@@ -136,21 +136,38 @@ def test_sweep_negative_zero_never_printed(monkeypatch):
     assert _sweep_text(**cfg) == want
 
 
-def _reference_csv(n, grid, precision):
+def _reference_csv(n_values, grid, precision):
     lines = [HEADER]
-    for k in range(1, n // 2 + 1):
-        table = measures.tangle_table(n, k, grid)
-        for a, *row in zip(grid, *(col.tolist() for col in table)):
-            values = [format(x + 0.0, f".{precision}g") for x in (a, *row)]
-            lines.append(",".join([str(n), str(k), *values]))
+    for n in n_values:
+        for k in range(1, n // 2 + 1):
+            table = measures.tangle_table(n, k, grid)
+            for a, *row in zip(grid, *(col.tolist() for col in table)):
+                values = [format(x + 0.0, f".{precision}g") for x in (a, *row)]
+                lines.append(",".join([str(n), str(k), *values]))
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("precision", [1, 12, 17])
-def test_sweep_matches_reference_formatting(precision):
+@pytest.mark.parametrize("precision", [1, 12, 17, 25])
+def test_sweep_matches_reference_formatting(monkeypatch, precision):
     rc, text, _ = _sweep_text(n_values=(10,), k_values=None, a_steps=11, precision=precision)
     assert rc == 0
-    assert text == _reference_csv(10, _a_grid(0.0, 1.0, 11), precision)
+    assert text == _reference_csv((10,), _a_grid(0.0, 1.0, 11), precision)
+
+    # one chunk holds both N's pairs on a grid that does not start at 0, so every a string
+    # and "N,k," prefix is shared; 25 digits print exact expansions longer than 17 digits
+    orig = measures.tangle_grid
+    calls = []
+
+    def spy(pairs, a_values):
+        calls.append(list(pairs))
+        return orig(pairs, a_values)
+
+    monkeypatch.setattr(measures, "tangle_grid", spy)
+    cfg = dict(n_values=(10, 11), k_values=None, a_min=0.3, a_max=0.9, a_steps=7)
+    rc, text, err = _sweep_text(**cfg, precision=precision)
+    assert (rc, err) == (0, "")
+    assert calls == [[(n, k) for n in (10, 11) for k in range(1, n // 2 + 1)]]
+    assert text == _reference_csv((10, 11), _a_grid(0.3, 0.9, 7), precision)
 
 
 @pytest.mark.parametrize("precision", [1, 12, 17])
@@ -176,7 +193,7 @@ def test_sweep_spanning_several_chunks_matches_per_pair_reference(monkeypatch):
     assert (rc, err) == (0, "")
     assert sum(rows) == len(text.splitlines()) - 1 > cli._CHUNK_ROWS
     assert len(rows) > 1 and max(rows) <= cli._CHUNK_ROWS
-    want = _reference_csv(10, grid, 12) + _reference_csv(200, grid, 12).split("\n", 1)[1]
+    want = _reference_csv((10, 200), grid, 12)
     # lists, not strings: pytest's diff of two 10k-line strings takes minutes
     assert text.split("\n") == want.split("\n")
 
@@ -326,6 +343,8 @@ def test_sweep_config_validation():
         dict(n_values=(4,), k_values=(1,), a_steps=3.5),
         dict(n_values=(4,), k_values=(1,), precision=2.5),
         dict(n_values=(4,), k_values=(1,), precision=-(10**5000)),
+        dict(n_values=(4,), k_values=(1,), precision=2**31),
+        dict(n_values=(4,), k_values=(1,), precision=10**5000),
         dict(n_values=(4,), k_values=(1,), a_steps=-(10**5000)),
         dict(n_values=(4,), k_values=("x",)),
         dict(n_values=(4,), k_values=()),
@@ -801,6 +820,11 @@ def test_main_exit_codes(capsys):
 
     assert main(["sweep", "--a-min", "0.9", "--a-max", "0.1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+    # past the largest precision % accepts: refused before any row is built
+    argv = ["sweep", "--n", "4", "--k", "1", "--a-steps", "2", "--precision", "2147483648"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: precision must be <= 2147483647, got 2147483648\n")
 
     assert main(["check", "--n-max", "4", "--a-steps", "3"]) == 0
 
