@@ -45,6 +45,10 @@ _CHUNK_ROWS = 2**13
 # the largest precision that % formatting accepts
 _PRECISION_MAX = 2**31 - 1
 
+# a double's exact decimal value has at most 767 significant digits, so %.<p>g prints the
+# same text for every p >= 767; % formatting reserves about p bytes for each value
+_DIGITS_MAX = 767
+
 # the oracle stacks the 2^N amplitudes of at most this many a-values at a time
 _ORACLE_ROWS = 128
 
@@ -121,7 +125,7 @@ def _chunk_text(pairs: list, grid: list[float], precision: int) -> tuple[str, in
             return "", 1
         done = [_chunk_text(part, part_grid, precision) for part, part_grid in parts]
         return "".join(text for text, _ in done), sum(failed for _, failed in done)
-    field = f"%.{precision}g"
+    field = f"%.{min(precision, _DIGITS_MAX)}g"
     lines = [f"{field % (a + 0.0)},{field},{field},{field},{field},{field}\n" for a in grid]
     # each line ends in "\n", so joining on a pair's prefix starts its every line with it
     template = "".join([prefix + prefix.join(lines) for prefix in (f"{n},{k}," for n, k in pairs)])

@@ -104,6 +104,15 @@ def check_type(value, cls: type | tuple[type, ...], name: str) -> None:
         raise InvalidParamsError(f"{name} must be a {expected}, got {type(value).__name__}")
 
 
+def _unchecked(cls: type, *values):
+    """An instance of the frozen dataclass cls with its fields set to values, in field
+    order, built without running __post_init__: for values the package has just built,
+    whose checks the tests hold instead."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def check_n_k(n, k) -> tuple[int, int]:
     """Validate (N, k) as integers with 2 <= N <= 2**53 and 1 <= k <= N//2; return them as ints.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dicke import DickeParams, amplitude_rows, check_number, check_numbers, check_type
+from .dicke import DickeParams, _unchecked, amplitude_rows, check_number, check_numbers, check_type
 from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
 from .smallmat import SmallMatrix
 
@@ -185,12 +185,14 @@ def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]
 def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
     """Two-qubit marginal elements A..F for a canonical Dicke-class state.
 
-    The one-row view of marginal_elements.
+    The one-row view of marginal_elements. The marginal is built without
+    TwoQubitMarginal's density rule, as the engine's are: it is the partial trace of a
+    normalised state (test_built_marginals_are_finite_unit_trace_and_psd).
     """
     check_type(params, DickeParams, "params")
     n, k = params.n_qubits, params.degeneracy
     row = marginal_elements(n, amplitude_rows(n, k, [params.a]))
-    return TwoQubitMarginal(params, *(float(col[0]) for col in row))
+    return _unchecked(TwoQubitMarginal, params, *(float(col[0]) for col in row))
 
 
 def _pair_form(m: TwoQubitMarginal) -> tuple[float, ...]:

@@ -18,7 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import DickeParams, amplitude_rows, check_a_values, check_n_k, check_number, check_type
+from .dicke import (
+    DickeParams,
+    _unchecked,
+    amplitude_rows,
+    check_a_values,
+    check_n_k,
+    check_number,
+    check_type,
+)
 from .errors import InvalidParamsError, NumericalInstabilityError
 from .marginals import (
     SingleQubitMarginal,
@@ -85,7 +93,7 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
     concurrence above 1 + 1e-10 or NaN, in that order. A real mu has mu^2 >= 0
     or NaN, so only a complex mu is tested for the first two.
     """
-    if np.iscomplexobj(mu):
+    if mu.dtype.kind == "c":
         lam = mu * mu
         bad = np.abs(lam.imag) > _IMAG_ABORT
         if np.logical_or.reduce(bad, axis=None):
@@ -221,6 +229,12 @@ def tangle_grid(pairs, a_values) -> TangleTable:
 def _tangles(pairs: list[tuple[int, int]], a: np.ndarray) -> TangleTable:
     """tangle_grid's engine, for int (N, k) pairs that passed check_n_k and a 1-D float
     array of overlaps in [0, 1]; it checks neither again."""
+    return TangleTable(*_tangle_columns(*_measure_rows(pairs, a)))
+
+
+def _measure_rows(pairs: list[tuple[int, int]], a: np.ndarray) -> tuple:
+    """N - 1, C1^2, C2 and N2 at each row of _tangles' pairs and a: the measure stage, whose
+    aborts run C2's eigvals and checks before N2's eigvalsh and check."""
     if len(pairs) == 1:
         # the one-pair view copies nothing and keeps N - 1 a Python int
         (n, k), = pairs
@@ -233,9 +247,16 @@ def _tangles(pairs: list[tuple[int, int]], a: np.ndarray) -> TangleTable:
     R, P, singlet, rho1 = triplet_blocks(*elements)
     c1_sq = _c1_squared(rho1)
     c2 = _concurrence(R)
+    return n_minus_1, c1_sq, c2, _negativity(P, singlet)
+
+
+def _tangle_columns(n_minus_1, c1_sq, c2, n2) -> tuple:
+    """c1_sq, c2_sq, tau, n2, xi from _measure_rows' output: the one place tau and xi are
+    formed. On arrays (_tangles) and on the Python floats of one row (tangle_record) it does
+    the same IEEE operations, on the same values (N - 1 < 2**53 converts to float exactly),
+    so it gives the same bits."""
     c2_sq = c2 * c2
-    n2 = _negativity(P, singlet)
-    return TangleTable(c1_sq, c2_sq, c1_sq - n_minus_1 * c2_sq, n2, c1_sq - n_minus_1 * n2 * n2)
+    return c1_sq, c2_sq, c1_sq - n_minus_1 * c2_sq, n2, c1_sq - n_minus_1 * n2 * n2
 
 
 def tangle_table(n_qubits: int, degeneracy: int, a_values) -> TangleTable:
@@ -253,8 +274,12 @@ def tangle_record(params: DickeParams) -> TangleRecord:
     The one-row view of tangle_grid's engine, bit for bit row 0 of
     tangle_table(N, k, [a]), with the same aborts. DickeParams validated
     (N, k, a) when it was built, so the engine runs without tangle_grid's
-    checks.
+    checks, and the record is built without TangleRecord's: its ranges and
+    consistency relations are held by test_tangle_record_is_a_checked_record.
     """
     check_type(params, DickeParams, "params")
-    row = _tangles([(params.n_qubits, params.degeneracy)], np.array([params.a]))
-    return TangleRecord(params, *(col.item() for col in row))
+    n_minus_1, c1_sq, c2, n2 = _measure_rows(
+        [(params.n_qubits, params.degeneracy)], np.array([params.a])
+    )
+    row = _tangle_columns(n_minus_1, c1_sq.item(), c2.item(), n2.item())
+    return _unchecked(TangleRecord, params, *row)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -105,6 +106,22 @@ def test_sweep_precision_flag():
     _, text, _ = _sweep_text(n_values=(3,), k_values=(1,), a_steps=2, precision=3)
     row = text.splitlines()[1].split(",")
     assert row[3] == "0.889"  # c1_sq = 8/9 at three significant digits
+
+
+def test_sweep_precision_past_767_digits_prints_the_same_bytes():
+    # a double's exact decimal value has at most 767 significant digits, so every precision
+    # from 767 up prints the same text; the field is capped there, as % formatting would
+    # otherwise reserve about `precision` bytes for each value (1 GB here)
+    cfg = dict(n_values=(4,), k_values=(1,), a_steps=2)
+    want = _sweep_text(**cfg, precision=767)
+    tracemalloc.start()
+    try:
+        got = _sweep_text(**cfg, precision=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert want[0] == 0 and got == want
+    assert peak < 1e6
 
 
 def _fail_batches(grid):
@@ -633,6 +650,7 @@ def test_oracle_fails_on_a_nan_measure(monkeypatch):
 
 def test_oracle_builds_no_scalar_marginal(monkeypatch):
     # the oracle compares the engine's arrays; no TwoQubitMarginal is built on its route
+    # (two_qubit_marginal builds one without __post_init__, so it is made unreachable too)
     built = []
     orig = marginals.TwoQubitMarginal.__post_init__
 
@@ -644,6 +662,7 @@ def test_oracle_builds_no_scalar_marginal(monkeypatch):
         raise AssertionError("the oracle route called a scalar marginal helper")
 
     monkeypatch.setattr(marginals.TwoQubitMarginal, "__post_init__", counted)
+    monkeypatch.setattr(marginals, "two_qubit_marginal", unreachable)
     monkeypatch.setattr(marginals, "marginal_matrix", unreachable)
     monkeypatch.setattr(marginals, "single_qubit_marginal", unreachable)
     devs = cli.oracle_deviations(6, 3, [0.0, 0.4, 1.0])

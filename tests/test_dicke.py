@@ -1,6 +1,7 @@
 import decimal
 import fractions
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ from dicketangle.marginals import marginal_elements
 
 # modest sizes exhaustively, then spot checks out to the largest supported runs
 THINNED_N = list(range(2, 31)) + [40, 50, 75, 100, 150, 200]
+
+
+def _scalar_points():
+    """The 2,048 (N, k, a) of the bench's scalar-points workload at seed 1 (bench/run.py),
+    unshuffled: two seeded a in {0, 0.001, ..., 1} for each (N, k) with N <= 64."""
+    rng = random.Random("scalar-points:1")
+    pairs = [(n, k) for n in range(2, 65) for k in range(1, n // 2 + 1)]
+    return [(n, k, rng.randrange(1001) / 1000) for n, k in pairs * 2]
 
 
 def _cg_squares(n, r):

@@ -28,7 +28,7 @@ from dicketangle.measures import concurrence_two_qubit
 from dicketangle.oracle import expand_state, partial_trace_to_one, partial_trace_to_two
 from dicketangle.smallmat import SmallMatrix
 
-from test_dicke import _amplitude_squares, _cg_squares
+from test_dicke import _amplitude_squares, _cg_squares, _scalar_points
 from test_engine_arithmetic import _same_bits
 
 
@@ -149,6 +149,31 @@ def test_two_qubit_marginal_validation():
         TwoQubitMarginal(p, -0.2, 0.0, 0.0, 0.5, 0.0, 0.2)
     with pytest.raises(InvalidParamsError):
         TwoQubitMarginal(p, math.nan, 0.0, 0.0, 0.3, 0.0, 0.4)
+
+
+def test_two_qubit_marginal_runs_the_density_rule_only_on_a_marginal_from_outside(monkeypatch):
+    # two_qubit_marginal builds its marginal from the engine's A..F without the rule, and
+    # bit for bit as the checked TwoQubitMarginal of those A..F; one from outside still runs it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return density_stack(*args)
+
+    monkeypatch.setattr(marginals, "density_stack", counted)
+    params = [DickeParams(*point) for point in _scalar_points()]
+    built = [two_qubit_marginal(p) for p in params]
+    assert calls == []
+    for p, got in zip(params, built):
+        row = marginal_elements(p.n_qubits, amplitude_rows(p.n_qubits, p.degeneracy, [p.a]))
+        checked = TwoQubitMarginal(p, *(float(col[0]) for col in row))
+        fields = [(m.A, m.B, m.C, m.D, m.E, m.F) for m in (got, checked)]
+        assert got.params is p and all(type(x) is float for x in fields[0])
+        _same_bits(np.array(fields[0]), np.array(fields[1]))
+    assert len(calls) == 2048
+    with pytest.raises(NotDensityMatrixError, match="positive semidefinite"):
+        TwoQubitMarginal(None, 0.5, 0.4, 0.0, 0.0, 0.0, 0.5)
+    assert len(calls) == 2049
 
 
 def test_two_qubit_marginal_with_huge_finite_entries_is_not_called_non_finite():

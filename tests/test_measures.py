@@ -32,6 +32,8 @@ from dicketangle.measures import (
 )
 from dicketangle.smallmat import SmallMatrix
 
+from test_dicke import _scalar_points
+from test_engine_arithmetic import _same_bits
 from test_marginals import _fails_to_converge
 
 
@@ -276,6 +278,30 @@ def test_tangle_record_validation():
     with pytest.raises(InvalidParamsError, match="xi is inconsistent with c1_sq and n2"):
         TangleRecord(p, c1_sq=0.5, c2_sq=0.1, tau=0.3, n2=0.2, xi=0.5)
     TangleRecord(p, c1_sq=0.5, c2_sq=0.1, tau=0.3, n2=0.2, xi=0.42)
+
+
+def test_tangle_record_is_a_checked_record(monkeypatch):
+    # tangle_record builds its record without TangleRecord's checks; on the README grid and
+    # the scalar-points inputs each record equals, bit for bit, the checked record of its
+    # fields, so the [0, 1] ranges and both 1e-12 consistency relations hold there
+    grid = _a_grid(0.0, 1.0, 101)
+    readme = [(n, k, a) for n in (10, 100) for k in range(1, n // 2 + 1) for a in grid]
+    checks = []
+    orig = TangleRecord.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        orig(self)
+
+    monkeypatch.setattr(TangleRecord, "__post_init__", counted)
+    records = [tangle_record(DickeParams(*point)) for point in readme + _scalar_points()]
+    assert checks == []
+    for rec in records:
+        checked = TangleRecord(rec.params, rec.c1_sq, rec.c2_sq, rec.tau, rec.n2, rec.xi)
+        fields = [(r.c1_sq, r.c2_sq, r.tau, r.n2, r.xi) for r in (rec, checked)]
+        assert all(type(x) is float for x in fields[0]), rec
+        _same_bits(np.array(fields[0]), np.array(fields[1]))
+    assert len(checks) == len(records) == 5555 + 2048
 
 
 @pytest.mark.parametrize(
