@@ -6,7 +6,7 @@ Subcommands:
     oracle  cross-validate the closed forms against the brute-force oracle
 
 Exit codes: 0 = all checks pass, 1 = property violation, 2 = usage/config error
-(or a grid too large for memory).
+(or a grid too large for memory, or a numerical abort).
 Diagnostics go to stderr; stdout (or --out) carries the report or CSV only.
 """
 
@@ -100,36 +100,32 @@ def _chunks(n_pairs: int, m: int):
     return (slice(start, start + per_chunk) for start in range(0, n_pairs, per_chunk))
 
 
-def _chunk_text(pairs: list, grid: list[float], precision: int) -> tuple[str, int]:
-    """The CSV lines of every (N, k) in pairs at every a of grid, and the number of rows that failed.
+def _chunk_tangles(pairs: list, grid: list[float]) -> measures.TangleTable:
+    """measures.tangle_grid of one chunk; an abort is raised again as the same class, with
+    the chunk's first and last (N, k) added to its message."""
+    try:
+        return measures.tangle_grid(pairs, grid)
+    except DicketangleError as exc:
+        (n0, k0), (n1, k1) = pairs[0], pairs[-1]
+        raise type(exc)(f"{exc} (chunk from N={n0}, k={k0} to N={n1}, k={k1})") from exc
+
+
+def _chunk_text(pairs: list, grid: list[float], precision: int) -> str:
+    """The CSV lines of every (N, k) in pairs at every a of grid.
 
     One tangle_grid call covers the whole chunk. Each a of grid is formatted
     once, into a line template that holds the five computed columns as
     %-fields; each pair's "N,k," prefixes its copies of those lines, and one %
-    fills the chunk's template from its values in row order. If the call
-    fails, a chunk of several pairs is re-run one pair at a time, and a
-    failing pair one row at a time, so that only the rows that fail are lost;
-    each of those is reported on stderr. Every value gets + 0.0, which turns
-    -0.0 into 0.0, so that equal values always render identically.
+    fills the chunk's template from its values in row order. Every value gets
+    + 0.0, which turns -0.0 into 0.0, so that equal values always render
+    identically.
     """
-    try:
-        table = measures.tangle_grid(pairs, grid)
-    except DicketangleError as exc:
-        if len(pairs) > 1:
-            parts = [([pair], grid) for pair in pairs]
-        elif len(grid) > 1:
-            parts = [(pairs, [a]) for a in grid]
-        else:
-            (n, k), (a,) = pairs[0], grid
-            print(f"warning: skipping row (N={n}, k={k}, a={a:g}): {exc}", file=sys.stderr)
-            return "", 1
-        done = [_chunk_text(part, part_grid, precision) for part, part_grid in parts]
-        return "".join(text for text, _ in done), sum(failed for _, failed in done)
+    table = _chunk_tangles(pairs, grid)
     field = f"%.{min(precision, _DIGITS_MAX)}g"
     lines = [f"{field % (a + 0.0)},{field},{field},{field},{field},{field}\n" for a in grid]
     # each line ends in "\n", so joining on a pair's prefix starts its every line with it
     template = "".join([prefix + prefix.join(lines) for prefix in (f"{n},{k}," for n, k in pairs)])
-    return template % tuple((np.column_stack(table) + 0.0).ravel().tolist()), 0
+    return template % tuple((np.column_stack(table) + 0.0).ravel().tolist())
 
 
 def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path="-",
@@ -144,9 +140,10 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
     2**31 - 1) significant digits; warnings go to sys.stderr. Both streams are
     looked up when written to, so contextlib.redirect_stdout and
     redirect_stderr capture them. An invalid argument raises
-    InvalidParamsError. Nothing is written, and no output file is created,
-    until the first row has been computed, so a sweep in which every row
-    fails writes nothing.
+    InvalidParamsError. An engine abort in a chunk raises its
+    DicketangleError, naming the chunk; the rows of earlier chunks stay
+    written. No output file is created until the first chunk's rows have
+    been computed, so a sweep whose first chunk fails writes nothing.
     """
     try:
         n_values = tuple(n_values)
@@ -179,14 +176,10 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
         print("error: sweep grid is empty after filtering", file=sys.stderr)
         return 2
 
-    failures = 0
     with ExitStack() as stack:
         stream = None
         for chunk in _chunks(len(pairs), len(grid)):
-            text, failed = _chunk_text(pairs[chunk], grid, precision)
-            failures += failed
-            if not text:
-                continue
+            text = _chunk_text(pairs[chunk], grid, precision)
             if stream is None:
                 if output_path == "-":
                     stream = sys.stdout
@@ -196,9 +189,6 @@ def run_sweep(n_values, k_values, a_min=0.0, a_max=1.0, a_steps=101, output_path
                     )
                 stream.write(_COLUMNS + "\n")
             stream.write(text)
-    if failures == len(pairs) * len(grid):
-        print("error: every sweep row failed", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -247,10 +237,10 @@ def run_check(n_max: int, a_steps: int, tol: float) -> int:
 
     tau and xi come from one tangle_grid call per chunk of pairs, as in
     run_sweep, and each property is one array expression over them; a failing
-    call raises its DicketangleError. Returns 1 if a property is violated by
-    more than tol or its margin is NaN. n_max is capped at 900, and the rows
-    (pairs times a_steps) at the 2,227,489 that n_max = 900 has with the
-    default grid (about a minute).
+    call raises its DicketangleError, naming the chunk. Returns 1 if a
+    property is violated by more than tol or its margin is NaN. n_max is
+    capped at 900, and the rows (pairs times a_steps) at the 2,227,489 that
+    n_max = 900 has with the default grid (about a minute).
     """
     n_max, a_steps, tol = _validated("check", n_max, 3, _CHECK_N_MAX, a_steps, tol)
     pairs = _check_pairs(n_max)
@@ -263,7 +253,7 @@ def run_check(n_max: int, a_steps: int, tol: float) -> int:
     m = len(grid)
     tau, xi = np.empty((len(pairs), m)), np.empty((len(pairs), m))
     for chunk in _chunks(len(pairs), m):
-        table = measures.tangle_grid(pairs[chunk], grid)
+        table = _chunk_tangles(pairs[chunk], grid)
         tau[chunk], xi[chunk] = table.tau.reshape(-1, m), table.xi.reshape(-1, m)
 
     n, k = np.array(pairs).T

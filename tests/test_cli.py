@@ -124,17 +124,6 @@ def test_sweep_precision_past_767_digits_prints_the_same_bytes():
     assert peak < 1e6
 
 
-def _fail_batches(grid):
-    """A stand-in for tangle_grid that fails every call of more than one row."""
-
-    def one_row_only(pairs, a_values):
-        if len(pairs) * len(a_values) > 1:
-            raise InvalidParamsError("injected failure")
-        return grid(pairs, a_values)
-
-    return one_row_only
-
-
 def test_sweep_negative_zero_never_printed(monkeypatch):
     # the last grid point is a_max itself, so the grid is [0.0, -0.0]
     cfg = dict(n_values=(3,), k_values=(1,), a_min=0.0, a_max=-0.0, a_steps=2)
@@ -147,9 +136,6 @@ def test_sweep_negative_zero_never_printed(monkeypatch):
 
     want = (0, HEADER + "\n" + "3,1,0,0,0,0,0,0\n" * 2, "")
     monkeypatch.setattr(measures, "tangle_grid", negative_zeros)
-    assert _sweep_text(**cfg) == want
-    # the row-by-row fallback, one tangle_grid call per row
-    monkeypatch.setattr(measures, "tangle_grid", _fail_batches(negative_zeros))
     assert _sweep_text(**cfg) == want
 
 
@@ -185,14 +171,6 @@ def test_sweep_matches_reference_formatting(monkeypatch, precision):
     assert (rc, err) == (0, "")
     assert calls == [[(n, k) for n in (10, 11) for k in range(1, n // 2 + 1)]]
     assert text == _reference_csv((10, 11), _a_grid(0.3, 0.9, 7), precision)
-
-
-@pytest.mark.parametrize("precision", [1, 12, 17])
-def test_sweep_fallback_writes_the_batch_bytes(monkeypatch, precision):
-    cfg = dict(n_values=(10,), k_values=None, a_steps=11, precision=precision)
-    want = _sweep_text(**cfg)
-    monkeypatch.setattr(measures, "tangle_grid", _fail_batches(measures.tangle_grid))
-    assert _sweep_text(**cfg) == want
 
 
 def test_sweep_spanning_several_chunks_matches_per_pair_reference(monkeypatch):
@@ -241,114 +219,89 @@ def test_sweep_empty_grid_fails():
     assert "empty" in err
 
 
-def test_sweep_reports_when_every_row_fails(monkeypatch):
-    # the sweep's chunks and its row-by-row fallback both run through tangle_grid
-    def explode(pairs, a_values):
-        raise InvalidParamsError("injected failure")
-
-    monkeypatch.setattr(measures, "tangle_grid", explode)
-    rc, _, err = _sweep_text(n_values=(4,), k_values=(1,), a_steps=3)
-    assert rc == 2
-    assert "every sweep row failed" in err
-
-
-def test_sweep_failed_batch_loses_only_its_failing_rows(monkeypatch):
-    # a chunk error re-runs the chunk pair by pair, and a failing pair row by row
+def test_sweep_stops_at_an_abort_in_its_second_chunk(monkeypatch, capsys, tmp_path):
+    # two chunks of two pairs of three rows; the second chunk's engine call aborts
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 6)
+    argv = ["sweep", "--n", "4,5", "--a-steps", "3"]
+    assert main(argv) == 0
+    first_chunk = [line for line in capsys.readouterr().out.splitlines() if line[:2] == "4,"]
+    assert len(first_chunk) == 6
     orig = measures.tangle_grid
 
-    def flaky(pairs, a_values):
-        if len(pairs) > 1 or len(a_values) > 1 or a_values[0] == 0.5:
-            raise InvalidParamsError("injected failure")
+    def second_call_aborts(pairs, a_values):
+        if pairs[0] == (5, 1):
+            raise NumericalInstabilityError("injected abort")
         return orig(pairs, a_values)
 
-    monkeypatch.setattr(measures, "tangle_grid", flaky)
-    rc, text, err = _sweep_text(n_values=(4,), k_values=(1,), a_steps=3)
-    assert rc == 0
-    assert [line.split(",")[2] for line in text.splitlines()[1:]] == ["0", "1"]
-    assert err == "warning: skipping row (N=4, k=1, a=0.5): injected failure\n"
-
-    # four pairs in one chunk, of which only the row (5, 2, 0.5) fails, in the chunk and alone
-    cfg = dict(n_values=(4, 5), k_values=None, a_steps=3)
-    monkeypatch.setattr(measures, "tangle_grid", orig)
-    rc, full, err = _sweep_text(**cfg)
-    assert (rc, err, len(full.splitlines())) == (0, "", 1 + 4 * 3)
-    calls = []
-
-    def one_bad_row(pairs, a_values):
-        calls.append(len(pairs) * len(a_values))
-        if (5, 2) in pairs and 0.5 in a_values:
-            raise InvalidParamsError("injected failure")
-        return orig(pairs, a_values)
-
-    monkeypatch.setattr(measures, "tangle_grid", one_bad_row)
-    rc, text, err = _sweep_text(**cfg)
-    assert rc == 0
-    assert calls == [12, 3, 3, 3, 3, 1, 1, 1]
-    assert text.splitlines() == [line for line in full.splitlines() if line[:8] != "5,2,0.5,"]
-    assert len(text.splitlines()) == len(full.splitlines()) - 1
-    assert err == "warning: skipping row (N=5, k=2, a=0.5): injected failure\n"
+    monkeypatch.setattr(measures, "tangle_grid", second_call_aborts)
+    want_err = "error: injected abort (chunk from N=5, k=1 to N=5, k=2)\n"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("\n".join([HEADER, *first_chunk]) + "\n", want_err)
+    target = tmp_path / "rows.csv"
+    assert main([*argv, "--out", str(target)]) == 2
+    assert capsys.readouterr() == ("", want_err)
+    assert target.read_text().splitlines() == [HEADER, *first_chunk]
 
 
-def _count_calls(grid, calls, bad_rows=()):
-    """A stand-in for tangle_grid that records each call's (pairs, rows) and fails any
-    call that covers one of bad_rows, given as (N, k, a)."""
-
-    def counted(pairs, a_values):
-        calls.append((len(pairs), len(pairs) * len(a_values)))
-        if any((n, k, a) in bad_rows for n, k in pairs for a in a_values):
-            raise InvalidParamsError("injected failure")
-        return grid(pairs, a_values)
-
-    return counted
-
-
-def test_sweep_failing_rows_in_two_pairs_of_one_chunk(monkeypatch):
-    # seven pairs of three rows in one chunk; the pairs (4, 2) and (6, 2) each lose one row
-    cfg = dict(n_values=(4, 5, 6), k_values=None, a_steps=3)
-    rc, full, err = _sweep_text(**cfg)
-    assert (rc, err, len(full.splitlines())) == (0, "", 1 + 7 * 3)
-    calls = []
-    bad = ((6, 2, 0.0), (4, 2, 1.0))
-    monkeypatch.setattr(measures, "tangle_grid", _count_calls(measures.tangle_grid, calls, bad))
-    rc, text, err = _sweep_text(**cfg)
-    assert rc == 0
-    assert len(calls) == 1 + 7 + 2 * 3
-    assert text.splitlines() == [
-        line for line in full.splitlines() if line[:6] not in ("6,2,0,", "4,2,1,")
-    ]
-    assert err == (
-        "warning: skipping row (N=4, k=2, a=1): injected failure\n"
-        "warning: skipping row (N=6, k=2, a=0): injected failure\n"
-    )
-
-
-def test_sweep_chunk_that_fails_only_as_a_whole_loses_no_row(monkeypatch):
-    cfg = dict(n_values=(4, 5), k_values=None, a_steps=3)
-    _, full, _ = _sweep_text(**cfg)
-    calls = []
-    counted = _count_calls(measures.tangle_grid, calls)
-
-    def several_pairs_fail(pairs, a_values):
-        if len(pairs) > 1:
-            raise InvalidParamsError("injected failure")
-        return counted(pairs, a_values)
-
-    monkeypatch.setattr(measures, "tangle_grid", several_pairs_fail)
-    assert _sweep_text(**cfg) == (0, full, "")
-    # one call per pair, and none of one row
-    assert calls == [(1, 3)] * 4
-
-
-def test_sweep_writes_no_file_when_every_row_fails(monkeypatch, tmp_path):
+def test_sweep_writes_no_file_when_every_row_fails(monkeypatch, capsys, tmp_path):
     def explode(pairs, a_values):
         raise InvalidParamsError("injected failure")
 
     monkeypatch.setattr(measures, "tangle_grid", explode)
     target = tmp_path / "rows.csv"
-    with redirect_stderr(io.StringIO()):
-        rc = run_sweep(n_values=(4,), k_values=None, a_steps=3, output_path=str(target))
-    assert rc == 2
+    assert main(["sweep", "--n", "4", "--a-steps", "3", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == "error: injected failure (chunk from N=4, k=1 to N=4, k=2)\n"
     assert not target.exists()
+
+
+def test_run_sweep_raises_an_abort_and_writes_nothing_before_its_first_chunk(monkeypatch):
+    def explode(pairs, a_values):
+        raise NumericalInstabilityError("injected abort")
+
+    monkeypatch.setattr(measures, "tangle_grid", explode)
+    out, err = io.StringIO(), io.StringIO()
+    want = r"^injected abort \(chunk from N=4, k=1 to N=4, k=2\)$"
+    with redirect_stdout(out), redirect_stderr(err):
+        with pytest.raises(NumericalInstabilityError, match=want):
+            run_sweep(n_values=(4,), k_values=None, a_steps=3)
+    # not even the header: the stream is opened by the first chunk's rows
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+
+
+_ERRORS = [InvalidParamsError, CapExceededError, NotDensityMatrixError, NumericalInstabilityError]
+
+
+@pytest.mark.parametrize("error", _ERRORS)
+def test_chunk_abort_keeps_its_class_and_names_the_chunk(monkeypatch, error):
+    def abort(pairs, a_values):
+        raise error("injected abort")
+
+    monkeypatch.setattr(measures, "tangle_grid", abort)
+    with pytest.raises(error) as info:
+        cli._chunk_tangles([(4, 1), (4, 2), (5, 1)], [0.5])
+    assert type(info.value) is error
+    assert str(info.value) == "injected abort (chunk from N=4, k=1 to N=5, k=1)"
+    assert type(info.value.__cause__) is error
+    assert str(info.value.__cause__) == "injected abort"
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+def test_sweep_one_pair_per_chunk_prints_the_one_chunk_bytes(monkeypatch, precision):
+    cfg = dict(n_values=(10,), k_values=None, a_steps=11, precision=precision)
+    orig = measures.tangle_grid
+    calls = []
+
+    def spy(pairs, a_values):
+        calls.append(pairs)
+        return orig(pairs, a_values)
+
+    monkeypatch.setattr(measures, "tangle_grid", spy)
+    want = _sweep_text(**cfg)
+    assert calls == [[(10, k) for k in range(1, 6)]]
+    # fewer rows per chunk than the grid has values: one tangle_grid call per pair
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1)
+    assert _sweep_text(**cfg) == want
+    assert calls[1:] == [[(10, k)] for k in range(1, 6)]
 
 
 def test_sweep_config_validation():
@@ -524,7 +477,26 @@ def test_check_stops_with_exit_2_on_a_numerical_abort(monkeypatch, capsys):
     assert main(["check", "--n-max", "4", "--a-steps", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: injected abort\n"
+    # the message names the chunk, whose last pair is the last spot check
+    assert captured.err == "error: injected abort (chunk from N=3, k=1 to N=100, k=5)\n"
+
+
+def test_check_abort_names_the_chunk_it_happened_in(monkeypatch, capsys):
+    # one pair per chunk; the chunk of (4, 2), the third, aborts
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    orig = measures.tangle_grid
+    calls = []
+
+    def third_pair_aborts(pairs, a_values):
+        calls.append(pairs)
+        if pairs == [(4, 2)]:
+            raise NumericalInstabilityError("injected abort")
+        return orig(pairs, a_values)
+
+    monkeypatch.setattr(measures, "tangle_grid", third_pair_aborts)
+    assert main(["check", "--n-max", "4", "--a-steps", "3"]) == 2
+    assert calls == [[(3, 1)], [(4, 1)], [(4, 2)]]
+    assert capsys.readouterr() == ("", "error: injected abort (chunk from N=4, k=2 to N=4, k=2)\n")
 
 
 BAD_TOLS = [math.nan, math.inf, -1.0, None, "x", 1j, 10**400, 10**5000]

@@ -418,7 +418,8 @@ _INVARIANT_A = [
 def test_built_marginals_are_finite_unit_trace_and_psd():
     """tangle_grid does not re-check the marginals it builds: each is the partial trace of a
     normalised state, so A..F are finite, A, D, F >= 0, A + 2D + F = 1, and the triplet block
-    R and rho_1 are positive semidefinite, up to rounding. This holds those invariants."""
+    R and rho_1 are positive semidefinite, up to rounding. This holds those invariants, and
+    that tangle_grid computes every row of each pair without a NumericalInstabilityError."""
     assert len(_INVARIANT_A) == 210
     for n in _INVARIANT_N:
         for k in sorted({k for k in (1, 2, 3, n // 4, n // 2) if 1 <= k <= min(n // 2, 3000)}):
@@ -430,3 +431,5 @@ def test_built_marginals_are_finite_unit_trace_and_psd():
             assert np.linalg.eigvalsh(R)[:, 0].min() >= -1e-13, (n, k)
             density_stack(R, 3, "engine R")
             assert ((A + D) * (D + F) - (B + E) ** 2).min() >= -1e-13, (n, k)
+            # the engine accepts the pair's every row without an abort, which would end a sweep
+            measures.tangle_grid([(n, k)], _INVARIANT_A)

@@ -380,6 +380,32 @@ def test_tiny_tau_keeps_its_sign_at_large_n():
     assert rec.tau == pytest.approx(1.1977510583890642e-15, rel=1e-6)
 
 
+# tau = C1^2 - (N-1) C2^2 cancels with kappa = C1^2 / tau ~ N / (2(k-1)t), t = (1 - a^2)/a^2,
+# and kappa times the rounding of the float C1^2 and Clebsch-Gordan coefficients outgrows tau
+_CANCELLATION = pytest.mark.xfail(
+    strict=True, reason="the large-N cancellation in tau = C1^2 - (N-1) C2^2 (ROADMAP item 1)"
+)
+
+
+@_CANCELLATION
+@pytest.mark.parametrize("n,k,a", [(1000, 3, 0.999999), (10**9, 2, 0.9), (10**12, 2, 0.5)])
+def test_large_n_tangles_are_positive(n, k, a):
+    rec = tangle_record(DickeParams(n, k, a))
+    assert rec.tau > 0.0 and rec.xi > 0.0
+
+
+@_CANCELLATION
+def test_large_n_tau_is_positive_where_xi_is():
+    assert tangle_record(DickeParams(10**9, 2, 0.5)).tau > 0.0
+
+
+@_CANCELLATION
+def test_large_n_xi_keeps_relative_accuracy():
+    # 50-digit reference: python3 bench/compare.py 1000,3,0.99
+    rec = tangle_record(DickeParams(1000, 3, 0.99))
+    assert rec.xi == pytest.approx(2.3845923842817616423e-15, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("n", [10**3, 10**4])
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
 def test_large_n_tangles_follow_their_leading_term(n, k):
