@@ -297,7 +297,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         marginal           T rho2 T^T of the dense two-qubit marginal rho2 against
                            blockdiag(R, 0), with R the triplet block of triplet_blocks
         partial-transpose  T S T^T of the axis-swapped dense marginal S against
-                           blockdiag(P, D - C), the other two blocks of triplet_blocks
+                           blockdiag(P, D - C), the partial-transpose blocks of triplet_blocks
         pair-choice        the dense state against itself with each pair of neighbouring
                            qubits exchanged; these exchanges generate every permutation,
                            so every qubit pair then has the marginal of (0, 1)
@@ -319,7 +319,8 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     """
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
-    R, P, singlet, engine_rho1 = marginals.triplet_blocks(*marginals.marginal_elements(n, beta))
+    elements = marginals.marginal_elements(n, beta)
+    R, blocks, singlet, engine_rho1 = marginals.triplet_blocks(*elements)
     # the bitstring 0..01..1 of weight r, and the norm sqrt(binom(N, r)) of its Dicke state
     dicke_index = (1 << np.arange(k + 1)) - 1
     dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])
@@ -354,7 +355,9 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     return {
         "state": _largest(state),
         "marginal": _largest(_BELL @ rho2 @ _BELL.T - _block_diagonal(R, 0.0)),
-        "partial-transpose": _largest(_BELL @ swapped @ _BELL.T - _block_diagonal(P, singlet)),
+        "partial-transpose": _largest(
+            _BELL @ swapped @ _BELL.T - _block_diagonal(blocks[:, 1], singlet)
+        ),
         "pair-choice": _largest(pair_choice),
         "rho1": _largest(rho1 - engine_rho1, traced - rho1),
         "measures": _largest(engine - (c2, n2, c1)),

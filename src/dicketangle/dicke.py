@@ -23,6 +23,10 @@ import numpy as np
 
 from .errors import InvalidParamsError
 
+# constants of the engine's array arithmetic: numpy converts a Python float operand on every
+# call, and reads a 0-d array as it is, so these save that step and change no bit
+_ZERO, _HALF, _ONE, _TWO, _FOUR = (np.array(x) for x in (0.0, 0.5, 1.0, 2.0, 4.0))
+
 
 def check_int(value, name: str) -> int:
     """`value` as an int if it is integral, as 4, 4.0 and np.int64(4) are; else raise
@@ -196,17 +200,17 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     a = np.asarray(a_values, dtype=float)
     r = np.arange(k, dtype=float)
     # log(r + 1) for r = 0..k-1, reversed, is log(k - r)
-    log_r1, log_n_r = np.log(np.array([r + 1.0, n - r]))
+    log_r1, log_n_r = np.log(np.array([r + _ONE, n - r]))
     # log(b/a) is +inf at a = 0 and -inf at a = 1: every step then has that sign, so
     # peak is k or 0, the other logs are -inf, and exp gives the one-hot row exactly
     with np.errstate(divide="ignore"):
-        log_b_over_a = np.log(np.sqrt((1.0 - a) * (1.0 + a))) - np.log(a)
-    steps = (log_r1[::-1] - 0.5 * (log_n_r + log_r1)) + log_b_over_a[:, None]
-    peak = np.add.reduce(steps > 0.0, axis=1, keepdims=True)
+        log_b_over_a = np.log(np.sqrt((_ONE - a) * (_ONE + a))) - np.log(a)
+    steps = (log_r1[::-1] - _HALF * (log_n_r + log_r1)) + log_b_over_a[:, None]
+    peak = np.add.reduce(steps > _ZERO, axis=1, keepdims=True)
     up = r >= peak
     logs = np.zeros((len(a), k + 1))
-    np.add.accumulate(np.where(up, steps, 0.0), axis=1, out=logs[:, 1:])
-    down = np.where(up, 0.0, steps)[:, ::-1]
+    np.add.accumulate(np.where(up, steps, _ZERO), axis=1, out=logs[:, 1:])
+    down = np.where(up, _ZERO, steps)[:, ::-1]
     logs[:, :-1] -= np.add.accumulate(down, axis=1, out=down)[:, ::-1]
     raw = np.exp(logs, out=logs)
     return raw / np.sqrt(np.add.reduce(raw * raw, axis=1, keepdims=True))

@@ -15,19 +15,37 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dicke import DickeParams, _unchecked, amplitude_rows, check_number, check_numbers, check_type
+from .dicke import (
+    _HALF,
+    _ONE,
+    _TWO,
+    _ZERO,
+    DickeParams,
+    _unchecked,
+    amplitude_rows,
+    check_number,
+    check_numbers,
+    check_type,
+)
 from .errors import InvalidParamsError, NotDensityMatrixError, NumericalInstabilityError
 from .smallmat import SmallMatrix
 
-_SQRT1_2 = math.sqrt(0.5)
-_SQRT2 = math.sqrt(2.0)
+_SQRT1_2 = np.array(math.sqrt(0.5))
+_SQRT2 = np.array(math.sqrt(2.0))
+_TINY = np.array(np.finfo(float).tiny)
 # the tolerances of density_stack, the one density-matrix rule: trace, symmetry relative to
 # the largest entry, and the smallest eigenvalue
 TRACE_TOL = 1e-12
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
-# triplet_blocks' R, P, rho_1 as indices into A, sqrt2 B, C, 2D, sqrt2 E, F, D+C, A+D, B+E, D+F, D
-_TRIPLET_GATHER = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5, 0, 1, 10, 1, 6, 4, 10, 4, 5, 7, 8, 8, 9])
+# triplet_blocks' R, [H, P] and rho_1 as indices into its columns A, sqrt2 B, C, 2D, sqrt2 E,
+# F, D+C, A+D, B+E, D+F, D, d2, h12, 2B^2/A - 2C, h13, 0
+_R_GATHER = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_HP_GATHER = np.array([
+    [[11, 12, 15], [12, 13, 14], [15, 14, 15]],
+    [[0, 1, 10], [1, 6, 4], [10, 4, 5]],
+])
+_RHO1_GATHER = np.array([[7, 8], [8, 9]])
 
 
 def _no_convergence(err, flag):
@@ -170,7 +188,7 @@ def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]
     # c_-1 at r = 0, 1 and c_+1 at r = N - 1 are exact zeros (c_-1 at r = 0 is -0.0,
     # which enters only squared)
     c = np.sqrt(
-        np.array([n_r * (n_r - 1.0), 2.0 * r * n_r, r * (r - 1.0)])
+        np.array([n_r * (n_r - _ONE), _TWO * r * n_r, r * (r - _ONE)])
         / float(n * (n - 1))
     )
     # weights of A, 2D, F; of B, E (c_+1^(r) c_0^(r+1), c_0^(r) c_-1^(r+1)); and of C
@@ -179,7 +197,7 @@ def marginal_elements(n_qubits: int, beta: np.ndarray) -> tuple[np.ndarray, ...]
     near = np.add.reduce(near, axis=2)
     near *= _SQRT1_2
     far = np.add.reduce((beta[:, :-2] * beta[:, 2:]) * (c[0, :-2] * c[2, 2:]), axis=1)
-    return diag[:, 0], near[:, 0], far, 0.5 * diag[:, 1], near[:, 1], diag[:, 2]
+    return diag[:, 0], near[:, 0], far, _HALF * diag[:, 1], near[:, 1], diag[:, 2]
 
 
 def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
@@ -208,8 +226,9 @@ def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:
 
 
 def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, ...]:
-    """R = T rho T^T, P = T rho^T_B T^T (shape (m, 3, 3)), s^T rho^T_B s = D - C (shape (m,))
-    and the one-qubit marginal rho_1 (shape (m, 2, 2)) of the two-qubit marginal rho.
+    """R = T rho T^T (shape (m, 3, 3)); H and P = T rho^T_B T^T as one (m, 2, 3, 3) array;
+    s^T rho^T_B s = D - C (shape (m,)); and the one-qubit marginal rho_1 (shape (m, 2, 2))
+    of the two-qubit marginal rho.
 
     T has rows |00>, |psi+>, |11> and s is the singlet; A..F have shape (m,),
     or are floats for m = 1 (then s^T rho^T_B s is a float).
@@ -217,14 +236,48 @@ def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, ...]:
     zero. The qubit swap commutes with the partial transpose, so T rho^T_B s
     is 0, and P and D - C hold the whole spectrum of rho^T_B. Tracing out
     qubit 2 gives rho_1 = [[A + D, B + E], [B + E, D + F]]; this is the one
-    place it is formed. R, P and rho_1 are views of one (m, 22) array, gathered in one
-    call from its 11 distinct columns.
+    place it is formed.
+
+    H = L^T Y3 L, with R = L L^T and Y3 the restriction of sigma_y x sigma_y to the
+    triplet basis, has the eigenvalues of R Y3 (XY and YX have the same ones), so C2 is
+    read from a symmetric eigensolve. L = U diag(sqrt A, sqrt d2, sqrt d3) is the
+    Cholesky factor of the Gram matrix R, U unit lower triangular with
+
+        u21 = sqrt2 B / A,  u31 = C / A,  u32 = e / d2,  e = sqrt2 E - sqrt2 B C / A,
+
+    and the pivots A, d2 = 2D - 2B^2/A and d3 = F - C^2/A - e^2/d2, each clamped at 0.
+    A pivot below the smallest normal double counts as zero and zeroes the rest of its
+    column of U: a subnormal A (N = 2, a near 1e-160) has lost the relative precision the
+    quotients need, and R >= 0 bounds the entries dropped with it by sqrt(A) < 1.5e-154.
+    In the order (2, 1, 3) H is tridiagonal,
+
+        [[d2,  h12,          0  ],
+         [h12, 2B^2/A - 2C,  h13],
+         [0,   h13,          0  ]],
+
+    with h12 = sqrt(A d2) (u21 - u32) and h13 = -sqrt(A d3). The order gives the rows
+    with B = E = 0 (a = 0) an exact split, and the pivots divide by A rather than square
+    a quotient by sqrt A. R, H, P and rho_1 are gathered from 16 distinct columns, H and
+    P in one call.
     """
-    sB, sE = _SQRT2 * B, _SQRT2 * E
-    columns = np.array([A, sB, C, 2.0 * D, sE, F, D + C, A + D, B + E, D + F, D])
-    flat = columns.T.take(_TRIPLET_GATHER, axis=-1).reshape(-1, 22)
-    R, P, rho1 = flat[:, :9], flat[:, 9:18], flat[:, 18:]
-    return R.reshape(-1, 3, 3), P.reshape(-1, 3, 3), D - C, rho1.reshape(-1, 2, 2)
+    sB, sE, D2 = _SQRT2 * B, _SQRT2 * E, D + D
+    shape = np.shape(A)
+    b, c, u21 = np.divide(np.array([B, C, sB]), A, out=np.zeros((3, *shape)), where=A >= _TINY)
+    bb = (B + B) * b
+    d2 = np.maximum(D2 - bb, _ZERO)
+    e = sE - sB * c
+    u32 = np.divide(e, d2, out=np.zeros(shape), where=d2 >= _TINY)
+    d3 = np.maximum(F - C * c - e * u32, _ZERO)
+    h12, h13 = np.sqrt(A * d2) * (u21 - u32), -np.sqrt(A * d3)
+    columns = [A, sB, C, D2, sE, F, D + C, A + D, B + E, D + F, D, d2, h12, bb - (C + C), h13]
+    # one row of 16 columns for each of the m rows (floats give one row too)
+    columns = np.array([*columns, np.zeros(shape)]).T.reshape(-1, 16)
+    return (
+        columns.take(_R_GATHER, axis=1),
+        columns.take(_HP_GATHER, axis=1),
+        D - C,
+        columns.take(_RHO1_GATHER, axis=1),
+    )
 
 
 def single_qubit_marginal(m: TwoQubitMarginal) -> SingleQubitMarginal:

@@ -19,6 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .dicke import (
+    _FOUR,
+    _ONE,
+    _TWO,
+    _ZERO,
     DickeParams,
     _unchecked,
     amplitude_rows,
@@ -42,9 +46,8 @@ from .smallmat import SmallMatrix
 _IMAG_ABORT = 1e-8
 _RANGE_TOL = 1e-10
 
-# column signs of M @ Y, by width, for Y = sigma_y x sigma_y and its restriction Y3 to
-# the triplet basis {|00>, |psi+>, |11>}
-_FLIP_SIGNS = {3: np.array([-1.0, 1.0, -1.0]), 4: np.array([-1.0, 1.0, 1.0, -1.0])}
+# column signs of rho @ Y for Y = sigma_y x sigma_y
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,13 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
     For real rho, Y = sigma_y x sigma_y is a real signed permutation with
     Y^2 = I, so rho rho~ = (rho Y)^2 and the Wootters square-root eigenvalues
     are |mu|: no product is formed and no square root amplifies noise. The
-    exact eigenvalues mu^2 of rho rho~ are real and nonnegative; an imaginary
-    part beyond 1e-8 or a real part below -1e-10 aborts, and so does a
-    concurrence above 1 + 1e-10 or NaN, in that order. A real mu has mu^2 >= 0
-    or NaN, so only a complex mu is tested for the first two.
+    engine passes the real spectrum of the symmetric H of
+    marginals.triplet_blocks (the eigenvalues of R Y3, which are those of rho Y
+    less the singlet's zero), and concurrence_stack the eigvals of rho Y, which
+    may be complex. The exact eigenvalues mu^2 of rho rho~ are real and
+    nonnegative; an imaginary part beyond 1e-8 or a real part below -1e-10
+    aborts, and so does a concurrence above 1 + 1e-10 or NaN, in that order. A
+    real mu has mu^2 >= 0 or NaN, so only a complex mu is tested for the first two.
     """
     if mu.dtype.kind == "c":
         lam = mu * mu
@@ -105,7 +111,7 @@ def _wootters(mu: np.ndarray) -> np.ndarray:
             )
     roots = np.abs(mu)
     roots.sort(axis=-1)
-    value = np.maximum(0.0, roots[..., -1] - np.add.reduce(roots[..., :-1], axis=-1))
+    value = np.maximum(_ZERO, roots[..., -1] - np.add.reduce(roots[..., :-1], axis=-1))
     return _at_most_one(value, "concurrence")
 
 
@@ -115,19 +121,16 @@ def _at_most_one(value: np.ndarray, name: str) -> np.ndarray:
     if not np.maximum.reduce(value, axis=None, initial=0.0) <= 1.0 + _RANGE_TOL:  # NaN too
         bad = ~(value <= 1.0 + _RANGE_TOL)
         raise NumericalInstabilityError(f"{name} left [0, 1]: {_first(value, bad)!r}")
-    return np.minimum(value, 1.0)
+    return np.minimum(value, _ONE)
 
 
-def _spin_flip(mats: np.ndarray) -> np.ndarray:
-    """M @ Y for each matrix M (Y or Y3 by its width); both are real signed permutations
-    (-1 on the outer antidiagonal), so this reverses M's columns and negates the outer two."""
-    return mats[..., ::-1] * _FLIP_SIGNS[mats.shape[-1]]
-
-
-def _concurrence(mats: np.ndarray) -> np.ndarray:
-    """Concurrence of each 4x4 density matrix or 3x3 triplet block, from the eigenvalues of
-    M Y; the one core of the engine's C2 (on R) and of concurrence_stack."""
-    return _wootters(_eig(_spin_flip(mats)))
+def _concurrence(rhos: np.ndarray) -> np.ndarray:
+    """Concurrence of each 4x4 density matrix, from the eigvals of rho Y: concurrence_stack's
+    core. Y is a real signed permutation (-1 on the outer antidiagonal), so rho Y is rho with
+    its columns reversed and the outer two negated. The engine's C2 comes from eigvalsh of
+    the H of marginals.triplet_blocks instead, with no factorisation here, so this route
+    checks it (test_engine_concurrence_matches_the_dense_4x4_route)."""
+    return _wootters(_eig(rhos[..., ::-1] * _FLIP_SIGNS))
 
 
 def concurrence_stack(rhos) -> np.ndarray:
@@ -150,14 +153,15 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
     return concurrence_stack(rho.to_array()[None]).item()
 
 
-def _negativity(blocks: np.ndarray, singlet: np.ndarray) -> np.ndarray:
-    """Doubled negativity: twice the summed moduli of the negative eigenvalues of P and D - C.
+def _negativity(eigs: np.ndarray, singlet: np.ndarray) -> np.ndarray:
+    """Doubled negativity: twice the summed moduli of the negative eigenvalues eigs of P
+    (along the last axis) and of D - C.
 
     P and D - C are the partial-transpose blocks of marginals.triplet_blocks.
     A value above 1 + 1e-10, or NaN, aborts.
     """
-    negative = np.abs(np.minimum(_eig(blocks, symmetric=True), 0.0))
-    value = 2.0 * (np.add.reduce(negative, axis=-1) + np.abs(np.minimum(singlet, 0.0)))
+    negative = np.abs(np.minimum(eigs, _ZERO))
+    value = _TWO * (np.add.reduce(negative, axis=-1) + np.abs(np.minimum(singlet, _ZERO)))
     return _at_most_one(value, "doubled negativity")
 
 
@@ -168,7 +172,7 @@ def _c1_squared(rho1: np.ndarray) -> np.ndarray:
     passed density_stack, so its eigenvalues are above -1e-10 and its trace is 1 to within
     1e-12; a det below 0, or 4 det above 1 (4 det <= trace^2, AM-GM), is within those bounds."""
     det = rho1[:, 0, 0] * rho1[:, 1, 1] - rho1[:, 0, 1] * rho1[:, 1, 0]
-    return np.minimum(4.0 * np.maximum(det, 0.0), 1.0)
+    return np.minimum(_FOUR * np.maximum(det, _ZERO), _ONE)
 
 
 def one_vs_rest_stack(rhos) -> np.ndarray:
@@ -189,7 +193,7 @@ def negativity_two_qubit(m: TwoQubitMarginal) -> float:
     """Doubled negativity ||rho_2^T_B||_1 - 1 of the two-qubit marginal, in [0, 1]."""
     check_type(m, TwoQubitMarginal, "m")
     _, blocks, singlet, _ = triplet_blocks(m.A, m.B, m.C, m.D, m.E, m.F)
-    return _negativity(blocks, singlet).item()
+    return _negativity(_eig(blocks[:, 1], symmetric=True), singlet).item()
 
 
 def _checked_pairs(pairs) -> list[tuple[int, int]]:
@@ -233,8 +237,9 @@ def _tangles(pairs: list[tuple[int, int]], a: np.ndarray) -> TangleTable:
 
 
 def _measure_rows(pairs: list[tuple[int, int]], a: np.ndarray) -> tuple:
-    """N - 1, C1^2, C2 and N2 at each row of _tangles' pairs and a: the measure stage, whose
-    aborts run C2's eigvals and checks before N2's eigvalsh and check."""
+    """N - 1, C1^2, C2 and N2 at each row of _tangles' pairs and a: the measure stage. One
+    eigvalsh call reads the spectra of H (C2) and P (N2) of triplet_blocks' (m, 2, 3, 3)
+    stack, so the aborts run in this order: the eigensolver's, C2's check, N2's check."""
     if len(pairs) == 1:
         # the one-pair view copies nothing and keeps N - 1 a Python int
         (n, k), = pairs
@@ -244,10 +249,10 @@ def _measure_rows(pairs: list[tuple[int, int]], a: np.ndarray) -> tuple:
         per_pair = [marginal_elements(n, amplitude_rows(n, k, a)) for n, k in pairs]
         elements = [np.concatenate(col) for col in zip(*per_pair)]
         n_minus_1 = np.repeat(np.array([n - 1 for n, _ in pairs], dtype=float), len(a))
-    R, P, singlet, rho1 = triplet_blocks(*elements)
+    _, blocks, singlet, rho1 = triplet_blocks(*elements)
     c1_sq = _c1_squared(rho1)
-    c2 = _concurrence(R)
-    return n_minus_1, c1_sq, c2, _negativity(P, singlet)
+    spectra = _eig(blocks, symmetric=True)
+    return n_minus_1, c1_sq, _wootters(spectra[:, 0]), _negativity(spectra[:, 1], singlet)
 
 
 def _tangle_columns(n_minus_1, c1_sq, c2, n2) -> tuple:

@@ -396,19 +396,20 @@ def test_check_output_is_frozen(monkeypatch, chunk_rows):
         "PASS a-monotonicity: margin 4.932e-09 (tightest at (N=100, k=2, a=0.9->1))",
         "PASS endpoint-max-at-a-0: margin 1.000e-09 (tightest at (N=6, k=1, a=0.1))",
         "PASS k-ordering: margin 4.932e-09 (tightest at (N=100, k=1->2, a=0.9))",
-        "PASS monogamy-tau: margin 1.000e-09 (tightest at (N=6, k=1, a=0))",
+        "PASS monogamy-tau: margin 1.000e-09 (tightest at (N=3, k=1, a=0.2))",
         "PASS monogamy-xi: margin 1.000e-09 (tightest at (N=3, k=1, a=1))",
-        "PASS n-decay: margin 1.000e-09 (tightest at (N=3->4, k=1, a=0))",
-        "PASS ordering-xi-ge-tau: margin 1.000e-09 (tightest at (N=10, k=5, a=0.3))",
+        "PASS n-decay: margin 1.000e-09 (tightest at (N=4->5, k=1, a=0.2))",
+        "PASS ordering-xi-ge-tau: margin 1.000e-09 (tightest at (N=4, k=2, a=0.3))",
         "PASS vanishing-at-a-1: margin 1.000e-09 (tightest at (N=3, k=1, a=1))",
-        "PASS w-class-saturation: margin 1.000e-09 (tightest at (N=3, k=1, a=0.3))",
+        "PASS w-class-saturation: margin 1.000e-09 (tightest at (N=3, k=1, a=0.2))",
     ]
 
 
 def _triple_engine_concurrence(monkeypatch):
-    """Triple C2 (clamped to 1) in the engine's output, with tau to match. concurrence_stack
-    shares the engine's concurrence core, so the error is planted after it, in the engine
-    alone, where the dense route cannot carry it too."""
+    """Triple C2 (clamped to 1) in the engine's output, with tau to match. The engine reads C2
+    from eigvalsh of triplet_blocks' H and concurrence_stack from eigvals of rho Y, and both
+    finish in _wootters, so the error is planted after the engine's C2, in the engine alone,
+    where the dense route cannot carry it too."""
     orig = measures._tangles
 
     def tripled(pairs, a):
@@ -681,7 +682,8 @@ def _per_point_deviations(n, k, grid):
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
     A, B, C, D, E, F = elements = marginals.marginal_elements(n, beta)
-    R, P, singlet, _ = marginals.triplet_blocks(*elements)
+    R, blocks, singlet, _ = marginals.triplet_blocks(*elements)
+    P = blocks[:, 1]
     h = math.sqrt(0.5)
     bell = np.array([[1, 0, 0, 0], [0, h, h, 0], [0, 0, 0, 1], [0, h, -h, 0]])
     devs = {name: 0.0 for name in ("state", "marginal", "partial-transpose", "pair-choice",

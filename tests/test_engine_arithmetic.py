@@ -1,11 +1,12 @@
 """The engine's stacked numpy calls against the termwise expressions they stand for.
 
-amplitude_rows, marginal_elements and triplet_blocks form their results in
-a few stacked numpy calls, and _wootters and _negativity test their aborts
-with one check on the usual path. Each is held here, bit for
-bit, to an in-test copy of the termwise expression (one numpy call per
-element, every abort tested on its own), and each abort to the error class
-and message the termwise checks raise, first failing check first.
+amplitude_rows, marginal_elements and triplet_blocks (its Cholesky factor
+and H among them) form their results in a few stacked numpy calls, and
+_wootters and _negativity test their aborts with one check on the usual
+path. Each is held here, bit for bit, to an in-test copy of the termwise
+expression (one numpy call per element, every abort tested on its own), and
+each abort to the error class and message the termwise checks raise, first
+failing check first.
 """
 
 import numpy as np
@@ -25,7 +26,8 @@ _SQRT1_2 = np.sqrt(0.5)
 _SQRT2 = np.sqrt(2.0)
 
 POINTS = [(2, 1), (3, 1), (10, 3), (64, 32), (1000, 500), (10**9, 3), (2**53, 2)]
-A_VALUES = [0.0, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0]
+# a = 0, 1e-160 (a subnormal first pivot at N = 2), 1e-300, 1 - 2^-53 and 1 reach zero pivots
+A_VALUES = [0.0, 1e-160, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0]
 A_VALUES += np.random.default_rng(26).random(16).tolist()
 
 
@@ -71,12 +73,34 @@ def _marginal_elements_termwise(n, beta):
     )
 
 
+def _h_termwise(A, B, C, D, E, F):
+    """H = L^T Y3 L of triplet_blocks' docstring, in the order (2, 1, 3): the pivots of R
+    and the entries of its unit lower factor U one by one, a zero pivot zeroing the rest of
+    its column of U; a pivot below the smallest normal double counts as zero."""
+    sB, sE = _SQRT2 * B, _SQRT2 * E
+    shape = np.shape(A)
+    tiny = np.finfo(float).tiny
+    u21 = np.divide(sB, A, out=np.zeros(shape), where=A >= tiny)
+    u31 = np.divide(C, A, out=np.zeros(shape), where=A >= tiny)
+    b_over_a = np.divide(B, A, out=np.zeros(shape), where=A >= tiny)
+    two_b2_over_a = 2.0 * B * b_over_a
+    d2 = np.maximum(2.0 * D - two_b2_over_a, 0.0)
+    e = sE - sB * u31
+    u32 = np.divide(e, d2, out=np.zeros(shape), where=d2 >= tiny)
+    d3 = np.maximum(F - C * u31 - e * u32, 0.0)
+    h12 = np.sqrt(A * d2) * (u21 - u32)
+    h13 = -np.sqrt(A * d3)
+    g = two_b2_over_a - 2.0 * C
+    zero = np.zeros(shape)
+    return np.array([d2, h12, zero, h12, g, h13, zero, h13, zero]).T.reshape(-1, 3, 3)
+
+
 def _triplet_blocks_termwise(A, B, C, D, E, F):
     sB, sE = _SQRT2 * B, _SQRT2 * E
     R = np.array([A, sB, C, sB, 2.0 * D, sE, C, sE, F]).T.reshape(-1, 3, 3)
     P = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
     rho1 = np.array([A + D, B + E, B + E, D + F]).T.reshape(-1, 2, 2)
-    return R, P, D - C, rho1
+    return R, np.stack([_h_termwise(A, B, C, D, E, F), P], axis=1), D - C, rho1
 
 
 def _first(values, bad):
@@ -100,8 +124,7 @@ def _wootters_termwise(mu):
     return np.minimum(value, 1.0)
 
 
-def _negativity_termwise(blocks, singlet):
-    eigs = np.linalg.eigvalsh(blocks)
+def _negativity_termwise(eigs, singlet):
     value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(singlet, 0.0)))
     bad = ~(value <= 1.0 + 1e-10)
     if bad.any():
@@ -127,13 +150,15 @@ def test_stacked_stages_equal_their_termwise_expressions(n, k):
     elements = marginal_elements(n, beta)
     for got, want in zip(elements, _marginal_elements_termwise(n, beta), strict=True):
         _same_bits(got, want)
-    R, P, singlet, rho1 = blocks = triplet_blocks(*elements)
-    for got, want in zip(blocks, _triplet_blocks_termwise(*elements), strict=True):
+    _, blocks, singlet, rho1 = stages = triplet_blocks(*elements)
+    for got, want in zip(stages, _triplet_blocks_termwise(*elements), strict=True):
         _same_bits(got, want)
     _same_bits(measures._c1_squared(rho1), _c1_squared_termwise(*elements))
-    mu = np.linalg.eigvals(measures._spin_flip(R))
-    _same_bits(measures._wootters(mu), _wootters_termwise(mu))
-    _same_bits(measures._negativity(P, singlet), _negativity_termwise(P, singlet))
+    spectra = marginals._eig(blocks, symmetric=True)
+    _same_bits(spectra, np.linalg.eigvalsh(blocks))
+    _same_bits(measures._wootters(spectra[:, 0]), _wootters_termwise(spectra[:, 0]))
+    eigs = spectra[:, 1]
+    _same_bits(measures._negativity(eigs, singlet), _negativity_termwise(eigs, singlet))
 
 
 def test_triplet_blocks_of_floats_equal_their_termwise_expressions():
@@ -160,10 +185,10 @@ def test_checks_pass_what_the_termwise_checks_pass():
     ):
         rho1 = triplet_blocks(*elements)[3]
         _same_bits(measures._c1_squared(rho1), _c1_squared_termwise(*elements))
-    blocks = np.array([np.diag([-0.2, 0.5, 0.5]), np.diag([0.0, 0.5, 0.5])])
+    eigs = np.array([[-0.2, 0.5, 0.5], [0.0, 0.5, 0.5]])
     for singlet in (np.array([-0.1, 0.0]), np.array([0.0, -0.0])):
-        _same_bits(measures._negativity(blocks, singlet), _negativity_termwise(blocks, singlet))
-    _same_bits(measures._negativity(np.empty((0, 3, 3)), np.empty(0)), np.empty(0))
+        _same_bits(measures._negativity(eigs, singlet), _negativity_termwise(eigs, singlet))
+    _same_bits(measures._negativity(np.empty((0, 3)), np.empty(0)), np.empty(0))
 
 
 # mu^2 = -4 + 1e-6j fails the imaginary-part abort, the negative-eigenvalue abort and
@@ -192,11 +217,11 @@ def test_wootters_names_the_first_failed_abort(mu, message):
 
 
 def test_negativity_aborts_read_as_the_termwise_checks():
-    blocks = np.array([np.diag([-0.2, 0.5, 0.5]), np.diag([-0.7, 1.0, 0.5])])
+    eigs = np.array([[-0.2, 0.5, 0.5], [-0.7, 0.5, 1.0]])
     cases = [
-        (measures._negativity, _negativity_termwise, (blocks, np.array([-0.1, 0.0])),
+        (measures._negativity, _negativity_termwise, (eigs, np.array([-0.1, 0.0])),
          (NumericalInstabilityError, "doubled negativity left [0, 1]: 1.4")),
-        (measures._negativity, _negativity_termwise, (blocks[:1], np.array([np.nan])),
+        (measures._negativity, _negativity_termwise, (eigs[:1], np.array([np.nan])),
          (NumericalInstabilityError, "doubled negativity left [0, 1]: nan")),
     ]
     for fn, termwise, args, want in cases:
@@ -204,16 +229,21 @@ def test_negativity_aborts_read_as_the_termwise_checks():
         assert _raised(termwise, *args) == want
 
 
+def _nan_spectra(mats, signature):
+    return np.full(mats.shape[:-1], np.nan)
+
+
 def test_engine_and_scalar_routes_name_the_first_failed_abort(monkeypatch):
-    # the spectra are planted in the eigvals gufunc, under the seam marginals._eig
+    # the spectra are planted in the gufuncs under the seam marginals._eig. The engine reads
+    # C2 from eigvalsh (real spectra), so a NaN is the first abort it can reach; the 4x4
+    # route reads eigvals and keeps the complex-eigenvalue abort
     rho = marginal_matrix(two_qubit_marginal(DickeParams(5, 2, 0.3)))
     lapack = marginals._umath_linalg
-    spectrum = np.array([[_THREE_ABORTS, 0.1, 0.1]])
-    monkeypatch.setattr(lapack, "eigvals", lambda mats, signature: spectrum)
+    with monkeypatch.context() as patch:
+        patch.setattr(lapack, "eigvalsh_lo", _nan_spectra)
+        want = (NumericalInstabilityError, "concurrence left [0, 1]: nan")
+        assert _raised(measures.tangle_record, DickeParams(5, 2, 0.3)) == want
+        assert _raised(measures.tangle_table, 5, 2, [0.1, 0.3]) == want
+    monkeypatch.setattr(lapack, "eigvals", lambda mats, signature: np.array([[_THREE_ABORTS] * 4]))
     want = (NumericalInstabilityError, _COMPLEX_MESSAGE)
-    assert _raised(measures.tangle_record, DickeParams(5, 2, 0.3)) == want
     assert _raised(measures.concurrence_two_qubit, rho) == want
-    monkeypatch.setattr(lapack, "eigvals", lambda mats, signature: np.full(mats.shape[:-1], np.nan))
-    want = (NumericalInstabilityError, "concurrence left [0, 1]: nan")
-    assert _raised(measures.tangle_record, DickeParams(5, 2, 0.3)) == want
-    assert _raised(measures.tangle_table, 5, 2, [0.1, 0.3]) == want

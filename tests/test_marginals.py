@@ -84,8 +84,8 @@ SINGLET = np.array([0.0, _R, -_R, 0.0])
 
 
 def _blocks(m):
-    R, P, singlet, _ = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
-    return R[0], P[0], singlet[0]
+    R, blocks, singlet, _ = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
+    return R[0], blocks[0, 1], singlet[0]
 
 
 def test_partial_transpose_of_half_filled_point():
@@ -212,17 +212,21 @@ def _fails_to_converge(mats, signature):
 
 def test_eig_is_numpys_eigensolver():
     # every engine block of the README sweep (N = 10 and 100, every k, 101 a), read as the
-    # engine reads them: the eigenvalues of R Y3 (C2) and the ascending ones of P (N2)
+    # engine reads them: the ascending eigenvalues of H (C2) and of P (N2) in one stack; and
+    # the eigenvalues of rho Y of the same marginals' 4x4s, as concurrence_stack reads them
     grid = _a_grid(0.0, 1.0, 101)
     pairs = [(n, k) for n in (10, 100) for k in range(1, n // 2 + 1)]
     columns = zip(*(marginal_elements(n, amplitude_rows(n, k, grid)) for n, k in pairs))
-    R, P, _, _ = triplet_blocks(*(np.concatenate(col) for col in columns))
-    flipped = measures._spin_flip(R)
-    assert len(flipped) == len(P) == 5555
+    A, B, C, D, E, F = elements = [np.concatenate(col) for col in columns]
+    blocks = triplet_blocks(*elements)[1]
+    assert blocks.shape == (5555, 2, 3, 3)
+    _same_bits(marginals._eig(blocks, symmetric=True), np.linalg.eigvalsh(blocks))
+    rhos = np.array([A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F]).T.reshape(-1, 4, 4)
+    flipped = rhos[..., ::-1] * measures._FLIP_SIGNS
     _same_bits(marginals._eig(flipped), np.linalg.eigvals(flipped))
-    _same_bits(marginals._eig(P, symmetric=True), np.linalg.eigvalsh(P))
-    # a rotation by pi/2 about the third axis has the spectrum i, -i, 1
-    turn = np.array([[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+    # a rotation by pi/2 in the first two axes has the spectrum i, -i, 1, 1
+    turn = np.array([[[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]]])
     assert marginals._eig(turn).dtype == complex
     _same_bits(marginals._eig(turn), np.linalg.eigvals(turn))
     # one complex spectrum in a stack makes every row complex, as in numpy

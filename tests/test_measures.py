@@ -91,12 +91,16 @@ def test_concurrence_of_dense_marginals_equals_the_matrix_product_route():
 
 
 def test_eigensolver_failure_raises_no_convergence(monkeypatch):
+    # the engine's one eigensolve is eigvalsh of [H, P]; the 4x4 route keeps eigvals
     rho = marginal_matrix(two_qubit_marginal(DickeParams(5, 2, 0.3)))
+    with monkeypatch.context() as patch:
+        patch.setattr(marginals._umath_linalg, "eigvalsh_lo", _fails_to_converge)
+        with pytest.raises(NumericalInstabilityError, match="did not converge"):
+            tangle_record(DickeParams(5, 2, 0.3))
     monkeypatch.setattr(marginals._umath_linalg, "eigvals", _fails_to_converge)
     with pytest.raises(NumericalInstabilityError, match="did not converge"):
-        tangle_record(DickeParams(5, 2, 0.3))
-    with pytest.raises(NumericalInstabilityError, match="did not converge"):
         concurrence_two_qubit(rho)
+    assert tangle_record(DickeParams(5, 2, 0.3)).c2_sq > 0.0
 
 
 def test_concurrence_input_checks():
@@ -122,6 +126,33 @@ def test_concurrence_two_qubit_is_the_one_row_view_of_concurrence_stack():
     for i, rho in enumerate(rhos):
         assert concurrence_two_qubit(rho) == measures.concurrence_stack(rho.to_array()[None])[0]
         assert concurrence_two_qubit(rho) == stack[i]
+
+
+_README_PAIRS = [(n, k) for n in (10, 100) for k in range(1, n // 2 + 1)]
+_LARGE_N_PAIRS = [(n, k) for n in (1000, 2000) for k in (1, 2, 3, 4, 5, *range(25, 501, 25))]
+
+
+@pytest.mark.parametrize(
+    "pairs, grid",
+    [
+        (_README_PAIRS, _a_grid(0.0, 1.0, 101)),
+        (_LARGE_N_PAIRS, _a_grid(0.0, 1.0, 21)),
+        # N = 2 near a = 1e-160, where the first pivot A = a^2 passes through the subnormals
+        ([(2, 1)], 10.0 ** -np.arange(150.0, 165.0, 0.25)),
+    ],
+    ids=["readme", "large-n-sweep", "subnormal-pivot"],
+)
+def test_engine_concurrence_matches_the_dense_4x4_route(pairs, grid):
+    """The engine's C2 (eigvalsh of the symmetric H of triplet_blocks) against
+    concurrence_stack of the same marginals assembled as 4x4s (eigvals of rho Y, with no
+    factorisation): two routes that share only _wootters' last step."""
+    table = tangle_grid(pairs, grid)
+    per_pair = [marginal_elements(n, amplitude_rows(n, k, grid)) for n, k in pairs]
+    A, B, C, D, E, F = (np.concatenate(col) for col in zip(*per_pair))
+    rhos = np.array([A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F]).T.reshape(-1, 4, 4)
+    gap = np.abs(np.sqrt(table.c2_sq) - measures.concurrence_stack(rhos))
+    assert len(gap) == len(pairs) * len(grid)
+    assert gap.max() <= 4e-15
 
 
 def _asymmetric():
@@ -221,8 +252,8 @@ def test_negativity_aborts_on_garbage_marginal():
     with pytest.raises(NotDensityMatrixError, match="positive semidefinite"):
         TwoQubitMarginal(DickeParams(4, 2, 0.5), *elements)
     _, blocks, singlet, _ = triplet_blocks(*np.array(elements)[:, None])
-    with pytest.raises(NumericalInstabilityError):
-        measures._negativity(blocks, singlet)
+    with pytest.raises(NumericalInstabilityError, match="doubled negativity left"):
+        measures._negativity(measures._eig(blocks[:, 1], symmetric=True), singlet)
 
 
 def test_tangle_record_w_state():
@@ -506,7 +537,8 @@ def test_psd_abort_reads_the_same_through_both_routes():
 
 
 def test_concurrence_cubic_meets_the_negativity_block_on_the_readme_grid():
-    """C2 reads the eigenvalues mu of R Y3, the roots of p(mu) = mu^3 - e1 mu^2 + e2 mu - e3
+    """C2 reads the eigenvalues mu of H, similar to R Y3: the roots of
+    p(mu) = mu^3 - e1 mu^2 + e2 mu - e3
     with e1 = 2(D - C), e2 = C^2 - AF - 4CD + 4BE and e3 = -2(ADF - AE^2 - B^2 F + 2BCE - C^2 D);
     N2 reads the eigenvalues of the partial-transpose block P. Symbolically p(e1/2) = det P.
     This holds both on every engine row of the README sweep (N = 10, 100, every k, 101 a)."""
@@ -518,12 +550,12 @@ def test_concurrence_cubic_meets_the_negativity_block_on_the_readme_grid():
     e1 = 2.0 * (D - C)
     e2 = C * C - A * F - 4.0 * C * D + 4.0 * B * E
     e3 = -2.0 * (A * D * F - A * E * E - B * B * F + 2.0 * B * C * E - C * C * D)
-    R, P, _, _ = triplet_blocks(*elements)
-    mu = measures._eig(measures._spin_flip(R))
-    m0, m1, m2 = mu[:, 0], mu[:, 1], mu[:, 2]
+    # the engine's one eigensolve: row 0 is the spectrum of H, similar to R Y3; row 1 that of P
+    spectra = measures._eig(triplet_blocks(*elements)[1], symmetric=True)
+    m0, m1, m2 = spectra[:, 0, 0], spectra[:, 0, 1], spectra[:, 0, 2]
     assert np.abs(m0 + m1 + m2 - e1).max() <= 1e-14
     assert np.abs(m0 * m1 + m0 * m2 + m1 * m2 - e2).max() <= 1e-14
     assert np.abs(m0 * m1 * m2 - e3).max() <= 1e-14
     h = 0.5 * e1
-    det_p = measures._eig(P, symmetric=True).prod(axis=1)
+    det_p = spectra[:, 1].prod(axis=1)
     assert np.abs(((h - e1) * h + e2) * h - e3 - det_p).max() <= 1e-14
