@@ -349,7 +349,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     rho2, rho1 = np.array(rho2), np.array(rho1)
     swapped = rho2.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     c2, c1 = measures.concurrence_stack(rho2), measures.one_vs_rest_stack(rho1)
-    n2 = np.maximum(0.0, np.abs(marginals._eig(swapped, symmetric=True)).sum(axis=1) - 1.0)
+    n2 = np.maximum(0.0, np.abs(marginals._eig(swapped)).sum(axis=1) - 1.0)
     engine = np.stack((np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)))
     traced = np.trace(rho2.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
     return {

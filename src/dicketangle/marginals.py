@@ -52,23 +52,16 @@ def _no_convergence(err, flag):
     raise NumericalInstabilityError("eigensolver failed: Eigenvalues did not converge")
 
 
-def _eig(mats: np.ndarray, symmetric: bool = False) -> np.ndarray:
-    """Eigenvalues of each real square matrix of a stack: the one seam to LAPACK. Bit for bit
-    np.linalg.eigvalsh (lower triangle) if symmetric, else np.linalg.eigvals, by the gufuncs
-    they wrap: a non-finite entry (eigvals only) and non-convergence raise
-    NumericalInstabilityError "eigensolver failed: ...", and eigvals' stack is real exactly
-    when every imaginary part is 0 (test_eig_is_numpys_eigensolver)."""
-    if symmetric:
-        gufunc, signature = _umath_linalg.eigvalsh_lo, "d->d"
-    elif np.logical_and.reduce(np.isfinite(mats), axis=None):
-        gufunc, signature = _umath_linalg.eigvals, "d->D"
-    else:
-        raise NumericalInstabilityError("eigensolver failed: Array must not contain infs or NaNs")
+def _eig(mats: np.ndarray, vectors: bool = False):
+    """Eigenvalues of each real symmetric matrix of a stack, read from its lower triangle, and
+    with vectors its eigenvectors too: the one seam to LAPACK. Bit for bit np.linalg.eigvalsh,
+    or np.linalg.eigh with vectors, by the gufuncs they wrap; non-convergence raises
+    NumericalInstabilityError "eigensolver failed: ..." (test_eig_is_numpys_eigensolver)."""
+    gufunc, signature = (
+        (_umath_linalg.eigh_lo, "d->dd") if vectors else (_umath_linalg.eigvalsh_lo, "d->d")
+    )
     with np.errstate(call=_no_convergence, all="ignore", invalid="call"):
-        w = gufunc(mats, signature=signature)
-    if symmetric or np.count_nonzero(w.imag):
-        return w
-    return w.real
+        return gufunc(mats, signature=signature)
 
 
 def _first(values: np.ndarray, bad: np.ndarray):
@@ -102,7 +95,7 @@ def density_stack(values, dim: int, what: str) -> np.ndarray:
     skew = np.maximum.reduce(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
     bad = skew > _SYM_TOL * np.maximum.reduce(np.abs(arr), axis=(1, 2))
     _refuse(bad, skew, f"{what} must be symmetric, got an entry off its transpose by")
-    low = _eig(arr, symmetric=True)[:, 0]
+    low = _eig(arr)[:, 0]
     _refuse(low < -_PSD_TOL, low, f"{what} must be positive semidefinite, got smallest eigenvalue")
     diagonal = arr.diagonal(axis1=1, axis2=2)
     _refuse(diagonal < 0.0, diagonal, f"{what} must have a nonnegative diagonal, got")

@@ -43,11 +43,10 @@ from .marginals import (
 )
 from .smallmat import SmallMatrix
 
-_IMAG_ABORT = 1e-8
 _RANGE_TOL = 1e-10
 
-# column signs of rho @ Y for Y = sigma_y x sigma_y
-_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+# row signs of Y @ G for Y = sigma_y x sigma_y, as a column
+_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -86,29 +85,17 @@ class TangleTable(NamedTuple):
 
 
 def _wootters(mu: np.ndarray) -> np.ndarray:
-    """Concurrence from the eigenvalues mu of rho Y along the last axis.
+    """Concurrence from the real eigenvalues mu of a symmetric matrix similar to rho Y, along
+    the last axis.
 
     For real rho, Y = sigma_y x sigma_y is a real signed permutation with
     Y^2 = I, so rho rho~ = (rho Y)^2 and the Wootters square-root eigenvalues
     are |mu|: no product is formed and no square root amplifies noise. The
-    engine passes the real spectrum of the symmetric H of
-    marginals.triplet_blocks (the eigenvalues of R Y3, which are those of rho Y
-    less the singlet's zero), and concurrence_stack the eigvals of rho Y, which
-    may be complex. The exact eigenvalues mu^2 of rho rho~ are real and
-    nonnegative; an imaginary part beyond 1e-8 or a real part below -1e-10
-    aborts, and so does a concurrence above 1 + 1e-10 or NaN, in that order. A
-    real mu has mu^2 >= 0 or NaN, so only a complex mu is tested for the first two.
+    engine passes the spectrum of the H of marginals.triplet_blocks (the
+    eigenvalues of R Y3, which are those of rho Y less the singlet's zero), and
+    concurrence_stack that of the M of _concurrence. A concurrence above
+    1 + 1e-10, or NaN, aborts.
     """
-    if mu.dtype.kind == "c":
-        lam = mu * mu
-        bad = np.abs(lam.imag) > _IMAG_ABORT
-        if np.logical_or.reduce(bad, axis=None):
-            raise NumericalInstabilityError(f"complex eigenvalue of rho rho~: {_first(lam, bad)!r}")
-        bad = lam.real < -_RANGE_TOL
-        if np.logical_or.reduce(bad, axis=None):
-            raise NumericalInstabilityError(
-                f"negative eigenvalue of rho rho~: {_first(lam, bad)!r}"
-            )
     roots = np.abs(mu)
     roots.sort(axis=-1)
     value = np.maximum(_ZERO, roots[..., -1] - np.add.reduce(roots[..., :-1], axis=-1))
@@ -125,12 +112,17 @@ def _at_most_one(value: np.ndarray, name: str) -> np.ndarray:
 
 
 def _concurrence(rhos: np.ndarray) -> np.ndarray:
-    """Concurrence of each 4x4 density matrix, from the eigvals of rho Y: concurrence_stack's
-    core. Y is a real signed permutation (-1 on the outer antidiagonal), so rho Y is rho with
-    its columns reversed and the outer two negated. The engine's C2 comes from eigvalsh of
-    the H of marginals.triplet_blocks instead, with no factorisation here, so this route
-    checks it (test_engine_concurrence_matches_the_dense_4x4_route)."""
-    return _wootters(_eig(rhos[..., ::-1] * _FLIP_SIGNS))
+    """Concurrence of each 4x4 density matrix: concurrence_stack's core. With rho = V W V^T
+    (eigh, W clamped at 0) and G = V sqrt(W), rho = G G^T and the symmetric M = G^T Y G has
+    the eigenvalues of rho Y (XY and YX have the same ones); M^2 is similar to Wootters'
+    sqrt(rho) rho~ sqrt(rho). Y is a real signed permutation (-1 on the outer antidiagonal),
+    so Y G is G with its rows reversed and the outer two negated. The engine's C2 comes from
+    the H of marginals.triplet_blocks instead, the same form on the triplet block with a
+    Cholesky factor, so this route checks it
+    (test_engine_concurrence_matches_the_dense_4x4_route)."""
+    w, v = _eig(rhos, vectors=True)
+    g = v * np.sqrt(np.maximum(w, _ZERO))[..., None, :]
+    return _wootters(_eig(g.swapaxes(-1, -2) @ (g[..., ::-1, :] * _FLIP_SIGNS)))
 
 
 def concurrence_stack(rhos) -> np.ndarray:
@@ -193,7 +185,7 @@ def negativity_two_qubit(m: TwoQubitMarginal) -> float:
     """Doubled negativity ||rho_2^T_B||_1 - 1 of the two-qubit marginal, in [0, 1]."""
     check_type(m, TwoQubitMarginal, "m")
     _, blocks, singlet, _ = triplet_blocks(m.A, m.B, m.C, m.D, m.E, m.F)
-    return _negativity(_eig(blocks[:, 1], symmetric=True), singlet).item()
+    return _negativity(_eig(blocks[:, 1]), singlet).item()
 
 
 def _checked_pairs(pairs) -> list[tuple[int, int]]:
@@ -251,7 +243,7 @@ def _measure_rows(pairs: list[tuple[int, int]], a: np.ndarray) -> tuple:
         n_minus_1 = np.repeat(np.array([n - 1 for n, _ in pairs], dtype=float), len(a))
     _, blocks, singlet, rho1 = triplet_blocks(*elements)
     c1_sq = _c1_squared(rho1)
-    spectra = _eig(blocks, symmetric=True)
+    spectra = _eig(blocks)
     return n_minus_1, c1_sq, _wootters(spectra[:, 0]), _negativity(spectra[:, 1], singlet)
 
 

@@ -407,9 +407,9 @@ def test_check_output_is_frozen(monkeypatch, chunk_rows):
 
 def _triple_engine_concurrence(monkeypatch):
     """Triple C2 (clamped to 1) in the engine's output, with tau to match. The engine reads C2
-    from eigvalsh of triplet_blocks' H and concurrence_stack from eigvals of rho Y, and both
-    finish in _wootters, so the error is planted after the engine's C2, in the engine alone,
-    where the dense route cannot carry it too."""
+    from eigvalsh of triplet_blocks' H and concurrence_stack from eigvalsh of G^T Y G, and
+    both finish in _wootters, so the error is planted after the engine's C2, in the engine
+    alone, where the dense route cannot carry it too."""
     orig = measures._tangles
 
     def tripled(pairs, a):

@@ -213,49 +213,43 @@ def _fails_to_converge(mats, signature):
 def test_eig_is_numpys_eigensolver():
     # every engine block of the README sweep (N = 10 and 100, every k, 101 a), read as the
     # engine reads them: the ascending eigenvalues of H (C2) and of P (N2) in one stack; and
-    # the eigenvalues of rho Y of the same marginals' 4x4s, as concurrence_stack reads them
+    # the eigenpairs of the same marginals' 4x4s, as concurrence_stack reads them
     grid = _a_grid(0.0, 1.0, 101)
     pairs = [(n, k) for n in (10, 100) for k in range(1, n // 2 + 1)]
     columns = zip(*(marginal_elements(n, amplitude_rows(n, k, grid)) for n, k in pairs))
     A, B, C, D, E, F = elements = [np.concatenate(col) for col in columns]
     blocks = triplet_blocks(*elements)[1]
     assert blocks.shape == (5555, 2, 3, 3)
-    _same_bits(marginals._eig(blocks, symmetric=True), np.linalg.eigvalsh(blocks))
+    _same_bits(marginals._eig(blocks), np.linalg.eigvalsh(blocks))
     rhos = np.array([A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F]).T.reshape(-1, 4, 4)
-    flipped = rhos[..., ::-1] * measures._FLIP_SIGNS
-    _same_bits(marginals._eig(flipped), np.linalg.eigvals(flipped))
-    # a rotation by pi/2 in the first two axes has the spectrum i, -i, 1, 1
-    turn = np.array([[[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
-                      [0.0, 0.0, 0.0, 1.0]]])
-    assert marginals._eig(turn).dtype == complex
-    _same_bits(marginals._eig(turn), np.linalg.eigvals(turn))
-    # one complex spectrum in a stack makes every row complex, as in numpy
-    mixed = np.concatenate([flipped[:2], turn, flipped[2:3]])
-    assert marginals._eig(mixed).dtype == complex
-    assert not np.iscomplexobj(marginals._eig(flipped[:3]))
-    _same_bits(marginals._eig(mixed), np.linalg.eigvals(mixed))
+    w, v = marginals._eig(rhos, vectors=True)
+    want_w, want_v = np.linalg.eigh(rhos)
+    _same_bits(w, want_w)
+    _same_bits(v, want_v)
 
 
-@pytest.mark.parametrize("symmetric, gufunc", [(False, "eigvals"), (True, "eigvalsh_lo")])
-def test_eig_failures_are_typed(monkeypatch, symmetric, gufunc):
-    # eigvals refuses a non-finite entry before LAPACK runs; eigvalsh passes it on, and
-    # LAPACK may fail on it or return NaN, and then _eig does the same
+@pytest.mark.parametrize("vectors, gufunc", [(False, "eigvalsh_lo"), (True, "eigh_lo")])
+def test_eig_failures_are_typed(monkeypatch, vectors, gufunc):
+    # a non-finite entry goes on to LAPACK, which may fail on it or return NaN, and then
+    # _eig does the same as numpy
     mats = np.array([np.eye(3), np.diag([0.5, 0.25, 0.25])])
+    solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
     for bad in (np.nan, np.inf):
         mats[1, 0, 1] = mats[1, 1, 0] = bad
-        solver = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
         try:
             want = solver(mats)
         except np.linalg.LinAlgError as exc:
             with pytest.raises(NumericalInstabilityError, match=f"^eigensolver failed: {exc}$"):
-                marginals._eig(mats, symmetric=symmetric)
+                marginals._eig(mats, vectors)
         else:
-            _same_bits(marginals._eig(mats, symmetric=symmetric), want)
-    with pytest.raises(NumericalInstabilityError, match=r"^eigensolver failed: Array must not "):
-        marginals._eig(mats)
+            got = marginals._eig(mats, vectors)
+            if not vectors:
+                got, want = [got], [want]
+            for got_part, want_part in zip(got, want, strict=True):
+                _same_bits(got_part, want_part)
     monkeypatch.setattr(marginals._umath_linalg, gufunc, _fails_to_converge)
     with pytest.raises(NumericalInstabilityError, match=r"^eigensolver failed: Eigenvalues "):
-        marginals._eig(np.array([np.eye(3)]), symmetric=symmetric)
+        marginals._eig(np.array([np.eye(3)]), vectors)
 
 
 def test_single_qubit_marginal_validation():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dicketangle import marginals, measures, oracle
-from dicketangle.cli import _a_grid
+from dicketangle.cli import _a_grid, main
 from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import (
     InvalidParamsError,
@@ -79,25 +79,72 @@ def test_concurrence_matches_corner_closed_form():
 
 
 def test_concurrence_of_dense_marginals_equals_the_matrix_product_route():
-    # every (N, k) with N <= 12 at 21 values of a: the column flip must give
-    # the bits of eig(rho @ (sigma_y x sigma_y))
+    # every (N, k) with N <= 12 at 21 values of a: the row flip must give the bits of
+    # eigvalsh(G^T (sigma_y x sigma_y) G), with G = V sqrt(W) from eigh(rho) = (W, V)
     y4 = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
     for n in range(2, 13):
         for k in range(1, n // 2 + 1):
             for a in [i / 20 for i in range(21)]:
                 rho = oracle.partial_trace_to_two(oracle.expand_state(DickeParams(n, k, a)))
-                want = measures._wootters(np.linalg.eigvals(rho.to_array() @ y4))
+                w, v = np.linalg.eigh(rho.to_array())
+                g = v * np.sqrt(np.maximum(w, 0.0))
+                want = measures._wootters(np.linalg.eigvalsh(g.T @ (y4 @ g)))
                 assert concurrence_two_qubit(rho) == float(want), (n, k, a)
 
 
+# the four real Bell states Phi+, Phi-, Psi+ and the singlet Psi-, one a row
+_BELL_STATES = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "corner",
+    [None, (1, 0, 0, 0), (0.5, 0.5, 0, 0), (1 / 3, 1 / 3, 1 / 3, 0)],
+    ids=["seeded", "pure", "two", "three"],
+)
+def test_concurrence_of_bell_diagonal_states_is_two_lambda_max_minus_one(corner):
+    """rho = sum_i lambda_i |B_i><B_i| has C = max(0, 2 lambda_max - 1). These states have
+    singlet weight, which no Dicke-class marginal has, so only the dense route meets them.
+    Each corner puts its weights on every Bell state in turn, the singlet included."""
+    if corner is None:
+        lam = np.random.default_rng(34).dirichlet(np.ones(4), size=200)
+    else:
+        lam = np.array([np.roll(corner, shift) for shift in range(4)], dtype=float)
+    rhos = (_BELL_STATES.T * lam[:, None, :]) @ _BELL_STATES
+    want = np.maximum(0.0, 2.0 * lam.max(axis=1) - 1.0)
+    assert np.abs(measures.concurrence_stack(rhos) - want).max() <= 1e-14
+    for rho, c in zip(rhos, want):
+        assert abs(concurrence_two_qubit(SmallMatrix(4, rho.ravel())) - c) <= 1e-14
+
+
+def test_no_entry_point_reaches_a_nonsymmetric_eigensolver(monkeypatch):
+    # every spectrum is read from a real symmetric matrix: eigvalsh, or eigh for the dense
+    # 4x4 route's factor, and never the general eigvals or eig
+    def nonsymmetric(*args, **kwargs):
+        raise AssertionError("a nonsymmetric eigensolver was called")
+
+    for name in ("eigvals", "eig"):
+        monkeypatch.setattr(marginals._umath_linalg, name, nonsymmetric)
+    params = DickeParams(5, 2, 0.3)
+    tangle_record(params)
+    tangle_grid([(5, 2), (12, 6)], [0.0, 0.5, 1.0])
+    m = two_qubit_marginal(params)
+    rho = marginal_matrix(m)
+    concurrence_two_qubit(rho)
+    negativity_two_qubit(m)
+    one_vs_rest(single_qubit_marginal(m))
+    TwoQubitMarginal(None, m.A, m.B, m.C, m.D, m.E, m.F)
+    SingleQubitMarginal(None, SmallMatrix(2, (0.5, 0.25, 0.25, 0.5)))
+    assert main(["oracle", "--n-max", "4", "--a-steps", "3"]) == 0
+
+
 def test_eigensolver_failure_raises_no_convergence(monkeypatch):
-    # the engine's one eigensolve is eigvalsh of [H, P]; the 4x4 route keeps eigvals
+    # the engine's one eigensolve is eigvalsh of [H, P]; the 4x4 route starts with eigh
     rho = marginal_matrix(two_qubit_marginal(DickeParams(5, 2, 0.3)))
     with monkeypatch.context() as patch:
         patch.setattr(marginals._umath_linalg, "eigvalsh_lo", _fails_to_converge)
         with pytest.raises(NumericalInstabilityError, match="did not converge"):
             tangle_record(DickeParams(5, 2, 0.3))
-    monkeypatch.setattr(marginals._umath_linalg, "eigvals", _fails_to_converge)
+    monkeypatch.setattr(marginals._umath_linalg, "eigh_lo", _fails_to_converge)
     with pytest.raises(NumericalInstabilityError, match="did not converge"):
         concurrence_two_qubit(rho)
     assert tangle_record(DickeParams(5, 2, 0.3)).c2_sq > 0.0
@@ -144,8 +191,8 @@ _LARGE_N_PAIRS = [(n, k) for n in (1000, 2000) for k in (1, 2, 3, 4, 5, *range(2
 )
 def test_engine_concurrence_matches_the_dense_4x4_route(pairs, grid):
     """The engine's C2 (eigvalsh of the symmetric H of triplet_blocks) against
-    concurrence_stack of the same marginals assembled as 4x4s (eigvals of rho Y, with no
-    factorisation): two routes that share only _wootters' last step."""
+    concurrence_stack of the same marginals assembled as 4x4s (eigvalsh of G^T Y G, with G
+    from eigh of rho, not a Cholesky factor of R): two routes that share only _wootters."""
     table = tangle_grid(pairs, grid)
     per_pair = [marginal_elements(n, amplitude_rows(n, k, grid)) for n, k in pairs]
     A, B, C, D, E, F = (np.concatenate(col) for col in zip(*per_pair))
@@ -253,7 +300,7 @@ def test_negativity_aborts_on_garbage_marginal():
         TwoQubitMarginal(DickeParams(4, 2, 0.5), *elements)
     _, blocks, singlet, _ = triplet_blocks(*np.array(elements)[:, None])
     with pytest.raises(NumericalInstabilityError, match="doubled negativity left"):
-        measures._negativity(measures._eig(blocks[:, 1], symmetric=True), singlet)
+        measures._negativity(measures._eig(blocks[:, 1]), singlet)
 
 
 def test_tangle_record_w_state():
@@ -518,10 +565,6 @@ def test_tangle_table_rejects_a_grid_of_more_than_one_dimension():
 def test_engine_aborts_keep_their_types():
     # spectra a physical marginal cannot produce: the aborts must fire, not clip
     with pytest.raises(NumericalInstabilityError):
-        measures._wootters(np.array([[0.5 + 0.1j, 0.5 - 0.1j, 0.0]]))  # complex rho rho~ spectrum
-    with pytest.raises(NumericalInstabilityError):
-        measures._wootters(np.array([[1e-3j, -1e-3j, 0.1]]))  # negative rho rho~ eigenvalue
-    with pytest.raises(NumericalInstabilityError):
         measures._wootters(np.array([[1.5, 0.1, 0.1]]))  # concurrence 1.3
     with pytest.raises(NumericalInstabilityError):
         measures._wootters(np.array([[np.nan, 0.1, 0.1]]))
@@ -551,7 +594,7 @@ def test_concurrence_cubic_meets_the_negativity_block_on_the_readme_grid():
     e2 = C * C - A * F - 4.0 * C * D + 4.0 * B * E
     e3 = -2.0 * (A * D * F - A * E * E - B * B * F + 2.0 * B * C * E - C * C * D)
     # the engine's one eigensolve: row 0 is the spectrum of H, similar to R Y3; row 1 that of P
-    spectra = measures._eig(triplet_blocks(*elements)[1], symmetric=True)
+    spectra = measures._eig(triplet_blocks(*elements)[1])
     m0, m1, m2 = spectra[:, 0, 0], spectra[:, 0, 1], spectra[:, 0, 2]
     assert np.abs(m0 + m1 + m2 - e1).max() <= 1e-14
     assert np.abs(m0 * m1 + m0 * m2 + m1 * m2 - e2).max() <= 1e-14
