@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "CapExceededError",

@@ -277,7 +277,7 @@ def run_check(n_max: int, a_steps: int, tol: float) -> int:
 
 def _largest(*diffs) -> float:
     """The largest modulus over every entry of diffs; a NaN anywhere makes it NaN."""
-    return float(np.max([np.max(np.abs(diff)) for diff in diffs]))
+    return float(np.maximum.reduce([np.maximum.reduce(np.abs(d), axis=None) for d in diffs]))
 
 
 def _block_diagonal(blocks, corner) -> np.ndarray:
@@ -309,13 +309,15 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
                            the trace norm of its axis-swapped partial transpose minus 1,
                            and one_vs_rest_stack of the dense one-qubit marginals
 
-    T is _BELL. Per point run only the public dense route: expand_state and both partial
-    traces. The rest runs per slice of at most _ORACLE_ROWS points, on their stacked 2^N
-    amplitudes: symmetrized_states, the state= and Dicke-amplitude differences, and
-    pair-choice=, which compares the 01 block of each neighbouring qubit pair with its 10
-    block (the 00 and 11 blocks map to themselves).
-    The dense marginals are stacked, and concurrence_stack, one_vs_rest_stack and the
-    comparisons with the engine's arrays run once per (N, k). A NaN makes its key NaN.
+    T is _BELL. Everything runs per slice of at most _ORACLE_ROWS points: expand_states
+    gives their stacked 2^N amplitudes, partial_traces their dense rho2 and rho1,
+    symmetrized_states the states to compare with, and pair-choice= compares the 01 block
+    of each neighbouring qubit pair with its 10 block (the 00 and 11 blocks map to
+    themselves). At each slice's first a the public one-point route, expand_state and both
+    partial traces, runs too; its difference from that slice's first rows, 0 when they agree
+    bit for bit, counts in state=, marginal= and rho1=. The dense marginals of all slices
+    are stacked, and concurrence_stack, one_vs_rest_stack and the comparisons with the
+    engine's arrays run once per (N, k). A NaN makes its key NaN.
     """
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
@@ -325,28 +327,30 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     dicke_index = (1 << np.arange(k + 1)) - 1
     dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])
     up = Spinor(1.0, 0.0)
-    state, pair_choice, rho2, rho1 = [], [], [], []
+    state, pair_choice, rho2, rho1, public2, public1 = [], [], [], [], [], []
     for start in range(0, len(grid), _ORACLE_ROWS):
         part = grid[start:start + _ORACLE_ROWS]
         m = len(part)
-        psi, eps2 = np.empty((m, 2**n), dtype=complex), []
-        for i, a in enumerate(part):
-            params = DickeParams(n, k, a)
-            dense = oracle.expand_state(params)
-            brute, single = oracle.partial_trace_to_two(dense), oracle.partial_trace_to_one(dense)
-            psi[i] = dense.amplitudes
-            eps2.append(Spinor(a, params.b))
-            rho2.append(brute.to_array())
-            rho1.append(single.to_array())
+        psi = oracle.expand_states(n, k, part)
+        two, one = oracle.partial_traces(psi, 4), oracle.partial_traces(psi, 2)
+        rho2.append(two)
+        rho1.append(one)
+        # the public one-point route at the slice's first a, against the first stacked rows
+        dense = oracle.expand_state(DickeParams(n, k, part[0]))
+        public2.append(oracle.partial_trace_to_two(dense).to_array() - two[0])
+        public1.append(oracle.partial_trace_to_one(dense).to_array() - one[0])
         # the symmetrized states less the dense ones, in place
+        eps2 = [Spinor(a, DickeParams(n, k, a).b) for a in part]
         sym = oracle.symmetrized_states(n, k, up, eps2)
         sym -= psi
-        state.append(_largest(sym, dicke_norm * psi[:, dicke_index] - beta[start:start + m]))
+        state.append(_largest(
+            sym, dense.amplitudes - psi[0], dicke_norm * psi[:, dicke_index] - beta[start:start + m]
+        ))
         # axes 2 and 3 are qubits q + 1 and q + 2; one pair's difference exists at a time
         pairs = (psi.reshape(m, 2**q, 2, 2, -1) for q in range(n - 1))
         pair_choice += (_largest(x[:, :, 0, 1] - x[:, :, 1, 0]) for x in pairs)
 
-    rho2, rho1 = np.array(rho2), np.array(rho1)
+    rho2, rho1 = np.concatenate(rho2), np.concatenate(rho1)
     swapped = rho2.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     c2, c1 = measures.concurrence_stack(rho2), measures.one_vs_rest_stack(rho1)
     n2 = np.maximum(0.0, np.abs(marginals._eig(swapped)).sum(axis=1) - 1.0)
@@ -354,12 +358,12 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     traced = np.trace(rho2.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
     return {
         "state": _largest(state),
-        "marginal": _largest(_BELL @ rho2 @ _BELL.T - _block_diagonal(R, 0.0)),
+        "marginal": _largest(_BELL @ rho2 @ _BELL.T - _block_diagonal(R, 0.0), *public2),
         "partial-transpose": _largest(
             _BELL @ swapped @ _BELL.T - _block_diagonal(blocks[:, 1], singlet)
         ),
         "pair-choice": _largest(pair_choice),
-        "rho1": _largest(rho1 - engine_rho1, traced - rho1),
+        "rho1": _largest(rho1 - engine_rho1, traced - rho1, *public1),
         "measures": _largest(engine - (c2, n2, c1)),
     }
 

@@ -74,16 +74,18 @@ def _refuse(bad: np.ndarray, values: np.ndarray, message: str) -> None:
         raise NotDensityMatrixError(f"{message} {_first(values, bad)!r}")
 
 
-def density_stack(values, dim: int, what: str) -> np.ndarray:
+def density_stack(values, dim: int, what: str, vectors: bool = False):
     """The density-matrix rule: values as a float array of shape (m, dim, dim) whose every
     matrix is a real density matrix, for each matrix that enters as one.
 
     values go through check_numbers; another shape, or an entry that is not finite,
     raises InvalidParamsError. Then, in this order, each matrix must have unit trace to
-    within TRACE_TOL, be symmetric to within 1e-12 of its largest entry (eigvalsh reads
-    one triangle only), have no eigvalsh eigenvalue below -1e-10 and no negative diagonal
+    within TRACE_TOL, be symmetric to within 1e-12 of its largest entry (the eigensolver
+    reads one triangle only), have no eigenvalue below -1e-10 and no negative diagonal
     entry. A failure raises NotDensityMatrixError, worded "{what} must ..., got ...",
-    with the value from the first matrix that fails that test.
+    with the value from the first matrix that fails that test. The eigenvalues are
+    eigvalsh's, or with vectors eigh's, and then the eigh factors (eigenvalues, then
+    eigenvectors) are returned in place of the array, for a caller that needs them.
     """
     arr = check_numbers(values, what)
     if arr.ndim != 3 or arr.shape[1:] != (dim, dim):
@@ -95,11 +97,12 @@ def density_stack(values, dim: int, what: str) -> np.ndarray:
     skew = np.maximum.reduce(np.abs(arr - arr.swapaxes(1, 2)), axis=(1, 2))
     bad = skew > _SYM_TOL * np.maximum.reduce(np.abs(arr), axis=(1, 2))
     _refuse(bad, skew, f"{what} must be symmetric, got an entry off its transpose by")
-    low = _eig(arr)[:, 0]
+    spectrum = _eig(arr, vectors)
+    low = (spectrum[0] if vectors else spectrum)[:, 0]
     _refuse(low < -_PSD_TOL, low, f"{what} must be positive semidefinite, got smallest eigenvalue")
     diagonal = arr.diagonal(axis1=1, axis2=2)
     _refuse(diagonal < 0.0, diagonal, f"{what} must have a nonnegative diagonal, got")
-    return arr
+    return spectrum if vectors else arr
 
 
 @dataclass(frozen=True)

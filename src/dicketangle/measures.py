@@ -111,16 +111,15 @@ def _at_most_one(value: np.ndarray, name: str) -> np.ndarray:
     return np.minimum(value, _ONE)
 
 
-def _concurrence(rhos: np.ndarray) -> np.ndarray:
-    """Concurrence of each 4x4 density matrix: concurrence_stack's core. With rho = V W V^T
-    (eigh, W clamped at 0) and G = V sqrt(W), rho = G G^T and the symmetric M = G^T Y G has
-    the eigenvalues of rho Y (XY and YX have the same ones); M^2 is similar to Wootters'
-    sqrt(rho) rho~ sqrt(rho). Y is a real signed permutation (-1 on the outer antidiagonal),
-    so Y G is G with its rows reversed and the outer two negated. The engine's C2 comes from
-    the H of marginals.triplet_blocks instead, the same form on the triplet block with a
-    Cholesky factor, so this route checks it
+def _concurrence(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Concurrence of each 4x4 density matrix from its eigh factors w, v: concurrence_stack's
+    core. With rho = V W V^T (W clamped at 0) and G = V sqrt(W), rho = G G^T and the
+    symmetric M = G^T Y G has the eigenvalues of rho Y (XY and YX have the same ones); M^2
+    is similar to Wootters' sqrt(rho) rho~ sqrt(rho). Y is a real signed permutation (-1 on
+    the outer antidiagonal), so Y G is G with its rows reversed and the outer two negated.
+    The engine's C2 comes from the H of marginals.triplet_blocks instead, the same form on
+    the triplet block with a Cholesky factor, so this route checks it
     (test_engine_concurrence_matches_the_dense_4x4_route)."""
-    w, v = _eig(rhos, vectors=True)
     g = v * np.sqrt(np.maximum(w, _ZERO))[..., None, :]
     return _wootters(_eig(g.swapaxes(-1, -2) @ (g[..., ::-1, :] * _FLIP_SIGNS)))
 
@@ -131,10 +130,11 @@ def concurrence_stack(rhos) -> np.ndarray:
     rhos has shape (m, 4, 4); entry i of the result is max(0, l1 - l2 - l3 - l4)
     of rhos[i], where l1 >= ... >= l4 are the moduli of the eigenvalues of
     rho (sigma_y x sigma_y); these are the square roots of the eigenvalues of
-    rho rho~ (see _wootters). rhos must pass marginals.density_stack. Entry i
+    rho rho~ (see _wootters). rhos must pass marginals.density_stack, whose one eigh
+    call per matrix both runs its PSD test and factors rho for _concurrence. Entry i
     depends on rhos[i] alone, bit for bit.
     """
-    return _concurrence(density_stack(rhos, 4, "two-qubit density matrix"))
+    return _concurrence(*density_stack(rhos, 4, "two-qubit density matrix", vectors=True))
 
 
 def concurrence_two_qubit(rho: SmallMatrix) -> float:

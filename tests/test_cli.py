@@ -648,25 +648,26 @@ def test_oracle_marginal_catches_singlet_weight(monkeypatch):
     # the dense rho2 shows at the [3, 3] corner of T rho2 T^T
     grid = [0.0, 0.3, 0.7, 1.0]
     assert cli.oracle_deviations(6, 3, grid)["marginal"] <= 1e-10
-    orig = oracle.partial_trace_to_two
+    orig = oracle.partial_traces
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
 
-    def mixed(psi):
-        rho2 = (1 - 1e-9) * orig(psi).to_array() + 1e-9 * np.outer(singlet, singlet)
-        return oracle.SmallMatrix(4, rho2.ravel())
+    def mixed(amplitudes, dim):
+        rho = orig(amplitudes, dim)
+        return (1 - 1e-9) * rho + 1e-9 * np.outer(singlet, singlet) if dim == 4 else rho
 
-    monkeypatch.setattr(oracle, "partial_trace_to_two", mixed)
+    monkeypatch.setattr(oracle, "partial_traces", mixed)
     assert cli.oracle_deviations(6, 3, grid)["marginal"] > 1e-10
 
 
 def test_oracle_runs_the_density_rule_on_the_dense_rho1(monkeypatch):
     # C1 comes from the stacked dense rho1, which must pass the rule as a SingleQubitMarginal does
-    orig = oracle.partial_trace_to_one
+    orig = oracle.partial_traces
 
-    def off_trace(psi):
-        return oracle.SmallMatrix(2, (orig(psi).to_array() + np.diag([1e-11, 0.0])).ravel())
+    def off_trace(amplitudes, dim):
+        rho = orig(amplitudes, dim)
+        return rho + np.diag([1e-11, 0.0]) if dim == 2 else rho
 
-    monkeypatch.setattr(oracle, "partial_trace_to_one", off_trace)
+    monkeypatch.setattr(oracle, "partial_traces", off_trace)
     with pytest.raises(NotDensityMatrixError, match="single-qubit marginal must have unit trace"):
         cli.oracle_deviations(6, 3, [0.0, 0.4, 1.0])
 
@@ -739,20 +740,44 @@ def test_oracle_pair_choice_catches_a_state_that_is_not_exchange_symmetric(monke
     # from q + 2 on still permute among themselves, so only that neighbouring pair shows it
     n, grid = 5, [0.0, 0.5, 1.0]
     assert cli.oracle_deviations(n, 2, grid)["pair-choice"] == 0.0
-    orig = oracle.expand_state
+    orig = oracle.expand_states
     states = []
 
-    def broken(params):
+    def broken(n_qubits, degeneracy, a_values):
         # |0..0> on qubits 1..q+1 times the W state of qubits q+2..N, added with weight 0.1
-        amp = orig(params).amplitudes.copy()
-        amp[[1 << b for b in range(n - q - 1)]] += 0.1
-        states.append(amp / np.linalg.norm(amp))
-        return oracle.FullState(params.n_qubits, states[-1])
+        amp = orig(n_qubits, degeneracy, a_values).copy()
+        amp[:, [1 << b for b in range(n - q - 1)]] += 0.1
+        states.extend(row / np.linalg.norm(row) for row in amp)
+        return np.array(states[-len(amp):])
 
-    monkeypatch.setattr(oracle, "expand_state", broken)
+    monkeypatch.setattr(oracle, "expand_states", broken)
     got = cli.oracle_deviations(n, 2, grid)["pair-choice"]
     assert got > 1e-3
     assert got == max(_full_swap_pair_choice(amp, n) for amp in states)
+
+
+@pytest.mark.parametrize("name,key", [
+    ("expand_state", "state"), ("partial_trace_to_two", "marginal"), ("partial_trace_to_one", "rho1"),
+])
+def test_oracle_holds_the_public_route_to_its_stacked_rows(monkeypatch, name, key):
+    # the one-point functions run once per slice, at its first a; any difference from the
+    # stacked rows counts in their key
+    grid = [0.0, 0.3, 0.7, 1.0]
+    monkeypatch.setattr(cli, "_ORACLE_ROWS", 3)
+    assert cli.oracle_deviations(6, 3, grid)[key] <= 1e-10
+    orig, calls = getattr(oracle, name), []
+
+    def shifted(arg):
+        calls.append(arg)
+        out = orig(arg)
+        if name == "expand_state":
+            # the same unit norm, with the amplitudes moved one bitstring along
+            return oracle.FullState(out.n_qubits, np.roll(out.amplitudes, 1))
+        return oracle.SmallMatrix(out.dim, np.add(out.entries, 1e-9))
+
+    monkeypatch.setattr(oracle, name, shifted)
+    assert cli.oracle_deviations(6, 3, grid)[key] >= 1e-9
+    assert len(calls) == 2
 
 
 def test_oracle_holds_the_engine_amplitudes_against_the_dense_state(monkeypatch):

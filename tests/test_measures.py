@@ -150,6 +150,32 @@ def test_eigensolver_failure_raises_no_convergence(monkeypatch):
     assert tangle_record(DickeParams(5, 2, 0.3)).c2_sq > 0.0
 
 
+def test_concurrence_stack_factors_each_matrix_once(monkeypatch):
+    # the PSD test reads the eigenvalues of the one eigh that _concurrence factors rho with;
+    # the other eigensolve is the eigvalsh of M
+    lapack = marginals._umath_linalg
+    calls = []
+
+    def counted(name):
+        solve = getattr(lapack, name)
+
+        def count(mats, signature):
+            calls.append((name, mats.shape))
+            return solve(mats, signature=signature)
+        return count
+
+    rhos = np.array([marginal_matrix(two_qubit_marginal(DickeParams(6, k, 0.4))).to_array()
+                     for k in (1, 2, 3)])
+    want = measures.concurrence_stack(rhos)
+    for name in ("eigh_lo", "eigvalsh_lo"):
+        monkeypatch.setattr(lapack, name, counted(name))
+    assert measures.concurrence_stack(rhos).tobytes() == want.tobytes()
+    assert calls == [("eigh_lo", (3, 4, 4)), ("eigvalsh_lo", (3, 4, 4))]
+    bad_psd = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(NotDensityMatrixError, match="got smallest eigenvalue -0.5$"):
+        measures.concurrence_stack([rhos[0], bad_psd])
+
+
 def test_concurrence_input_checks():
     with pytest.raises(InvalidParamsError):
         concurrence_two_qubit(SmallMatrix(2, (0.5, 0.0, 0.0, 0.5)))

@@ -14,12 +14,16 @@ from dicketangle.marginals import (
     two_qubit_marginal,
 )
 from dicketangle.measures import concurrence_two_qubit
+from dicketangle.smallmat import SmallMatrix
+from dicketangle import oracle
 from dicketangle.oracle import (
     FullState,
     Spinor,
     expand_state,
+    expand_states,
     partial_trace_to_one,
     partial_trace_to_two,
+    partial_traces,
     symmetrize_two_spinors,
     symmetrized_states,
 )
@@ -198,6 +202,40 @@ def test_symmetrize_two_spinors_is_the_one_row_view_of_symmetrized_states():
                 assert np.array_equal(one, rows[i]), (n, k, i)
 
 
+def _symmetrized_every_term(n, k, eps1, eps2s):
+    """symmetrized_states with every (w, t) term added, zero coefficients included."""
+    powers = np.array(
+        [[(s.c0 ** (k - t), s.c1**t) for t in range(k + 1)] for s in eps2s], dtype=complex
+    ).reshape(len(eps2s), k + 1, 2)
+    g = np.zeros((len(eps2s), n + 1), dtype=complex)
+    for w in range(n + 1):
+        for t in range(max(0, k - (n - w)), min(k, w) + 1):
+            g[:, w] += (
+                math.comb(w, t)
+                * math.comb(n - w, k - t)
+                * eps1.c0 ** (n - w - k + t)
+                * eps1.c1 ** (w - t)
+                * powers[:, t, 0]
+                * powers[:, t, 1]
+            )
+    amp = g[:, oracle._hamming_weights(n)]
+    amp /= np.array([np.linalg.norm(row) for row in amp]).reshape(-1, 1)
+    return amp
+
+
+def test_symmetrized_states_skips_only_terms_that_add_zero():
+    # with eps1 = |0> (the oracle's) every term but t = w has a zero coefficient; the bytes,
+    # signed zeros included, are those of the sum over every term
+    eps2s = [_overlap_spinor(a) for a in (0.0, 1e-300, 0.3, 0.6, 1.0)]
+    eps2s += [Spinor(0.6, 0.8 * np.exp(1.3j)), Spinor(np.exp(0.4j) * 0.28, -0.96), DOWN]
+    eps1s = (UP, DOWN, Spinor(math.cos(0.55), np.exp(0.7j) * math.sin(0.55)), Spinor(0.6, -0.8),
+             Spinor(0.6, 0.8j))
+    for n, k in ((2, 1), (5, 2), (9, 4), (12, 1), (12, 6)):
+        for eps1 in eps1s:
+            got = symmetrized_states(n, k, eps1, eps2s)
+            assert got.tobytes() == _symmetrized_every_term(n, k, eps1, eps2s).tobytes()
+
+
 def test_symmetrized_states_checks_each_spinor():
     with pytest.raises(InvalidParamsError, match="eps2 must be a Spinor"):
         symmetrized_states(3, 1, UP, [DOWN, (0.0, 1.0)])
@@ -290,3 +328,71 @@ def test_brute_force_agrees_with_closed_form_marginals():
                 brute1 = partial_trace_to_one(psi).to_array()
                 slick1 = single_qubit_marginal(two_qubit_marginal(params)).rho.to_array()
                 assert np.max(np.abs(brute1 - slick1)) <= 1e-13, params
+
+
+_STACK_A = [i / 10 for i in range(11)]
+
+
+def test_one_point_functions_are_the_rows_of_the_stacked_ones():
+    # every (N, k) of the oracle at 11 values of a, bit for bit
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            rows = expand_states(n, k, _STACK_A)
+            assert rows.shape == (len(_STACK_A), 2**n) and not rows.flags.writeable
+            two, one = partial_traces(rows, 4), partial_traces(rows, 2)
+            assert two.shape == (len(_STACK_A), 4, 4) and one.shape == (len(_STACK_A), 2, 2)
+            for i, a in enumerate(_STACK_A):
+                psi = expand_state(DickeParams(n, k, a))
+                assert type(psi) is FullState and psi.n_qubits == n
+                assert not psi.amplitudes.flags.writeable
+                assert psi.amplitudes.tobytes() == rows[i].tobytes(), (n, k, a)
+                rho2, rho1 = partial_trace_to_two(psi), partial_trace_to_one(psi)
+                assert type(rho2) is SmallMatrix and rho2.dim == 4
+                assert type(rho1) is SmallMatrix and rho1.dim == 2
+                assert all(type(x) is float for x in rho2.entries + rho1.entries)
+                assert rho2.to_array().tobytes() == two[i].tobytes(), (n, k, a)
+                assert rho1.to_array().tobytes() == one[i].tobytes(), (n, k, a)
+                # the views build their FullState and SmallMatrix unchecked; the checked ones match
+                checked = FullState(n, psi.amplitudes)
+                assert checked.amplitudes.tobytes() == psi.amplitudes.tobytes()
+                assert SmallMatrix(4, two[i].ravel()) == rho2
+
+
+def test_expand_states_checks_as_the_one_point_route_does():
+    with pytest.raises(CapExceededError, match="N = 15 exceeds the dense-state cap 14"):
+        expand_states(15, 1, [0.5])
+    with pytest.raises(CapExceededError):
+        expand_state(DickeParams(15, 1, 0.5))
+    for n, k, a in ((1, 1, [0.5]), (4, 3, [0.5]), (4, 1.5, [0.5]), (4, 2, [0.5, 1.5]),
+                    (4, 2, [math.nan]), (4, 2, [[0.5]]), (4, 2, ["x"])):
+        with pytest.raises(InvalidParamsError):
+            expand_states(n, k, a)
+    assert expand_states(4, 2, 0.5).tobytes() == expand_states(4, 2, [0.5]).tobytes()
+    assert expand_states(4, 2, []).shape == (0, 16)
+
+
+def test_expand_states_refuses_a_row_off_unit_norm(monkeypatch):
+    # every bitstring read as weight 0: at a = 1 each of the 2^N entries is 1
+    monkeypatch.setattr(oracle, "_hamming_weights", lambda n: np.zeros(2**n, dtype=np.intp))
+    with pytest.raises(InvalidParamsError, match=r"^state must have unit norm, got squared norm 16\.0$"):
+        expand_states(4, 2, [1.0])
+    with pytest.raises(InvalidParamsError, match="unit norm"):
+        expand_state(DickeParams(4, 2, 1.0))
+
+
+def test_partial_traces_refuse_an_imaginary_residue_and_a_non_finite_entry():
+    tilted = Spinor(math.cos(math.pi / 6), np.exp(0.7j) * math.sin(math.pi / 6))
+    rows = symmetrized_states(3, 1, UP, [_overlap_spinor(0.5), tilted])
+    for dim in (2, 4):
+        assert partial_traces(rows[:1], dim).shape == (1, dim, dim)
+        with pytest.raises(InvalidParamsError, match="imaginary residue"):
+            partial_traces(rows, dim)
+    for bad in (math.nan, math.inf):
+        rows = np.array([[0.6, 0.0, 0.0, 0.8], [bad, 0.0, 0.0, 0.0]], dtype=complex)
+        for dim in (2, 4):
+            # inf * 0 in the product makes numpy warn before the check refuses
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(InvalidParamsError, match="matrix entries must be finite"):
+                    partial_traces(rows, dim)
+    for dim in (2, 4):
+        assert partial_traces(expand_states(4, 2, []), dim).shape == (0, dim, dim)
