@@ -191,27 +191,32 @@ def amplitude_rows(n_qubits: int, degeneracy: int, a_values) -> np.ndarray:
     which decreases with r. The logs of these ratios are summed outward from
     the largest amplitude, so every partial sum that matters stays small:
     log-factorials of N in the thousands would carry absolute errors near
-    1e-12 into every amplitude. Each row is then renormalized to unit
-    Euclidean norm. The endpoints are exact one-hot rows: a = 0 gives the
-    Dicke state (beta_k = 1), a = 1 the product state (beta_0 = 1). The
-    arguments are assumed valid (check_n_k, check_a_values).
+    1e-12 into every amplitude. The a-independent part of each step,
+    log(k - r) - (log(N - r) + log(r + 1)) / 2, strictly decreases in r, in
+    float as well as exactly, and adding log(b/a) rounds monotonically, so in
+    every row the positive steps come first: the sums before the peak are the
+    sums of the positive steps, taken downward, and those after it the sums of
+    the others, taken upward. Each row is then renormalized to unit Euclidean
+    norm. The endpoints are exact one-hot rows: a = 0 gives the Dicke state
+    (beta_k = 1), a = 1 the product state (beta_0 = 1). The arguments are
+    assumed valid (check_n_k, check_a_values).
     """
     n, k = n_qubits, degeneracy
     a = np.asarray(a_values, dtype=float)
     r = np.arange(k, dtype=float)
     # log(r + 1) for r = 0..k-1, reversed, is log(k - r)
     log_r1, log_n_r = np.log(np.array([r + _ONE, n - r]))
-    # log(b/a) is +inf at a = 0 and -inf at a = 1: every step then has that sign, so
-    # peak is k or 0, the other logs are -inf, and exp gives the one-hot row exactly
+    # log(b/a) is +inf at a = 0 and -inf at a = 1: every step then has that sign, the
+    # other logs are -inf, and exp gives the one-hot row exactly
     with np.errstate(divide="ignore"):
         log_b_over_a = np.log(np.sqrt((_ONE - a) * (_ONE + a))) - np.log(a)
     steps = (log_r1[::-1] - _HALF * (log_n_r + log_r1)) + log_b_over_a[:, None]
-    peak = np.add.reduce(steps > _ZERO, axis=1, keepdims=True)
-    up = r >= peak
     logs = np.zeros((len(a), k + 1))
-    np.add.accumulate(np.where(up, steps, _ZERO), axis=1, out=logs[:, 1:])
-    down = np.where(up, _ZERO, steps)[:, ::-1]
-    logs[:, :-1] -= np.add.accumulate(down, axis=1, out=down)[:, ::-1]
+    np.add.accumulate(np.minimum(steps, _ZERO), axis=1, out=logs[:, 1:])
+    # down[:, r] sums the positive steps r..k-1, from k-1 down; down[:, k] stays 0
+    down = np.zeros_like(logs)
+    np.add.accumulate(np.maximum(steps, _ZERO)[:, ::-1], axis=1, out=down[:, -2::-1])
+    logs -= down
     raw = np.exp(logs, out=logs)
     return raw / np.sqrt(np.add.reduce(raw * raw, axis=1, keepdims=True))
 

@@ -209,11 +209,14 @@ def partial_traces(amplitudes: np.ndarray, dim: int) -> np.ndarray:
     the traced-out tail is the last axis of an (m, dim, 2^N / dim) reshape:
     rho_{x,y} = sum_z psi(x z) psi*(y z). The states under study have real amplitudes, so
     an imaginary part above 1e-12 means a complex state was passed and raises
-    InvalidParamsError; so does an entry that is not finite, as in SmallMatrix. Both run
-    once over the stack, and matrix i depends on row i alone, bit for bit.
+    InvalidParamsError; so does an entry that is not finite, as in SmallMatrix, with no
+    numpy warning first. Both run once over the stack, and matrix i depends on row i
+    alone, bit for bit.
     """
     m = amplitudes.reshape(len(amplitudes), dim, amplitudes.shape[1] // dim)
-    rho = m @ m.conj().swapaxes(1, 2)
+    # an inf amplitude makes inf * 0 in the product; the finiteness check below refuses it
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho = m @ m.conj().swapaxes(1, 2)
     residue = np.maximum.reduce(np.abs(rho.imag), axis=None, initial=0.0)
     if residue > _REAL_TOL:
         raise InvalidParamsError(

@@ -256,6 +256,18 @@ def test_amplitude_rows_match_scalar_amplitudes(n, k):
     assert amplitude_rows(n, k, ends).tobytes() == one_by_one.tobytes()
 
 
+@pytest.mark.parametrize(
+    "n,k",
+    [(2**53, 1), (2**53, 2), (2**53, 10**5), (10**9, 3), (2000, 500), (10**6, 5 * 10**5), (64, 32)],
+)
+def test_amplitude_steps_strictly_decrease_in_r(n, k):
+    # amplitude_rows takes the positive steps as a prefix of each row; that rests on this
+    # a-independent part strictly decreasing in float, since adding log(b/a) rounds monotonically
+    r = np.arange(k, dtype=float)
+    part = np.log(k - r) - 0.5 * (np.log(n - r) + np.log(r + 1.0))
+    assert (np.diff(part) < 0.0).all()
+
+
 def _amplitude_squares(n, k, a):
     """beta_r^2 in the current decimal context, from the exact binary value of a.
 

@@ -26,8 +26,9 @@ _SQRT1_2 = np.sqrt(0.5)
 _SQRT2 = np.sqrt(2.0)
 
 POINTS = [(2, 1), (3, 1), (10, 3), (64, 32), (1000, 500), (10**9, 3), (2**53, 2)]
-# a = 0, 1e-160 (a subnormal first pivot at N = 2), 1e-300, 1 - 2^-53 and 1 reach zero pivots
-A_VALUES = [0.0, 1e-160, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0]
+# a = 0, 1e-160 (a subnormal first pivot at N = 2), 1e-300, 1 - 2^-53 and 1 reach zero pivots;
+# -0.0 passes check_a_values, and log(-0.0) is -inf as log(0.0) is
+A_VALUES = [0.0, -0.0, 1e-160, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0]
 A_VALUES += np.random.default_rng(26).random(16).tolist()
 
 
