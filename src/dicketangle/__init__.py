@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.18.1"
+__version__ = "0.18.2"
 
 __all__ = [
     "CapExceededError",

@@ -54,6 +54,7 @@ _ORACLE_ROWS = 128
 
 # T: the triplet basis |00>, |psi+>, |11>, then the singlet |psi->
 _R = np.sqrt(0.5)
+_SQRT2 = math.sqrt(2.0)
 _BELL = np.array([[1, 0, 0, 0], [0, _R, _R, 0], [0, 0, 0, 1], [0, _R, -_R, 0]], dtype=float)
 
 
@@ -295,7 +296,7 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
                            amplitude_rows against the dense state's Dicke-basis
                            amplitudes sqrt(binom(N, r)) psi[2^r - 1], r = 0..k
         marginal           T rho2 T^T of the dense two-qubit marginal rho2 against
-                           blockdiag(R, 0), with R the triplet block of triplet_blocks
+                           blockdiag(R, 0), with R = T rho T^T formed from the engine's A..F
         partial-transpose  T S T^T of the axis-swapped dense marginal S against
                            blockdiag(P, D - C), the partial-transpose blocks of triplet_blocks
         pair-choice        the dense state against itself with each pair of neighbouring
@@ -321,8 +322,11 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     """
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
-    elements = marginals.marginal_elements(n, beta)
-    R, blocks, singlet, engine_rho1 = marginals.triplet_blocks(*elements)
+    A, B, C, D, E, F = marginals.marginal_elements(n, beta)
+    blocks, singlet, engine_rho1 = marginals.triplet_blocks(A, B, C, D, E, F)
+    # R = T rho T^T, the triplet block of the engine's two-qubit marginal rho
+    sB, sE = _SQRT2 * B, _SQRT2 * E
+    R = np.array([A, sB, C, sB, D + D, sE, C, sE, F]).T.reshape(-1, 3, 3)
     # the bitstring 0..01..1 of weight r, and the norm sqrt(binom(N, r)) of its Dicke state
     dicke_index = (1 << np.arange(k + 1)) - 1
     dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])

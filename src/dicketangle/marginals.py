@@ -38,15 +38,6 @@ _TINY = np.array(np.finfo(float).tiny)
 TRACE_TOL = 1e-12
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
-# triplet_blocks' R, [H, P] and rho_1 as indices into its columns A, sqrt2 B, C, 2D, sqrt2 E,
-# F, D+C, A+D, B+E, D+F, D, d2, h12, 2B^2/A - 2C, h13, 0
-_R_GATHER = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-_HP_GATHER = np.array([
-    [[11, 12, 15], [12, 13, 14], [15, 14, 15]],
-    [[0, 1, 10], [1, 6, 4], [10, 4, 5]],
-])
-_RHO1_GATHER = np.array([[7, 8], [8, 9]])
-
 
 def _no_convergence(err, flag):
     raise NumericalInstabilityError("eigensolver failed: Eigenvalues did not converge")
@@ -222,22 +213,23 @@ def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:
 
 
 def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, ...]:
-    """R = T rho T^T (shape (m, 3, 3)); H and P = T rho^T_B T^T as one (m, 2, 3, 3) array;
-    s^T rho^T_B s = D - C (shape (m,)); and the one-qubit marginal rho_1 (shape (m, 2, 2))
-    of the two-qubit marginal rho.
+    """H and P = T rho^T_B T^T as one (m, 2, 3, 3) array; s^T rho^T_B s = D - C (shape (m,));
+    and the one-qubit marginal rho_1 (shape (m, 2, 2)) of the two-qubit marginal rho: the
+    blocks C2, N2 and C1 are read from.
 
     T has rows |00>, |psi+>, |11> and s is the singlet; A..F have shape (m,),
     or are floats for m = 1 (then s^T rho^T_B s is a float).
-    rho has no singlet weight, so R holds its spectrum apart from one exact
-    zero. The qubit swap commutes with the partial transpose, so T rho^T_B s
-    is 0, and P and D - C hold the whole spectrum of rho^T_B. Tracing out
-    qubit 2 gives rho_1 = [[A + D, B + E], [B + E, D + F]]; this is the one
-    place it is formed.
+    rho has no singlet weight, so its spectrum is that of the Gram matrix
+    R = T rho T^T = [[A, sqrt2 B, C], [sqrt2 B, 2D, sqrt2 E], [C, sqrt2 E, F]] and
+    one exact zero. The qubit swap commutes with the partial transpose, so
+    T rho^T_B s is 0, and P and D - C hold the whole spectrum of rho^T_B.
+    Tracing out qubit 2 gives rho_1 = [[A + D, B + E], [B + E, D + F]]; this
+    is the one place it is formed.
 
     H = L^T Y3 L, with R = L L^T and Y3 the restriction of sigma_y x sigma_y to the
     triplet basis, has the eigenvalues of R Y3 (XY and YX have the same ones), so C2 is
     read from a symmetric eigensolve. L = U diag(sqrt A, sqrt d2, sqrt d3) is the
-    Cholesky factor of the Gram matrix R, U unit lower triangular with
+    Cholesky factor of R, U unit lower triangular with
 
         u21 = sqrt2 B / A,  u31 = C / A,  u32 = e / d2,  e = sqrt2 E - sqrt2 B C / A,
 
@@ -253,31 +245,30 @@ def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, ...]:
 
     with h12 = sqrt(A d2) (u21 - u32) and h13 = -sqrt(A d3). The order gives the rows
     with B = E = 0 (a = 0) an exact split, and the pivots divide by A rather than square
-    a quotient by sqrt A. R, H, P and rho_1 are gathered from 16 distinct columns, H and
-    P in one call.
+    a quotient by sqrt A. H, P and rho_1 are written row by row into one array of 22
+    columns, which is then sliced and reshaped.
     """
-    sB, sE, D2 = _SQRT2 * B, _SQRT2 * E, D + D
+    sB, sE = _SQRT2 * B, _SQRT2 * E
     shape = np.shape(A)
     b, c, u21 = np.divide(np.array([B, C, sB]), A, out=np.zeros((3, *shape)), where=A >= _TINY)
     bb = (B + B) * b
-    d2 = np.maximum(D2 - bb, _ZERO)
+    d2 = np.maximum(D + D - bb, _ZERO)
     e = sE - sB * c
     u32 = np.divide(e, d2, out=np.zeros(shape), where=d2 >= _TINY)
     d3 = np.maximum(F - C * c - e * u32, _ZERO)
     h12, h13 = np.sqrt(A * d2) * (u21 - u32), -np.sqrt(A * d3)
-    columns = [A, sB, C, D2, sE, F, D + C, A + D, B + E, D + F, D, d2, h12, bb - (C + C), h13]
-    # one row of 16 columns for each of the m rows (floats give one row too)
-    columns = np.array([*columns, np.zeros(shape)]).T.reshape(-1, 16)
-    return (
-        columns.take(_R_GATHER, axis=1),
-        columns.take(_HP_GATHER, axis=1),
-        D - C,
-        columns.take(_RHO1_GATHER, axis=1),
-    )
+    zero, BE = np.zeros(shape), B + E
+    # one row of 22 columns for each of the m rows (floats give one row too)
+    rows = np.array([
+        d2, h12, zero, h12, bb - (C + C), h13, zero, h13, zero,  # H
+        A, sB, D, sB, D + C, sE, D, sE, F,                       # P
+        A + D, BE, BE, D + F,                                    # rho_1
+    ]).T.reshape(-1, 22)
+    return rows[:, :18].reshape(-1, 2, 3, 3), D - C, rows[:, 18:].reshape(-1, 2, 2)
 
 
 def single_qubit_marginal(m: TwoQubitMarginal) -> SingleQubitMarginal:
     """Trace one more qubit out of the two-qubit marginal: rho_1 of triplet_blocks."""
     check_type(m, TwoQubitMarginal, "m")
-    rho1 = triplet_blocks(m.A, m.B, m.C, m.D, m.E, m.F)[3]
+    rho1 = triplet_blocks(m.A, m.B, m.C, m.D, m.E, m.F)[2]
     return SingleQubitMarginal(m.params, SmallMatrix(2, rho1.ravel()))

@@ -184,7 +184,7 @@ def one_vs_rest(rho1: SingleQubitMarginal) -> float:
 def negativity_two_qubit(m: TwoQubitMarginal) -> float:
     """Doubled negativity ||rho_2^T_B||_1 - 1 of the two-qubit marginal, in [0, 1]."""
     check_type(m, TwoQubitMarginal, "m")
-    _, blocks, singlet, _ = triplet_blocks(m.A, m.B, m.C, m.D, m.E, m.F)
+    blocks, singlet, _ = triplet_blocks(m.A, m.B, m.C, m.D, m.E, m.F)
     return _negativity(_eig(blocks[:, 1]), singlet).item()
 
 
@@ -209,29 +209,28 @@ def tangle_grid(pairs, a_values) -> TangleTable:
     Returns the columns pair-major: rows i*m .. i*m + m - 1, with m = len(a_values),
     belong to pairs[i]. Invalid (N, k, a) raise InvalidParamsError; this is
     the one place they are validated (_checked_pairs, check_a_values), and
-    the engine behind it, _tangles, runs on what passed. Each pair's
-    amplitudes and marginal elements A..F are built on their own (their row
-    widths k + 1 differ); the three measures then run once over the rows of
-    all pairs. The marginals built are not re-checked: as partial
-    traces of a normalised state they have unit trace, and R and rho_1 are
-    Gram matrices (test_built_marginals_are_finite_unit_trace_and_psd). A C2
+    the engine behind it, _measure_rows and _tangle_columns, runs on what
+    passed. Each pair's amplitudes and marginal elements A..F are built on
+    their own (their row widths k + 1 differ); the three measures then run
+    once over the rows of all pairs. The marginals built are not re-checked:
+    as partial traces of a normalised state they have unit trace, and their
+    triplet block R = T rho T^T and rho_1 are Gram matrices
+    (test_built_marginals_are_finite_unit_trace_and_psd). A C2
     or N2 above 1 + 1e-10, or NaN, raises NumericalInstabilityError. One
     failing row fails the whole call. Every stage works row by row, so a row
     depends on its (N, k, a) alone, bit for bit.
     """
-    return _tangles(_checked_pairs(pairs), check_a_values(a_values))
-
-
-def _tangles(pairs: list[tuple[int, int]], a: np.ndarray) -> TangleTable:
-    """tangle_grid's engine, for int (N, k) pairs that passed check_n_k and a 1-D float
-    array of overlaps in [0, 1]; it checks neither again."""
+    pairs, a = _checked_pairs(pairs), check_a_values(a_values)
     return TangleTable(*_tangle_columns(*_measure_rows(pairs, a)))
 
 
 def _measure_rows(pairs: list[tuple[int, int]], a: np.ndarray) -> tuple:
-    """N - 1, C1^2, C2 and N2 at each row of _tangles' pairs and a: the measure stage. One
-    eigvalsh call reads the spectra of H (C2) and P (N2) of triplet_blocks' (m, 2, 3, 3)
-    stack, so the aborts run in this order: the eigensolver's, C2's check, N2's check."""
+    """N - 1, C1^2, C2 and N2 at each row of pairs and a: the measure stage, for int (N, k)
+    pairs that passed check_n_k and a 1-D float array of overlaps in [0, 1]; it checks
+    neither again. triplet_blocks gives the three blocks the measures read: C1^2 comes from
+    rho_1, and one eigvalsh call reads the spectra of H (C2) and P (N2, with D - C) of the
+    (m, 2, 3, 3) stack, so the aborts run in this order: the eigensolver's, C2's check, N2's
+    check."""
     if len(pairs) == 1:
         # the one-pair view copies nothing and keeps N - 1 a Python int
         (n, k), = pairs
@@ -241,7 +240,7 @@ def _measure_rows(pairs: list[tuple[int, int]], a: np.ndarray) -> tuple:
         per_pair = [marginal_elements(n, amplitude_rows(n, k, a)) for n, k in pairs]
         elements = [np.concatenate(col) for col in zip(*per_pair)]
         n_minus_1 = np.repeat(np.array([n - 1 for n, _ in pairs], dtype=float), len(a))
-    _, blocks, singlet, rho1 = triplet_blocks(*elements)
+    blocks, singlet, rho1 = triplet_blocks(*elements)
     c1_sq = _c1_squared(rho1)
     spectra = _eig(blocks)
     return n_minus_1, c1_sq, _wootters(spectra[:, 0]), _negativity(spectra[:, 1], singlet)
@@ -249,7 +248,7 @@ def _measure_rows(pairs: list[tuple[int, int]], a: np.ndarray) -> tuple:
 
 def _tangle_columns(n_minus_1, c1_sq, c2, n2) -> tuple:
     """c1_sq, c2_sq, tau, n2, xi from _measure_rows' output: the one place tau and xi are
-    formed. On arrays (_tangles) and on the Python floats of one row (tangle_record) it does
+    formed. On arrays (tangle_grid) and on the Python floats of one row (tangle_record) it does
     the same IEEE operations, on the same values (N - 1 < 2**53 converts to float exactly),
     so it gives the same bits."""
     c2_sq = c2 * c2

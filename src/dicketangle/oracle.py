@@ -190,7 +190,10 @@ def symmetrized_states(n_qubits: int, k: int, eps1: Spinor, eps2s) -> np.ndarray
             if coeff:
                 g[:, w] += coeff * powers[:, t, 0] * powers[:, t, 1]
     amp = g[:, _hamming_weights(n)]
-    # each row by its own np.linalg.norm, as one state is; axis=1 would sum in another order
+    # each row by its own np.linalg.norm, as one state is; axis=1 would sum in another order.
+    # One np.add.reduce over re^2 + im^2 does, and grows the oracle's state= deviations
+    # (N = 12, 300 values of a: 1.9e-14 -> 6.3e-14); np.vecdot on the real and imaginary
+    # views gives these bits, but needs numpy 2.0, and numpy 1.24 is supported
     amp /= np.array([np.linalg.norm(row) for row in amp]).reshape(-1, 1)
     return amp
 

@@ -410,7 +410,7 @@ def _triple_engine_concurrence(monkeypatch):
     from eigvalsh of triplet_blocks' H and concurrence_stack from eigvalsh of G^T Y G, and
     both finish in _wootters, so the error is planted after the engine's C2, in the engine
     alone, where the dense route cannot carry it too."""
-    orig = measures._tangles
+    orig = measures.tangle_grid
 
     def tripled(pairs, a):
         table = orig(pairs, a)
@@ -418,7 +418,7 @@ def _triple_engine_concurrence(monkeypatch):
         n_minus_1 = np.repeat([n - 1.0 for n, _ in pairs], len(a))
         return table._replace(c2_sq=c2_sq, tau=table.c1_sq - n_minus_1 * c2_sq)
 
-    monkeypatch.setattr(measures, "_tangles", tripled)
+    monkeypatch.setattr(measures, "tangle_grid", tripled)
 
 
 def test_check_detects_broken_concurrence(monkeypatch):
@@ -579,19 +579,26 @@ def test_oracle_detects_broken_negativity(monkeypatch):
     assert out.getvalue().splitlines()[-1].startswith("FAIL")
 
 
-@pytest.mark.parametrize("index,name", [(0, "marginal"), (1, "partial-transpose"), (3, "rho1")])
+@pytest.mark.parametrize("index,name", [(None, "marginal"), (0, "partial-transpose"), (2, "rho1")])
 def test_oracle_detects_perturbed_triplet_blocks(monkeypatch, index, name):
-    # adds 1e-9 I to R (index 0), P (index 1) or rho_1 (index 3) where both the engine and
-    # the oracle read it
-    orig = marginals.triplet_blocks
+    # adds 1e-9 I to [H, P] (index 0) or rho_1 (index 2) where both the engine and the oracle
+    # read it; or (index None) 1e-9 to each of the A..F the oracle forms R from, which leaves
+    # the engine, with its own binding of marginal_elements, as it is
+    if index is None:
+        orig = marginals.marginal_elements
+        monkeypatch.setattr(
+            marginals, "marginal_elements", lambda *args: [x + 1e-9 for x in orig(*args)]
+        )
+    else:
+        orig = marginals.triplet_blocks
 
-    def perturbed(*elems):
-        blocks = list(orig(*elems))
-        blocks[index] = blocks[index] + 1e-9 * np.eye(blocks[index].shape[-1])
-        return tuple(blocks)
+        def perturbed(*elems):
+            blocks = list(orig(*elems))
+            blocks[index] = blocks[index] + 1e-9 * np.eye(blocks[index].shape[-1])
+            return tuple(blocks)
 
-    monkeypatch.setattr(marginals, "triplet_blocks", perturbed)
-    monkeypatch.setattr(measures, "triplet_blocks", perturbed)
+        monkeypatch.setattr(marginals, "triplet_blocks", perturbed)
+        monkeypatch.setattr(measures, "triplet_blocks", perturbed)
     out = io.StringIO()
     with redirect_stdout(out):
         assert run_oracle(6, 5, 1e-10) == 1
@@ -683,8 +690,10 @@ def _per_point_deviations(n, k, grid):
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
     A, B, C, D, E, F = elements = marginals.marginal_elements(n, beta)
-    R, blocks, singlet, _ = marginals.triplet_blocks(*elements)
+    blocks, singlet, _ = marginals.triplet_blocks(*elements)
     P = blocks[:, 1]
+    sB, sE = math.sqrt(2.0) * B, math.sqrt(2.0) * E
+    R = np.array([A, sB, C, sB, D + D, sE, C, sE, F]).T.reshape(-1, 3, 3)
     h = math.sqrt(0.5)
     bell = np.array([[1, 0, 0, 0], [0, h, h, 0], [0, 0, 0, 1], [0, h, -h, 0]])
     devs = {name: 0.0 for name in ("state", "marginal", "partial-transpose", "pair-choice",

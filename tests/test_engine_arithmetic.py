@@ -98,10 +98,9 @@ def _h_termwise(A, B, C, D, E, F):
 
 def _triplet_blocks_termwise(A, B, C, D, E, F):
     sB, sE = _SQRT2 * B, _SQRT2 * E
-    R = np.array([A, sB, C, sB, 2.0 * D, sE, C, sE, F]).T.reshape(-1, 3, 3)
     P = np.array([A, sB, D, sB, D + C, sE, D, sE, F]).T.reshape(-1, 3, 3)
     rho1 = np.array([A + D, B + E, B + E, D + F]).T.reshape(-1, 2, 2)
-    return R, np.stack([_h_termwise(A, B, C, D, E, F), P], axis=1), D - C, rho1
+    return np.stack([_h_termwise(A, B, C, D, E, F), P], axis=1), D - C, rho1
 
 
 def _first(values, bad):
@@ -143,7 +142,7 @@ def test_stacked_stages_equal_their_termwise_expressions(n, k):
     elements = marginal_elements(n, beta)
     for got, want in zip(elements, _marginal_elements_termwise(n, beta), strict=True):
         _same_bits(got, want)
-    _, blocks, singlet, rho1 = stages = triplet_blocks(*elements)
+    blocks, singlet, rho1 = stages = triplet_blocks(*elements)
     for got, want in zip(stages, _triplet_blocks_termwise(*elements), strict=True):
         _same_bits(got, want)
     _same_bits(measures._c1_squared(rho1), _c1_squared_termwise(*elements))
@@ -175,7 +174,7 @@ def test_checks_pass_what_the_termwise_checks_pass():
                   [0.5 + 5e-13, 0.0, 0.0, 0.0, 0.0, 0.5 + 5e-13]]).T,
         np.empty((6, 0)),
     ):
-        rho1 = triplet_blocks(*elements)[3]
+        rho1 = triplet_blocks(*elements)[2]
         _same_bits(measures._c1_squared(rho1), _c1_squared_termwise(*elements))
     eigs = np.array([[-0.2, 0.5, 0.5], [0.0, 0.5, 0.5]])
     for singlet in (np.array([-0.1, 0.0]), np.array([0.0, -0.0])):

@@ -84,12 +84,12 @@ SINGLET = np.array([0.0, _R, -_R, 0.0])
 
 
 def _blocks(m):
-    R, blocks, singlet, _ = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
-    return R[0], blocks[0, 1], singlet[0]
+    blocks, singlet, _ = triplet_blocks(*(np.array([x]) for x in (m.A, m.B, m.C, m.D, m.E, m.F)))
+    return blocks[0, 1], singlet[0]
 
 
 def test_partial_transpose_of_half_filled_point():
-    _, P, singlet = _blocks(two_qubit_marginal(DickeParams(4, 2, 0.0)))
+    P, singlet = _blocks(two_qubit_marginal(DickeParams(4, 2, 0.0)))
     want = [
         [1 / 6, 0.0, 1 / 3],
         [0.0, 1 / 3, 0.0],
@@ -100,13 +100,12 @@ def test_partial_transpose_of_half_filled_point():
 
 
 def test_partial_transpose_matches_axis_swap():
-    """R, P and D - C agree with the triplet and singlet projections of rho and of its axis swap."""
+    """P and D - C agree with the triplet and singlet projections of rho's axis swap."""
     for params in _grid_params(n_max=8, a_steps=5):
         m = two_qubit_marginal(params)
-        R, P, singlet = _blocks(m)
+        P, singlet = _blocks(m)
         arr = marginal_matrix(m).to_array()
         swapped = arr.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        assert np.allclose(TRIPLET @ arr @ TRIPLET.T, R, atol=1e-15, rtol=0.0)
         assert np.allclose(TRIPLET @ swapped @ TRIPLET.T, P, atol=1e-15, rtol=0.0)
         assert SINGLET @ swapped @ SINGLET == pytest.approx(singlet, abs=1e-15)
         assert np.allclose(TRIPLET @ swapped @ SINGLET, 0.0, atol=1e-15, rtol=0.0)
@@ -218,7 +217,7 @@ def test_eig_is_numpys_eigensolver():
     pairs = [(n, k) for n in (10, 100) for k in range(1, n // 2 + 1)]
     columns = zip(*(marginal_elements(n, amplitude_rows(n, k, grid)) for n, k in pairs))
     A, B, C, D, E, F = elements = [np.concatenate(col) for col in columns]
-    blocks = triplet_blocks(*elements)[1]
+    blocks = triplet_blocks(*elements)[0]
     assert blocks.shape == (5555, 2, 3, 3)
     _same_bits(marginals._eig(blocks), np.linalg.eigvalsh(blocks))
     rhos = np.array([A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F]).T.reshape(-1, 4, 4)
@@ -416,8 +415,9 @@ _INVARIANT_A = [
 def test_built_marginals_are_finite_unit_trace_and_psd():
     """tangle_grid does not re-check the marginals it builds: each is the partial trace of a
     normalised state, so A..F are finite, A, D, F >= 0, A + 2D + F = 1, and the triplet block
-    R and rho_1 are positive semidefinite, up to rounding. This holds those invariants, and
-    that tangle_grid computes every row of each pair without a NumericalInstabilityError."""
+    R = T rho T^T (formed here from A..F) and rho_1 are positive semidefinite, up to rounding.
+    This holds those invariants, and that tangle_grid computes every row of each pair without
+    a NumericalInstabilityError."""
     assert len(_INVARIANT_A) == 210
     for n in _INVARIANT_N:
         for k in sorted({k for k in (1, 2, 3, n // 4, n // 2) if 1 <= k <= min(n // 2, 3000)}):
@@ -425,9 +425,10 @@ def test_built_marginals_are_finite_unit_trace_and_psd():
             assert all(np.isfinite(x).all() for x in elements), (n, k)
             assert min(A.min(), D.min(), F.min()) >= 0.0, (n, k)
             assert np.abs(A + 2.0 * D + F - 1.0).max() <= 1e-13, (n, k)
-            R = triplet_blocks(*elements)[0]
+            sB, sE = math.sqrt(2.0) * B, math.sqrt(2.0) * E
+            R = np.array([A, sB, C, sB, D + D, sE, C, sE, F]).T.reshape(-1, 3, 3)
             assert np.linalg.eigvalsh(R)[:, 0].min() >= -1e-13, (n, k)
-            density_stack(R, 3, "engine R")
+            density_stack(R, 3, "triplet block R")
             assert ((A + D) * (D + F) - (B + E) ** 2).min() >= -1e-13, (n, k)
             # the engine accepts the pair's every row without an abort, which would end a sweep
             measures.tangle_grid([(n, k)], _INVARIANT_A)

@@ -324,7 +324,7 @@ def test_negativity_aborts_on_garbage_marginal():
     elements = (0.0, 0.0, 5.0, 0.25, 5.0, 0.5)
     with pytest.raises(NotDensityMatrixError, match="positive semidefinite"):
         TwoQubitMarginal(DickeParams(4, 2, 0.5), *elements)
-    _, blocks, singlet, _ = triplet_blocks(*np.array(elements)[:, None])
+    blocks, singlet, _ = triplet_blocks(*np.array(elements)[:, None])
     with pytest.raises(NumericalInstabilityError, match="doubled negativity left"):
         measures._negativity(measures._eig(blocks[:, 1]), singlet)
 
@@ -620,7 +620,7 @@ def test_concurrence_cubic_meets_the_negativity_block_on_the_readme_grid():
     e2 = C * C - A * F - 4.0 * C * D + 4.0 * B * E
     e3 = -2.0 * (A * D * F - A * E * E - B * B * F + 2.0 * B * C * E - C * C * D)
     # the engine's one eigensolve: row 0 is the spectrum of H, similar to R Y3; row 1 that of P
-    spectra = measures._eig(triplet_blocks(*elements)[1])
+    spectra = measures._eig(triplet_blocks(*elements)[0])
     m0, m1, m2 = spectra[:, 0, 0], spectra[:, 0, 1], spectra[:, 0, 2]
     assert np.abs(m0 + m1 + m2 - e1).max() <= 1e-14
     assert np.abs(m0 * m1 + m0 * m2 + m1 * m2 - e2).max() <= 1e-14
