@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .smallmat import SmallMatrix
 
-__version__ = "0.18.2"
+__version__ = "0.18.3"
 
 __all__ = [
     "CapExceededError",

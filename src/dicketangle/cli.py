@@ -54,7 +54,6 @@ _ORACLE_ROWS = 128
 
 # T: the triplet basis |00>, |psi+>, |11>, then the singlet |psi->
 _R = np.sqrt(0.5)
-_SQRT2 = math.sqrt(2.0)
 _BELL = np.array([[1, 0, 0, 0], [0, _R, _R, 0], [0, 0, 0, 1], [0, _R, -_R, 0]], dtype=float)
 
 
@@ -281,11 +280,12 @@ def _largest(*diffs) -> float:
     return float(np.maximum.reduce([np.maximum.reduce(np.abs(d), axis=None) for d in diffs]))
 
 
-def _block_diagonal(blocks, corner) -> np.ndarray:
-    """The 4x4 matrices with a 3x3 block of blocks (shape (m, 3, 3)) and corner at [3, 3]."""
-    out = np.zeros((len(blocks), 4, 4))
-    out[:, :3, :3], out[:, 3, 3] = blocks, corner
-    return out
+def _off_class(psi: np.ndarray, by_class: np.ndarray) -> float:
+    """pair-choice= of rows (m, 2^N): max |psi[x] - psi[y]|, y = by_class[x], the 0..01..1 of
+    x's Hamming weight."""
+    off = psi[:, by_class]
+    off -= psi
+    return _largest(off)
 
 
 def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
@@ -295,13 +295,13 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         state              expand_state against symmetrized_states, and each row of
                            amplitude_rows against the dense state's Dicke-basis
                            amplitudes sqrt(binom(N, r)) psi[2^r - 1], r = 0..k
-        marginal           T rho2 T^T of the dense two-qubit marginal rho2 against
-                           blockdiag(R, 0), with R = T rho T^T formed from the engine's A..F
+        marginal           the dense two-qubit marginal rho2 against the engine's 4x4,
+                           laid out from its A..F by marginals._pair_form
         partial-transpose  T S T^T of the axis-swapped dense marginal S against
                            blockdiag(P, D - C), the partial-transpose blocks of triplet_blocks
-        pair-choice        the dense state against itself with each pair of neighbouring
-                           qubits exchanged; these exchanges generate every permutation,
-                           so every qubit pair then has the marginal of (0, 1)
+        pair-choice        each dense amplitude against that of the bitstring 0..01..1 of its
+                           Hamming weight: exchange symmetry, as permutations reach every
+                           bitstring of a weight, so every qubit pair has the marginal of (0, 1)
         rho1               the dense one-qubit marginal against rho_1 of triplet_blocks,
                            the matrix the engine's C1 is computed from, and against rho2
                            traced over qubit 2
@@ -311,30 +311,26 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
                            and one_vs_rest_stack of the dense one-qubit marginals
 
     T is _BELL. Everything runs per slice of at most _ORACLE_ROWS points: expand_states
-    gives their stacked 2^N amplitudes, partial_traces their dense rho2 and rho1,
-    symmetrized_states the states to compare with, and pair-choice= compares the 01 block
-    of each neighbouring qubit pair with its 10 block (the 00 and 11 blocks map to
-    themselves). At each slice's first a the public one-point route, expand_state and both
-    partial traces, runs too; its difference from that slice's first rows, 0 when they agree
-    bit for bit, counts in state=, marginal= and rho1=. The dense marginals of all slices
-    are stacked, and concurrence_stack, one_vs_rest_stack and the comparisons with the
-    engine's arrays run once per (N, k). A NaN makes its key NaN.
+    gives their stacked 2^N amplitudes, partial_traces their dense rho2 and rho1, and
+    symmetrized_states the states to compare with. At each slice's first a the public
+    one-point route, expand_state and both partial traces, runs too; its difference from
+    that slice's first rows, 0 when they agree bit for bit, counts in state=, marginal= and
+    rho1=. The dense marginals of all slices are stacked, and concurrence_stack,
+    one_vs_rest_stack and the comparisons with the engine's arrays run once per (N, k).
+    A NaN makes its key NaN.
     """
     table = measures.tangle_table(n, k, grid)
     beta = amplitude_rows(n, k, grid)
-    A, B, C, D, E, F = marginals.marginal_elements(n, beta)
-    blocks, singlet, engine_rho1 = marginals.triplet_blocks(A, B, C, D, E, F)
-    # R = T rho T^T, the triplet block of the engine's two-qubit marginal rho
-    sB, sE = _SQRT2 * B, _SQRT2 * E
-    R = np.array([A, sB, C, sB, D + D, sE, C, sE, F]).T.reshape(-1, 3, 3)
+    elements = marginals.marginal_elements(n, beta)
+    blocks, singlet, engine_rho1 = marginals.triplet_blocks(*elements)
     # the bitstring 0..01..1 of weight r, and the norm sqrt(binom(N, r)) of its Dicke state
-    dicke_index = (1 << np.arange(k + 1)) - 1
+    canonical = (1 << np.arange(n + 1)) - 1
+    by_class = canonical[oracle._hamming_weights(n)]
     dicke_norm = np.sqrt([math.comb(n, r) for r in range(k + 1)])
     up = Spinor(1.0, 0.0)
     state, pair_choice, rho2, rho1, public2, public1 = [], [], [], [], [], []
     for start in range(0, len(grid), _ORACLE_ROWS):
         part = grid[start:start + _ORACLE_ROWS]
-        m = len(part)
         psi = oracle.expand_states(n, k, part)
         two, one = oracle.partial_traces(psi, 4), oracle.partial_traces(psi, 2)
         rho2.append(two)
@@ -347,12 +343,9 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
         eps2 = [Spinor(a, DickeParams(n, k, a).b) for a in part]
         sym = oracle.symmetrized_states(n, k, up, eps2)
         sym -= psi
-        state.append(_largest(
-            sym, dense.amplitudes - psi[0], dicke_norm * psi[:, dicke_index] - beta[start:start + m]
-        ))
-        # axes 2 and 3 are qubits q + 1 and q + 2; one pair's difference exists at a time
-        pairs = (psi.reshape(m, 2**q, 2, 2, -1) for q in range(n - 1))
-        pair_choice += (_largest(x[:, :, 0, 1] - x[:, :, 1, 0]) for x in pairs)
+        dicke = dicke_norm * psi[:, canonical[:k + 1]] - beta[start:start + len(part)]
+        state.append(_largest(sym, dense.amplitudes - psi[0], dicke))
+        pair_choice.append(_off_class(psi, by_class))
 
     rho2, rho1 = np.concatenate(rho2), np.concatenate(rho1)
     swapped = rho2.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
@@ -360,12 +353,12 @@ def oracle_deviations(n: int, k: int, grid) -> dict[str, float]:
     n2 = np.maximum(0.0, np.abs(marginals._eig(swapped)).sum(axis=1) - 1.0)
     engine = np.stack((np.sqrt(table.c2_sq), table.n2, np.sqrt(table.c1_sq)))
     traced = np.trace(rho2.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
+    engine_swapped = np.zeros((len(rho2), 4, 4))
+    engine_swapped[:, :3, :3], engine_swapped[:, 3, 3] = blocks[:, 1], singlet
     return {
         "state": _largest(state),
-        "marginal": _largest(_BELL @ rho2 @ _BELL.T - _block_diagonal(R, 0.0), *public2),
-        "partial-transpose": _largest(
-            _BELL @ swapped @ _BELL.T - _block_diagonal(blocks[:, 1], singlet)
-        ),
+        "marginal": _largest(rho2 - marginals._pair_form(*elements), *public2),
+        "partial-transpose": _largest(_BELL @ swapped @ _BELL.T - engine_swapped),
         "pair-choice": _largest(pair_choice),
         "rho1": _largest(rho1 - engine_rho1, traced - rho1, *public1),
         "measures": _largest(engine - (c2, n2, c1)),

@@ -123,7 +123,7 @@ class TwoQubitMarginal:
         check_type(self.params, (DickeParams, type(None)), "params")
         for name in "ABCDEF":
             object.__setattr__(self, name, check_number(getattr(self, name), name))
-        density_stack(np.reshape(_pair_form(self), (1, 4, 4)), 4, "two-qubit marginal")
+        density_stack(_pair_form(*(getattr(self, x) for x in "ABCDEF")), 4, "two-qubit marginal")
 
 
 @dataclass(frozen=True)
@@ -200,16 +200,15 @@ def two_qubit_marginal(params: DickeParams) -> TwoQubitMarginal:
     return _unchecked(TwoQubitMarginal, params, *(float(col[0]) for col in row))
 
 
-def _pair_form(m: TwoQubitMarginal) -> tuple[float, ...]:
-    """The 16 entries, row-major, of the 4x4 of TwoQubitMarginal's docstring."""
-    A, B, C, D, E, F = m.A, m.B, m.C, m.D, m.E, m.F
-    return (A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F)
+def _pair_form(A, B, C, D, E, F) -> np.ndarray:
+    """The (m, 4, 4) of TwoQubitMarginal's docstring, from A..F of shape (m,) or floats."""
+    return np.array([A, B, B, C, B, D, D, E, B, D, D, E, C, E, E, F]).T.reshape(-1, 4, 4)
 
 
 def marginal_matrix(m: TwoQubitMarginal) -> SmallMatrix:
     """Assemble the 4x4 two-qubit density matrix in the computational basis."""
     check_type(m, TwoQubitMarginal, "m")
-    return SmallMatrix(4, _pair_form(m))
+    return SmallMatrix(4, _pair_form(m.A, m.B, m.C, m.D, m.E, m.F).ravel())
 
 
 def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, ...]:
@@ -222,7 +221,8 @@ def triplet_blocks(A, B, C, D, E, F) -> tuple[np.ndarray, ...]:
     rho has no singlet weight, so its spectrum is that of the Gram matrix
     R = T rho T^T = [[A, sqrt2 B, C], [sqrt2 B, 2D, sqrt2 E], [C, sqrt2 E, F]] and
     one exact zero. The qubit swap commutes with the partial transpose, so
-    T rho^T_B s is 0, and P and D - C hold the whole spectrum of rho^T_B.
+    T rho^T_B s is 0, and P and D - C hold the whole spectrum of rho^T_B, with at most
+    one negative eigenvalue (measures._negativity).
     Tracing out qubit 2 gives rho_1 = [[A + D, B + E], [B + E, D + F]]; this
     is the one place it is formed.
 

@@ -146,14 +146,13 @@ def concurrence_two_qubit(rho: SmallMatrix) -> float:
 
 
 def _negativity(eigs: np.ndarray, singlet: np.ndarray) -> np.ndarray:
-    """Doubled negativity: twice the summed moduli of the negative eigenvalues eigs of P
-    (along the last axis) and of D - C.
-
-    P and D - C are the partial-transpose blocks of marginals.triplet_blocks.
-    A value above 1 + 1e-10, or NaN, aborts.
+    """Doubled negativity N2 = 2 max(0, -min(eigs[..., 0], singlet)), from the ascending
+    eigenvalues eigs of P and singlet = D - C, the partial-transpose blocks of
+    marginals.triplet_blocks. A two-qubit partial transpose has at most one negative
+    eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), and this is twice its
+    modulus; taking the modulus keeps -0.0 out. A value above 1 + 1e-10, or NaN, aborts.
     """
-    negative = np.abs(np.minimum(eigs, _ZERO))
-    value = _TWO * (np.add.reduce(negative, axis=-1) + np.abs(np.minimum(singlet, _ZERO)))
+    value = _TWO * np.abs(np.minimum(np.minimum(eigs[..., 0], singlet), _ZERO))
     return _at_most_one(value, "doubled negativity")
 
 

@@ -214,9 +214,18 @@ def partial_traces(amplitudes: np.ndarray, dim: int) -> np.ndarray:
     an imaginary part above 1e-12 means a complex state was passed and raises
     InvalidParamsError; so does an entry that is not finite, as in SmallMatrix, with no
     numpy warning first. Both run once over the stack, and matrix i depends on row i
-    alone, bit for bit.
+    alone, bit for bit. Any other dim, or amplitudes not such a 2-D numeric stack, raise
+    InvalidParamsError before that.
     """
-    m = amplitudes.reshape(len(amplitudes), dim, amplitudes.shape[1] // dim)
+    if not (isinstance(amplitudes, np.ndarray) and amplitudes.ndim == 2
+            and amplitudes.dtype.kind in "iufc"):
+        raise InvalidParamsError("amplitudes must be a 2-D numeric array")
+    width, dim = amplitudes.shape[1], check_int(dim, "dim")
+    if dim not in (2, 4):
+        raise InvalidParamsError(f"dim must be 2 or 4, got {dim}")
+    if width < dim or width & (width - 1):
+        raise InvalidParamsError(f"rows must hold 2^N >= {dim} amplitudes, got {width}")
+    m = amplitudes.reshape(len(amplitudes), dim, width // dim)
     # an inf amplitude makes inf * 0 in the product; the finiteness check below refuses it
     with np.errstate(invalid="ignore", over="ignore"):
         rho = m @ m.conj().swapaxes(1, 2)
@@ -246,8 +255,6 @@ def partial_trace_to_two(psi: FullState) -> SmallMatrix:
     general state, permute the axes of psi.amplitudes.reshape((2,) * n) first.
     """
     check_type(psi, FullState, "psi")
-    if psi.n_qubits < 2:
-        raise InvalidParamsError("need at least 2 qubits to keep a pair")
     return _reduced(psi, 4)
 
 

@@ -692,8 +692,6 @@ def _per_point_deviations(n, k, grid):
     A, B, C, D, E, F = elements = marginals.marginal_elements(n, beta)
     blocks, singlet, _ = marginals.triplet_blocks(*elements)
     P = blocks[:, 1]
-    sB, sE = math.sqrt(2.0) * B, math.sqrt(2.0) * E
-    R = np.array([A, sB, C, sB, D + D, sE, C, sE, F]).T.reshape(-1, 3, 3)
     h = math.sqrt(0.5)
     bell = np.array([[1, 0, 0, 0], [0, h, h, 0], [0, 0, 0, 1], [0, h, -h, 0]])
     devs = {name: 0.0 for name in ("state", "marginal", "partial-transpose", "pair-choice",
@@ -714,10 +712,10 @@ def _per_point_deviations(n, k, grid):
         brute, single = oracle.partial_trace_to_two(psi), oracle.partial_trace_to_one(psi)
         rho2, rho1 = brute.to_array(), single.to_array()
         swapped = rho2.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-        engine_rho2, engine_swapped = np.zeros((4, 4)), np.zeros((4, 4))
-        engine_rho2[:3, :3] = R[i]
+        engine_swapped = np.zeros((4, 4))
         engine_swapped[:3, :3], engine_swapped[3, 3] = P[i], singlet[i]
-        record("marginal", bell @ rho2 @ bell.T - engine_rho2)
+        engine_rho2 = marginals.marginal_matrix(marginals.two_qubit_marginal(params)).to_array()
+        record("marginal", rho2 - engine_rho2)
         record("partial-transpose", bell @ swapped @ bell.T - engine_swapped)
         engine_rho1 = np.array([[A[i] + D[i], B[i] + E[i]], [B[i] + E[i], D[i] + F[i]]])
         traced = np.trace(rho2.reshape(2, 2, 2, 2), axis1=1, axis2=3)
@@ -762,7 +760,46 @@ def test_oracle_pair_choice_catches_a_state_that_is_not_exchange_symmetric(monke
     monkeypatch.setattr(oracle, "expand_states", broken)
     got = cli.oracle_deviations(n, 2, grid)["pair-choice"]
     assert got > 1e-3
-    assert got == max(_full_swap_pair_choice(amp, n) for amp in states)
+    # the neighbour-exchange reference gives the same verdict on every state
+    assert min(_full_swap_pair_choice(amp, n) for amp in states) > 1e-3
+
+
+def _weight_classes(n):
+    """The bitstring 0..01..1 of each bitstring's Hamming weight."""
+    return (1 << oracle._hamming_weights(n)) - 1
+
+
+def test_weight_class_check_gives_the_neighbour_exchange_verdict():
+    # pair-choice= compares each amplitude with its weight class's canonical one; the
+    # neighbour exchanges of _full_swap_pair_choice generate every permutation, so both
+    # read 0 on exchange-symmetric states, and both above 0 once one bitstring moves
+    grid = [0.0, 0.3, 0.7, 1.0]
+    tilted = oracle.Spinor(math.cos(0.4), np.exp(0.7j) * math.sin(0.4))
+    for n in range(2, 11):
+        for k in range(1, n // 2 + 1):
+            eps2 = [oracle.Spinor(a, DickeParams(n, k, a).b) for a in grid] + [tilted]
+            for rows in (
+                oracle.expand_states(n, k, grid),
+                oracle.symmetrized_states(n, k, oracle.Spinor(1.0, 0.0), eps2),
+                oracle.symmetrized_states(n, k, tilted, eps2[:2]),
+            ):
+                assert cli._off_class(rows, _weight_classes(n)) == 0.0
+                assert all(_full_swap_pair_choice(row, n) == 0.0 for row in rows)
+    rng = np.random.default_rng(38)
+    for n in range(2, 9):
+        weights = oracle._hamming_weights(n)
+        # weights 0 and N hold one bitstring each, which every permutation fixes
+        movable = np.flatnonzero((weights > 0) & (weights < n))
+        for dtype in (float, complex):
+            per_weight = rng.standard_normal((3, n + 1))
+            if dtype is complex:
+                per_weight = per_weight + 1j * rng.standard_normal((3, n + 1))
+            rows = per_weight[:, weights]
+            rows[np.arange(3), rng.choice(movable, 3)] += 1e-3 * rng.standard_normal(3)
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            for row in rows:
+                assert cli._off_class(row[None], _weight_classes(n)) > 0.0
+                assert _full_swap_pair_choice(row, n) > 0.0
 
 
 @pytest.mark.parametrize("name,key", [

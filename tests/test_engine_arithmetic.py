@@ -12,7 +12,7 @@ failing check first.
 import numpy as np
 import pytest
 
-from dicketangle import marginals, measures
+from dicketangle import cli, marginals, measures, oracle
 from dicketangle.dicke import DickeParams, amplitude_rows
 from dicketangle.errors import NumericalInstabilityError
 from dicketangle.marginals import (
@@ -117,10 +117,19 @@ def _wootters_termwise(mu):
 
 
 def _negativity_termwise(eigs, singlet):
-    value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(singlet, 0.0)))
+    """2 max(0, -min(smallest eigenvalue of P, D - C)): the one negative eigenvalue a
+    two-qubit partial transpose can have; 0.0 - x keeps -0.0 out."""
+    value = 2.0 * np.maximum(0.0, 0.0 - np.minimum(eigs[..., 0], singlet))
     bad = ~(value <= 1.0 + 1e-10)
     if bad.any():
         raise NumericalInstabilityError(f"doubled negativity left [0, 1]: {_first(value, bad)!r}")
+    return np.minimum(value, 1.0)
+
+
+def _negativity_summed(eigs, singlet):
+    """The doubled negativity as twice the summed moduli of every negative eigenvalue of P
+    and of D - C: the stage's form before 0.18.3."""
+    value = 2.0 * (np.abs(np.minimum(eigs, 0.0)).sum(axis=-1) + np.abs(np.minimum(singlet, 0.0)))
     return np.minimum(value, 1.0)
 
 
@@ -179,7 +188,37 @@ def test_checks_pass_what_the_termwise_checks_pass():
     eigs = np.array([[-0.2, 0.5, 0.5], [0.0, 0.5, 0.5]])
     for singlet in (np.array([-0.1, 0.0]), np.array([0.0, -0.0])):
         _same_bits(measures._negativity(eigs, singlet), _negativity_termwise(eigs, singlet))
+    # row 0 has two negative eigenvalues, -0.2 of P and -0.1 of D - C, which no two-qubit
+    # partial transpose has: the stage reads the smaller, 0.4, where the sum read 0.6
+    assert measures._negativity(eigs, np.array([-0.1, 0.0])).tolist() == [0.4, 0.0]
     _same_bits(measures._negativity(np.empty((0, 3)), np.empty(0)), np.empty(0))
+
+
+def _negativity_inputs(elements):
+    """The stage's inputs from A..F: P's eigenvalues, as the engine reads them from the
+    [H, P] stack, and D - C."""
+    blocks, singlet, _ = triplet_blocks(*elements)
+    return marginals._eig(blocks)[:, 1], singlet
+
+
+def test_negativity_is_the_summed_negative_eigenvalues_bit_for_bit():
+    # the engine's P spectra on the README grid and the large-n-sweep grid, and those of
+    # the dense marginals of every (N, k) with N <= 12 at 101 values of a
+    readme = [(n, k) for n in (10, 100) for k in range(1, n // 2 + 1)]
+    large = [(n, k) for n in (1000, 2000) for k in [1, 2, 3, 4, 5, *range(25, 501, 25)]]
+    stacks = []
+    for pairs, grid in ((readme, cli._a_grid(0.0, 1.0, 101)), (large, cli._a_grid(0.0, 1.0, 21))):
+        stacks += [marginal_elements(n, amplitude_rows(n, k, grid)) for n, k in pairs]
+    grid = cli._a_grid(0.0, 1.0, 101)
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            rho2 = oracle.partial_traces(oracle.expand_states(n, k, grid), 4)
+            # A..F at their places in the 4x4 of TwoQubitMarginal's docstring
+            places = ((0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (3, 3))
+            stacks.append([rho2[:, i, j] for i, j in places])
+    eigs, singlet = (np.concatenate(x) for x in zip(*map(_negativity_inputs, stacks)))
+    assert len(singlet) == 5555 + 1050 + 3636
+    _same_bits(measures._negativity(eigs, singlet), _negativity_summed(eigs, singlet))
 
 
 @pytest.mark.parametrize(

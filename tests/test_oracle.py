@@ -395,3 +395,19 @@ def test_partial_traces_refuse_an_imaginary_residue_and_a_non_finite_entry():
                 partial_traces(rows, dim)
     for dim in (2, 4):
         assert partial_traces(expand_states(4, 2, []), dim).shape == (0, dim, dim)
+
+
+_ROWS = expand_states(4, 2, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("amplitudes,dim,message", [
+    (_ROWS.tolist(), 4, "must be a 2-D numeric array"),  # a list
+    (_ROWS[0], 4, "must be a 2-D numeric array"),  # one row, 1-D
+    (np.array([["0.6", "0.8"]]), 2, "must be a 2-D numeric array"),  # str entries
+    (_ROWS, 3, "dim must be 2 or 4, got 3"),
+    (np.ones((2, 6)), 4, r"2\^N >= 4 amplitudes, got 6"),  # not a power of two
+    (np.ones((2, 2)), 4, r"2\^N >= 4 amplitudes, got 2"),  # narrower than dim
+])
+def test_partial_traces_refuse_a_malformed_stack_with_a_typed_error(amplitudes, dim, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        partial_traces(amplitudes, dim)
